@@ -31,6 +31,7 @@ from .harness import (
     error_vs_time,
     make_initial_data,
     run_trajectory,
+    shared_references,
     sweep_eps,
     sweep_tau,
     write_records_csv,
@@ -324,7 +325,9 @@ def run(config: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else list(argv))
-    return run(config)
+    # one reference store per command: the schemes of a sweep share each pair
+    with shared_references():
+        return run(config)
 
 
 if __name__ == "__main__":

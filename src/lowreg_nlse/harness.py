@@ -25,9 +25,11 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +68,7 @@ __all__ = [
     "make_initial_data",
     "run_trajectory",
     "reference_solution",
+    "shared_references",
     "sweep_tau",
     "sweep_eps",
     "error_vs_time",
@@ -180,7 +183,12 @@ class SolverFailure(RuntimeError):
             f"implicit solve failed at step {step_index} (t = {t:.6g}): {inner}"
         )
         self.step_index = step_index
+        self.t = t
+        self.inner = inner
         self.residual = getattr(inner, "residual", float("nan"))
+
+    def __reduce__(self):
+        return type(self), (self.step_index, self.t, self.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +197,12 @@ class SolverFailure(RuntimeError):
 
 def make_initial_data(params: SimParams) -> SpectralField:
     return random_initial_data(TorusGrid(params.n_modes), params.theta, params.seed)
+
+
+def _horizon_steps(params: SimParams) -> tuple[int, float]:
+    """Step count round(t_final / tau) and the horizon those steps reach."""
+    n_steps = int(round(params.t_final / params.tau))
+    return n_steps, n_steps * params.tau
 
 
 def _build_stepper(
@@ -239,8 +253,7 @@ def run_trajectory(
     if w0.grid != grid:
         raise ValueError("w0 does not live on the configured grid")
 
-    n_steps = int(round(params.t_final / params.tau))
-    t_actual = n_steps * params.tau
+    n_steps, t_actual = _horizon_steps(params)
 
     snap_at: dict[int, int] = {}
     for t in sample_times:
@@ -285,9 +298,150 @@ def _reference_params(params: SimParams, ref_tau: float, t_final: float) -> SimP
 
 
 def _snap_to_horizon(t_actual: float, ref_tau: float) -> float:
-    """Step nearest ref_tau that divides t_actual into an integer step count."""
+    """Step nearest ref_tau that divides t_actual into an integer step count.
+
+    A zero horizon takes no step, so ref_tau comes back unchanged.
+    """
+    if t_actual == 0.0:
+        return ref_tau
     n = max(1, int(round(t_actual / ref_tau)))
     return t_actual / n
+
+
+@dataclass(frozen=True, eq=False)
+class _Reference:
+    """One reference trajectory: the symmetric scheme from w0 at step up to t_final.
+
+    ``params`` supplies the equation, eps, initial-data parameters and solver
+    tolerances.  The key names the data by seed, theta and N, so a store
+    shared between cells only ever sees w0 = make_initial_data(params).
+    """
+
+    params: SimParams
+    w0: SpectralField
+    step: float
+    t_final: float
+    sample_times: tuple[float, ...] = ()
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.step))
+
+    @property
+    def key(self) -> tuple:
+        # rounded: the snapped horizons of different tau may differ in the
+        # last bits.  Given the horizon, the step count fixes the step.
+        p = self.params
+        return (
+            p.equation, p.eps, p.seed, p.theta, p.n_modes, p.fp_tol, p.fp_max_iter,
+            round(self.t_final, 9), self.n_steps,
+            tuple(round(t, 9) for t in self.sample_times),
+        )
+
+
+def _pair_refs(
+    params: SimParams,
+    w0: SpectralField,
+    step: float,
+    t_final: float,
+    sample_times: Sequence[float] = (),
+) -> tuple[_Reference, _Reference]:
+    """The fine (step) and finer (step/2) halves of one reference pair."""
+    times = tuple(sample_times)
+    return (
+        _Reference(params, w0, step, t_final, times),
+        _Reference(params, w0, step / 2.0, t_final, times),
+    )
+
+
+@dataclass(frozen=True)
+class _ReferencePair:
+    """Fine (``ref_tau``) and finer (``ref_tau/2``) trajectories of one pair."""
+
+    fine: TrajectoryResult
+    finer: TrajectoryResult
+    ref_tau: float
+
+
+def _reference_worker(task) -> TrajectoryResult:
+    params, w0, sample_times = task
+    return run_trajectory(params, w0, sample_times=sample_times)
+
+
+def _longest_first(mapper, fn, tasks: list, costs: Sequence[int]) -> list:
+    """``mapper(fn, tasks)`` issued in decreasing cost, results in task order.
+
+    Handing a pool its longest tasks first (Graham's LPT rule) keeps one
+    late long task from running alone while the other workers idle.
+    """
+    order = sorted(range(len(tasks)), key=lambda i: costs[i], reverse=True)
+    results: list = [None] * len(tasks)
+    for i, result in zip(order, mapper(fn, [tasks[i] for i in order])):
+        results[i] = result
+    return results
+
+
+class _ReferenceStore:
+    """Reference trajectories, each built once and kept under its key.
+
+    The first request for a key fixes the exact horizon and step the
+    trajectory is built with; later requests for the key reuse it.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict[tuple, tuple[float, TrajectoryResult]] = {}
+
+    def build(
+        self, refs: Sequence[_Reference], mapper=map
+    ) -> list[tuple[float, TrajectoryResult]]:
+        """(step, trajectory) of each of refs, building the missing ones via mapper."""
+        todo: dict[tuple, _Reference] = {}
+        for ref in refs:
+            if ref.key not in self._built:
+                todo.setdefault(ref.key, ref)
+        missing = list(todo.values())
+        tasks = [
+            (_reference_params(r.params, r.step, r.t_final), r.w0, r.sample_times)
+            for r in missing
+        ]
+        results = _longest_first(
+            mapper, _reference_worker, tasks, [r.n_steps for r in missing]
+        )
+        for ref, result in zip(missing, results):
+            self._built[ref.key] = (ref.step, result)
+        return [self._built[ref.key] for ref in refs]
+
+    def pairs(
+        self, requests: Sequence[tuple[_Reference, _Reference]], mapper=map
+    ) -> list[_ReferencePair]:
+        built = self.build([ref for pair in requests for ref in pair], mapper)
+        return [
+            _ReferencePair(fine, finer, step)
+            for (step, fine), (_, finer) in zip(built[0::2], built[1::2])
+        ]
+
+
+_shared_store: ContextVar[_ReferenceStore | None] = ContextVar(
+    "lowreg_nlse_reference_store", default=None
+)
+
+
+@contextmanager
+def shared_references() -> Iterator[None]:
+    """Let every sweep run inside the block share one set of reference pairs.
+
+    Outside such a block each sweep (and each lone cell) builds its own.
+    """
+    token = _shared_store.set(_ReferenceStore())
+    try:
+        yield
+    finally:
+        _shared_store.reset(token)
+
+
+def _references() -> _ReferenceStore:
+    store = _shared_store.get()
+    return store if store is not None else _ReferenceStore()
 
 
 def reference_solution(
@@ -300,13 +454,10 @@ def reference_solution(
     """
     if ref_tau > params.tau / 10.0:
         raise ValueError("ref_tau must be at most tau/10")
-    n_steps = int(round(params.t_final / params.tau))
-    t_actual = n_steps * params.tau
-    if n_steps == 0:
-        return w0
-    rt = _snap_to_horizon(t_actual, ref_tau)
-    ref = run_trajectory(_reference_params(params, rt, t_actual), w0)
-    return ref.state
+    _, t_actual = _horizon_steps(params)
+    ref = _Reference(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual)
+    [(_, traj)] = _ReferenceStore().build([ref])
+    return traj.state
 
 
 def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
@@ -317,42 +468,34 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
+def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float):
+    """Reference pair of a sweep cell: ref_tau snapped to the cell's horizon."""
+    _, t_actual = _horizon_steps(params)
+    return _pair_refs(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual)
+
+
 def _run_single_point(
     base: SimParams,
     eps: float,
     tau: float,
     t_final: float,
     ref_tau: float,
-    ref_cache: dict | None = None,
+    pair: _ReferencePair | None = None,
 ) -> tuple[SweepRecord, float]:
-    """One sweep cell: trajectory, aligned reference pair, record + gap."""
+    """One sweep cell: trajectory against its reference pair, record + gap.
+
+    Without ``pair`` the cell builds its own.  ``wall_seconds`` times the
+    cell's trajectory and error evaluation, never the reference.
+    """
     params = replace(base, eps=eps, tau=tau, t_final=t_final)
     w0 = make_initial_data(params)
+    if pair is None:
+        [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
     started = time.perf_counter()
     traj = run_trajectory(params, w0)
-
-    key = (round(eps, 12), round(traj.t_actual, 9))
-    cached = ref_cache.get(key) if ref_cache is not None else None
-    if cached is None:
-        if traj.n_steps == 0:
-            fine = finer = w0
-            rt = ref_tau
-        else:
-            rt = _snap_to_horizon(traj.t_actual, ref_tau)
-            fine = run_trajectory(
-                _reference_params(params, rt, traj.t_actual), w0
-            ).state
-            finer = run_trajectory(
-                _reference_params(params, rt / 2.0, traj.t_actual), w0
-            ).state
-        gap = _norm_diff(fine, finer, base.error_norm_r)
-        if ref_cache is not None:
-            ref_cache[key] = (fine, finer, gap, rt)
-    else:
-        fine, finer, gap, rt = cached
-
-    error = _norm_diff(traj.state, fine, base.error_norm_r)
+    error = _norm_diff(traj.state, pair.fine.state, base.error_norm_r)
     wall = time.perf_counter() - started
+    gap = _norm_diff(pair.fine.state, pair.finer.state, base.error_norm_r)
     record = SweepRecord(
         equation=base.equation,
         scheme=base.scheme,
@@ -364,7 +507,7 @@ def _run_single_point(
         t_final=traj.t_actual,
         error_norm_r=base.error_norm_r,
         error=error,
-        ref_tau=rt,
+        ref_tau=pair.ref_tau,
         wall_seconds=wall,
         fp_iter_max=traj.fp_iter_max,
         fp_iter_mean=traj.fp_iter_mean,
@@ -374,8 +517,8 @@ def _run_single_point(
 
 
 def _point_worker(payload) -> tuple[SweepRecord, float]:
-    base, eps, tau, t_final, ref_tau = payload
-    return _run_single_point(base, eps, tau, t_final, ref_tau)
+    base, eps, tau, t_final, ref_tau, pair = payload
+    return _run_single_point(base, eps, tau, t_final, ref_tau, pair)
 
 
 def _run_points(
@@ -384,15 +527,29 @@ def _run_points(
     ref_tau: float,
     jobs: int | None,
 ) -> tuple[list[SweepRecord], list[float]]:
+    """Run the cells against reference pairs taken from the shared store.
+
+    The missing reference trajectories are built first, longest first; then
+    the cells run, each handed its pair.  With jobs > 1 both phases share one
+    pool of at most ``jobs`` workers.
+    """
+    params = [replace(base, eps=eps, tau=tau, t_final=tf) for eps, tau, tf in cells]
+    requests = [_cell_refs(p, make_initial_data(p), ref_tau) for p in params]
+    store = _references()
     if jobs is not None and jobs > 1 and len(cells) > 1:
-        payloads = [(base, eps, tau, tf, ref_tau) for eps, tau, tf in cells]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_point_worker, payloads))
+            pairs = store.pairs(requests, pool.map)
+            payloads = [
+                (base, eps, tau, tf, ref_tau, pair)
+                for (eps, tau, tf), pair in zip(cells, pairs)
+            ]
+            costs = [_horizon_steps(p)[0] for p in params]
+            outcomes = _longest_first(pool.map, _point_worker, payloads, costs)
     else:
-        cache: dict = {}
+        pairs = store.pairs(requests)
         outcomes = [
-            _run_single_point(base, eps, tau, tf, ref_tau, cache)
-            for eps, tau, tf in cells
+            _run_single_point(base, eps, tau, tf, ref_tau, pair)
+            for (eps, tau, tf), pair in zip(cells, pairs)
         ]
     records = [rec for rec, _ in outcomes]
     gaps = [gap for _, gap in outcomes]
@@ -492,23 +649,25 @@ def error_vs_time(
     w0 = make_initial_data(base)
     started = time.perf_counter()
     traj = run_trajectory(base, w0, sample_times=times)
+    traj_seconds = time.perf_counter() - started
     snapped = [t for t, _ in traj.snapshots]
 
     m = max(10, int(round(base.tau / ref_tau)))
-    rt = base.tau / m
-    ref_fine = run_trajectory(
-        _reference_params(base, rt, traj.t_actual), w0, sample_times=snapped
+    [pair] = _references().pairs(
+        [_pair_refs(base, w0, base.tau / m, traj.t_actual, snapped)]
     )
-    ref_finer = run_trajectory(
-        _reference_params(base, rt / 2.0, traj.t_actual), w0, sample_times=snapped
-    )
-    wall = time.perf_counter() - started
+
+    started = time.perf_counter()
+    errors = [
+        _norm_diff(w_k, f_k, base.error_norm_r)
+        for (_, w_k), (_, f_k) in zip(traj.snapshots, pair.fine.snapshots)
+    ]
+    wall = traj_seconds + time.perf_counter() - started
 
     records = []
-    for (t_k, w_k), (_, f_k), (_, g_k) in zip(
-        traj.snapshots, ref_fine.snapshots, ref_finer.snapshots
+    for (t_k, _), error, (_, f_k), (_, g_k) in zip(
+        traj.snapshots, errors, pair.fine.snapshots, pair.finer.snapshots
     ):
-        error = _norm_diff(w_k, f_k, base.error_norm_r)
         gap = _norm_diff(f_k, g_k, base.error_norm_r)
         records.append(
             SweepRecord(
@@ -522,7 +681,7 @@ def error_vs_time(
                 t_final=t_k,
                 error_norm_r=base.error_norm_r,
                 error=error,
-                ref_tau=rt,
+                ref_tau=pair.ref_tau,
                 wall_seconds=wall,
                 fp_iter_max=traj.fp_iter_max,
                 fp_iter_mean=traj.fp_iter_mean,

@@ -84,6 +84,11 @@ class FixedPointError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not the formatted message,
+        # so the error survives the trip back from a pool worker
+        return type(self), (self.residual, self.iterations)
+
 
 def _check_args(w: SpectralField, cfg, ops: OperatorSymbols,
                 want: QuadNonlinearity | None = None) -> None:

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from lowreg_nlse import harness
 from lowreg_nlse.cli import _finish, main, parse_args
-from lowreg_nlse.harness import Equation, SweepRecord, read_records_csv
+from lowreg_nlse.harness import CSV_COLUMNS, Equation, SweepRecord, read_records_csv
 from lowreg_nlse.spectral import field_from_text
 
 
@@ -176,6 +177,78 @@ def test_error_vs_time_rows(tmp_path):
     rows = read_records_csv(str(out))
     assert [r.t_final for r in rows] == [0.0, 0.4, 1.0]
     assert rows[0].error == 0.0
+
+
+@pytest.fixture
+def reference_builds(monkeypatch):
+    """(eps, step, horizon) of every reference trajectory the command builds."""
+    built = []
+    original = harness._reference_params
+
+    def counting(params, ref_tau, t_final):
+        built.append((params.eps, ref_tau, t_final))
+        return original(params, ref_tau, t_final)
+
+    monkeypatch.setattr(harness, "_reference_params", counting)
+    return built
+
+
+def _rows_without_wall_clock(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    wall = CSV_COLUMNS.index("wall_seconds")
+    return [line.split(",")[:wall] + line.split(",")[wall + 1:] for line in lines]
+
+
+def test_sweep_eps_builds_each_pair_once_and_jobs_agree(tmp_path, reference_builds):
+    argv = ["sweep-eps", "--equation", "quad-modsq", "--scheme", "li1,sli2",
+            "--tau", "0.05", "--eps-list", "0.5,0.35,0.25", "--T", "0.2",
+            "--theta", "2", "--modes", "16", "--ref-tau", "5e-3"]
+    rows = {}
+    for jobs in ("1", "2"):
+        reference_builds.clear()
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        # two schemes, three eps: three pairs of fine and finer, each built once
+        assert len(reference_builds) == 6
+        assert len(set(reference_builds)) == 6
+        assert sorted({eps for eps, _, _ in reference_builds}) == [0.25, 0.35, 0.5]
+        rows[jobs] = _rows_without_wall_clock(out)
+    assert len(rows["1"]) == 7
+    assert rows["1"] == rows["2"]
+
+
+def test_error_vs_time_schemes_share_one_pair(tmp_path, reference_builds):
+    out = tmp_path / "evt.csv"
+    code = main(
+        ["error-vs-time", "--equation", "quad-square", "--scheme", "li1,sli2",
+         "--eps", "0.5", "--tau", "0.1", "--sample-times", "0,0.4,1.0",
+         "--T", "0.5", "--theta", "2", "--modes", "16",
+         "--ref-tau", "1e-2", "--out", str(out)]
+    )
+    assert code == 0
+    assert len(reference_builds) == 2
+    rows = read_records_csv(str(out))
+    assert [r.scheme for r in rows] == ["li1"] * 3 + ["sli2"] * 3
+    assert len({r.ref_tau for r in rows}) == 1
+
+
+@pytest.mark.parametrize("fp_max_iter, failing_time", [
+    ("1", "t = 0.00025"),  # the finer reference (longest, so built first)
+    ("4", "t = 0.05"),  # references converge in 3 iterations; the cells do not
+])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_picard_stall_names_the_step_on_every_path(tmp_path, capsys, jobs,
+                                                   fp_max_iter, failing_time):
+    code = main(
+        ["sweep-eps", "--equation", "quad-modsq", "--scheme", "sli2",
+         "--eps-list", "0.5,0.35,0.25", "--T", "0.2", "--tau", "0.05",
+         "--modes", "16", "--fp-max-iter", fp_max_iter, "--jobs", jobs,
+         "--out", str(tmp_path / "stall.csv")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"implicit solve failed at step 1 ({failing_time})" in err
 
 
 def test_unwritable_output_is_diagnosed(tmp_path, capsys):

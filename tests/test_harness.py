@@ -5,10 +5,12 @@ physically interesting regimes live in the acceptance suite.
 """
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lowreg_nlse import harness
 from lowreg_nlse.harness import (
     CSV_COLUMNS,
     Equation,
@@ -23,6 +25,7 @@ from lowreg_nlse.harness import (
     read_records_csv,
     reference_solution,
     run_trajectory,
+    shared_references,
     sweep_eps,
     sweep_tau,
     write_records_csv,
@@ -183,6 +186,19 @@ def test_solver_failure_carries_step_index():
     assert "step 1" in str(info.value)
 
 
+def test_solver_failure_survives_pickling():
+    # pool workers send failures back pickled; the step and residual must survive
+    p = _quad("sli2", tau=1.0, t_final=3.0, eps=1.0, fp_max_iter=25)
+    w0 = SpectralField(TorusGrid(p.n_modes), 50.0 * make_initial_data(p).coeffs)
+    with pytest.raises(SolverFailure) as info:
+        run_trajectory(p, w0)
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is SolverFailure
+    assert str(back) == str(info.value)
+    assert (back.step_index, back.residual) == (1, info.value.residual)
+    assert str(back.inner) == str(info.value.inner)
+
+
 def test_wrong_grid_rejected():
     p = _quad()
     w0 = SpectralField(TorusGrid(32), np.zeros(32, dtype=complex))
@@ -319,6 +335,34 @@ def test_sweep_is_deterministic_and_parallel_agrees(sli2_tau_sweep):
                 b.fp_iter_mean,
             )
     assert fit.slope == fit2.slope == fit3.slope
+
+
+def test_reference_pairs_are_shared_only_within_a_store(monkeypatch):
+    built = []
+    original = harness._reference_params
+
+    def counting(params, ref_tau, t_final):
+        built.append((params.eps, ref_tau, t_final))
+        return original(params, ref_tau, t_final)
+
+    monkeypatch.setattr(harness, "_reference_params", counting)
+    # the four steps of a tau sweep reach one horizon, so one pair serves all,
+    # also when the cells run in the pool
+    sweep_tau(_quad("sli2", tau=_TAUS[0], t_final=1.0), _TAUS, ref_tau=2.5e-3, jobs=2)
+    assert len(built) == 2
+    # separate library calls keep separate stores ...
+    built.clear()
+    base = _quad("li1", tau=0.05)
+    for scheme in ("li1", "sli2"):
+        sweep_eps(replace(base, scheme=scheme), [0.5, 0.4, 0.25], T=0.2, ref_tau=5e-3)
+    assert len(built) == 12
+    # ... and a shared block builds each pair once for both schemes
+    built.clear()
+    with shared_references():
+        for scheme in ("li1", "sli2"):
+            sweep_eps(replace(base, scheme=scheme), [0.5, 0.4, 0.25], T=0.2,
+                      ref_tau=5e-3)
+    assert len(built) == 6
 
 
 def test_unresolvable_point_is_flagged():
