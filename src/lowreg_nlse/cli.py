@@ -29,8 +29,6 @@ from .harness import (
     SweepRecord,
     _run_single_point,
     error_vs_time,
-    make_initial_data,
-    run_trajectory,
     shared_references,
     sweep_eps,
     sweep_tau,
@@ -268,13 +266,14 @@ def run(config: argparse.Namespace) -> int:
         if config.subcommand == "simulate":
             params = _base_params(config, config.scheme, config.tau, config.t_final)
             ref_tau = config.ref_tau if config.ref_tau is not None else config.tau / 100.0
+            finals = []
             record, _ = _run_single_point(
-                params, params.eps, params.tau, params.t_final, ref_tau
+                params, params.eps, params.tau, params.t_final, ref_tau,
+                on_final=finals.append,
             )
             if config.snapshot_out:
-                final = run_trajectory(params, make_initial_data(params)).state
                 with open(config.snapshot_out, "w") as fh:
-                    fh.write(field_to_text(final))
+                    fh.write(field_to_text(finals[0]))
                 print(f"wrote final field to {config.snapshot_out}")
             print(
                 f"{params.scheme} at tau {params.tau:g}: H^{params.error_norm_r:g} "

@@ -27,7 +27,7 @@ from .spectral import (
     conjugate_coeffs,
     values_from_coeffs,
 )
-from .quadratic import FixedPointError, _picard
+from .quadratic import FixedPointError, _grid_products, _picard
 
 __all__ = [
     "CubicScheme",
@@ -136,12 +136,8 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
 def _filtered_cubic(coeffs: np.ndarray, phi1_symbol: np.ndarray,
                     grid: TorusGrid, dealias: bool) -> np.ndarray:
     """Spectrum of w^2 * (Phi conj(w)) with Phi the given diagonal phi1 symbol."""
-    p = values_from_coeffs(coeffs, grid)
-    q = values_from_coeffs(phi1_symbol * conjugate_coeffs(coeffs), grid)
-    out = coeffs_from_values(p * p * q, grid)
-    if dealias:
-        out = np.where(grid._two_thirds_keep, out, 0.0)
-    return out
+    factors = [coeffs, phi1_symbol * conjugate_coeffs(coeffs)]
+    return _grid_products(factors, ((0, 0, 1),), grid, dealias)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +185,17 @@ def nrli1_step(
     double-counted all-equal overlap.
     """
     _check(w, cfg, ops, CubicScheme.NRLI1)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    c = w.coeffs
+    return SpectralField(w.grid, _nrli1_core(w.coeffs, cfg.eps, cfg.tau, ops, dealias))
+
+
+def _nrli1_core(c: np.ndarray, eps: float, tau: float,
+                ops: OperatorSymbols, dealias: bool) -> np.ndarray:
     core = _os18_core(c, eps, tau, ops, dealias)
-    g0 = complex(np.sum(ops.one_minus_phi1_2 * np.abs(c) ** 2))
-    h = ops.one_minus_phi1_2 * (np.abs(c) ** 2) * c
-    out = core - 2j * eps * eps * tau * g0 * (ops.prop * c) \
+    weighted = ops.one_minus_phi1_2 * np.abs(c) ** 2
+    g0 = complex(weighted.sum())
+    h = weighted * c
+    return core - 2j * eps * eps * tau * g0 * (ops.prop * c) \
         + 1j * eps * eps * tau * (ops.prop * h)
-    return SpectralField(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +232,21 @@ def _nrsli2_step_impl(
 
     # explicit endpoint, assembled once
     cubic_n = _filtered_cubic(c, ops.phi1_1, grid, dealias)
-    g0_n = complex(np.sum(mult_n * np.abs(c) ** 2))
-    h_n = mult_n * (np.abs(c) ** 2) * c
+    weighted_n = mult_n * np.abs(c) ** 2
+    g0_n = complex(weighted_n.sum())
+    h_n = weighted_n * c
     explicit = ops.prop * (c - 0.5j * tau * e2 * cubic_n) \
         - 0.5j * e2 * tau * (2.0 * g0_n * (ops.prop * c) - ops.prop * h_n)
 
     def apply(u: np.ndarray) -> np.ndarray:
         cubic_u = _filtered_cubic(u, ops.phi1_1c, grid, dealias)
-        g0_u = complex(np.sum(mult_u * np.abs(u) ** 2))
-        h_u = mult_u * (np.abs(u) ** 2) * u
+        weighted_u = mult_u * np.abs(u) ** 2
+        g0_u = complex(weighted_u.sum())
+        h_u = weighted_u * u
         return explicit - 0.5j * e2 * tau * cubic_u \
             - 0.5j * e2 * tau * (2.0 * g0_u * u - h_u)
 
-    guess_cfg = CubicSchemeConfig(eps, tau, CubicScheme.NRLI1,
-                                  cfg.fp_tol, cfg.fp_max_iter)
-    guess = nrli1_step(w, guess_cfg, ops, dealias).coeffs.copy()
+    guess = _nrli1_core(c, eps, tau, ops, dealias)
     solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
     return SpectralField(grid, solution), iters
 
@@ -301,8 +300,6 @@ def strang_step(
     """
     _check(w, cfg, ops, CubicScheme.STRANG)
     grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    lsq = (grid.wavenumbers * grid.wavenumbers).astype(np.float64)
-    half = np.exp(-0.5j * tau * lsq)
-    u = values_from_coeffs(half * w.coeffs, grid)
+    u = values_from_coeffs(ops.prop_half * w.coeffs, grid)
     u = u * np.exp(-1j * tau * eps * eps * (u.real**2 + u.imag**2))
-    return SpectralField(grid, half * coeffs_from_values(u, grid))
+    return SpectralField(grid, ops.prop_half * coeffs_from_values(u, grid))

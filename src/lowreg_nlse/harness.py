@@ -176,19 +176,35 @@ class OrderFit:
 
 
 class SolverFailure(RuntimeError):
-    """An implicit solve failed mid-trajectory; carries the step index."""
+    """An implicit solve failed mid-trajectory; carries the step index.
 
-    def __init__(self, step_index: int, t: float, inner: Exception):
+    ``where`` names the trajectory that stalled when the caller knows it
+    (a reference trajectory or a sweep cell) and is empty otherwise.
+    """
+
+    def __init__(self, step_index: int, t: float, inner: Exception, where: str = ""):
         super().__init__(
-            f"implicit solve failed at step {step_index} (t = {t:.6g}): {inner}"
+            f"implicit solve failed at step {step_index} (t = {t:.6g})"
+            + (f" in the {where}" if where else "")
+            + f": {inner}"
         )
         self.step_index = step_index
         self.t = t
         self.inner = inner
+        self.where = where
         self.residual = getattr(inner, "residual", float("nan"))
 
     def __reduce__(self):
-        return type(self), (self.step_index, self.t, self.inner)
+        return type(self), (self.step_index, self.t, self.inner, self.where)
+
+
+@contextmanager
+def _naming_failures(where: str) -> Iterator[None]:
+    """Re-raise a SolverFailure from the block with ``where`` naming its trajectory."""
+    try:
+        yield
+    except SolverFailure as exc:
+        raise SolverFailure(exc.step_index, exc.t, exc.inner, where) from exc.inner
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +381,10 @@ class _ReferencePair:
 
 def _reference_worker(task) -> TrajectoryResult:
     params, w0, sample_times = task
-    return run_trajectory(params, w0, sample_times=sample_times)
+    where = f"reference trajectory (step {params.tau:.6g}, eps {params.eps:g})"
+    with _naming_failures(where):
+        return run_trajectory(params, w0, sample_times=sample_times)
+
 
 
 def _longest_first(mapper, fn, tasks: list, costs: Sequence[int]) -> list:
@@ -474,6 +493,10 @@ def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float):
     return _pair_refs(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual)
 
 
+def _cell_name(params: SimParams) -> str:
+    return f"cell (scheme {params.scheme}, eps {params.eps:g}, tau {params.tau:g})"
+
+
 def _run_single_point(
     base: SimParams,
     eps: float,
@@ -481,20 +504,25 @@ def _run_single_point(
     t_final: float,
     ref_tau: float,
     pair: _ReferencePair | None = None,
+    on_final: Callable[[SpectralField], None] | None = None,
 ) -> tuple[SweepRecord, float]:
     """One sweep cell: trajectory against its reference pair, record + gap.
 
-    Without ``pair`` the cell builds its own.  ``wall_seconds`` times the
-    cell's trajectory and error evaluation, never the reference.
+    Without ``pair`` the cell builds its own.  ``on_final``, if given, is
+    handed the trajectory's final field.  ``wall_seconds`` times the cell's
+    trajectory and error evaluation, never the reference.
     """
     params = replace(base, eps=eps, tau=tau, t_final=t_final)
     w0 = make_initial_data(params)
     if pair is None:
         [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
     started = time.perf_counter()
-    traj = run_trajectory(params, w0)
+    with _naming_failures(_cell_name(params)):
+        traj = run_trajectory(params, w0)
     error = _norm_diff(traj.state, pair.fine.state, base.error_norm_r)
     wall = time.perf_counter() - started
+    if on_final is not None:
+        on_final(traj.state)
     gap = _norm_diff(pair.fine.state, pair.finer.state, base.error_norm_r)
     record = SweepRecord(
         equation=base.equation,
@@ -648,7 +676,8 @@ def error_vs_time(
 
     w0 = make_initial_data(base)
     started = time.perf_counter()
-    traj = run_trajectory(base, w0, sample_times=times)
+    with _naming_failures(_cell_name(base)):
+        traj = run_trajectory(base, w0, sample_times=times)
     traj_seconds = time.perf_counter() - started
     snapped = [t for t, _ in traj.snapshots]
 

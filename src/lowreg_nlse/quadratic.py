@@ -100,23 +100,34 @@ def _check_args(w: SpectralField, cfg, ops: OperatorSymbols,
         raise ValueError(f"stepper expects nonlinearity {want}, got {cfg.nonlinearity}")
 
 
-def _grid_square(coeffs: np.ndarray, grid: TorusGrid, dealias: bool) -> np.ndarray:
-    """Spectrum of the pointwise square of the field with the given spectrum."""
-    vals = values_from_coeffs(coeffs, grid)
-    out = coeffs_from_values(vals * vals, grid)
+def _grid_products(
+    factors: list[np.ndarray],
+    products: tuple[tuple[int, ...], ...],
+    grid: TorusGrid,
+    dealias: bool,
+) -> np.ndarray:
+    """Spectra of pointwise products of fields given by their spectra.
+
+    ``products`` holds one tuple of indices into ``factors`` per product:
+    ``(i, j, k)`` is (f_i * f_j) * f_k, multiplied left to right on the grid.
+    The whole stage costs one inverse transform of the stacked factors and
+    one forward transform of the stacked products; row r of the result is
+    the spectrum of product r.
+    """
+    vals = values_from_coeffs(np.array(factors), grid)
+    prods = np.empty((len(products), grid.n_modes), dtype=np.complex128)
+    for row, (i, j, *more) in zip(prods, products):
+        np.multiply(vals[i], vals[j], out=row)
+        for k in more:
+            row *= vals[k]
+    out = coeffs_from_values(prods, grid)
     if dealias:
         out = np.where(grid._two_thirds_keep, out, 0.0)
     return out
 
 
-def _grid_product(a: np.ndarray, b: np.ndarray, grid: TorusGrid, dealias: bool) -> np.ndarray:
-    """Spectrum of the pointwise product of two fields given by their spectra."""
-    out = coeffs_from_values(
-        values_from_coeffs(a, grid) * values_from_coeffs(b, grid), grid
-    )
-    if dealias:
-        out = np.where(grid._two_thirds_keep, out, 0.0)
-    return out
+_SQUARES = ((0, 0), (1, 1))  # f0^2 and f1^2
+_PAIRS = ((0, 1), (2, 3))  # f0 f1 and f2 f3
 
 
 def _picard(
@@ -132,7 +143,7 @@ def _picard(
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             u_next = step_map(u)
-            residual = float(np.sqrt(np.sum((weights * np.abs(u_next - u)) ** 2)))
+            residual = float(np.sqrt(((weights * np.abs(u_next - u)) ** 2).sum()))
             if residual <= tol:
                 return u_next, it
             if not np.isfinite(residual):
@@ -169,8 +180,7 @@ def li1_step(
     out[n0] += 1j * eps * tau * w0 * w0
 
     d = ops.inv_dx * c
-    sq_prop = _grid_square(ops.prop * d, grid, dealias)
-    sq_plain = _grid_square(d, grid, dealias)
+    sq_prop, sq_plain = _grid_products([ops.prop * d, d], _SQUARES, grid, dealias)
     out += (eps / 2.0) * (sq_prop - ops.prop * sq_plain)
     return SpectralField(grid, out)
 
@@ -195,15 +205,16 @@ def li1_conj_step(
     n0 = grid.n_modes // 2
     c = w.coeffs
     w0 = c[n0]
-    mass = float(np.sum(np.abs(c) ** 2))
+    mass = float((np.abs(c) ** 2).sum())
 
     out = (1.0 - 1j * eps * tau * np.conj(w0)) * (ops.prop * c)
     out[n0] += -1j * eps * tau * (mass - abs(w0) ** 2)
 
     dcc = ops.inv_dx * conjugate_coeffs(c)
-    t1 = _grid_product(ops.prop * c, np.conj(ops.prop) * dcc, grid, dealias)
-    t2 = ops.prop * _grid_product(c, dcc, grid, dealias)
-    out += (eps / 2.0) * ops.inv_dx * (t1 - t2)
+    t1, t2 = _grid_products(
+        [ops.prop * c, np.conj(ops.prop) * dcc, c, dcc], _PAIRS, grid, dealias
+    )
+    out += (eps / 2.0) * ops.inv_dx * (t1 - ops.prop * t2)
     return SpectralField(grid, out)
 
 
@@ -228,25 +239,19 @@ def sli2_step_info(
     explicit = (1.0 - 1j * eps * tau * w0) * (ops.prop * c)
     explicit[n0] += 0.5j * eps * tau * w0 * w0
     d = ops.inv_dx * c
-    explicit += (eps / 4.0) * (
-        _grid_square(ops.prop * d, grid, dealias)
-        - ops.prop * _grid_square(d, grid, dealias)
-    )
+    sq_prop, sq_plain = _grid_products([ops.prop * d, d], _SQUARES, grid, dealias)
+    explicit += (eps / 4.0) * (sq_prop - ops.prop * sq_plain)
 
     def apply(u: np.ndarray) -> np.ndarray:
         u0 = u[n0]
         out = explicit - 1j * eps * tau * u0 * u
         out[n0] += 0.5j * eps * tau * u0 * u0
         du = ops.inv_dx * u
-        out += (eps / 4.0) * (
-            _grid_square(du, grid, dealias)
-            - ops.prop * _grid_square(np.conj(ops.prop) * du, grid, dealias)
-        )
+        sq, sq_back = _grid_products([du, np.conj(ops.prop) * du], _SQUARES, grid, dealias)
+        out += (eps / 4.0) * (sq - ops.prop * sq_back)
         return out
 
-    guess = li1_step(w, QuadSchemeConfig(eps, tau, QuadNonlinearity.SQUARE,
-                                         cfg.fp_tol, cfg.fp_max_iter),
-                     ops, dealias).coeffs.copy()
+    guess = li1_step(w, cfg, ops, dealias).coeffs
     solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
     return SpectralField(grid, solution), iters
 
@@ -284,33 +289,29 @@ def sli2_conj_step_info(
     n0 = grid.n_modes // 2
     c = w.coeffs
     w0 = c[n0]
-    mass = float(np.sum(np.abs(c) ** 2))
+    mass = float((np.abs(c) ** 2).sum())
 
     explicit = (1.0 - 0.5j * eps * tau * np.conj(w0)) * (ops.prop * c)
     explicit[n0] += -0.5j * eps * tau * (mass - abs(w0) ** 2)
     dcc = ops.inv_dx * conjugate_coeffs(c)
-    explicit += (eps / 4.0) * ops.inv_dx * (
-        _grid_product(ops.prop * c, np.conj(ops.prop) * dcc, grid, dealias)
-        - ops.prop * _grid_product(c, dcc, grid, dealias)
+    t1, t2 = _grid_products(
+        [ops.prop * c, np.conj(ops.prop) * dcc, c, dcc], _PAIRS, grid, dealias
     )
+    explicit += (eps / 4.0) * ops.inv_dx * (t1 - ops.prop * t2)
 
     def apply(u: np.ndarray) -> np.ndarray:
         u0 = u[n0]
-        mass_u = float(np.sum(np.abs(u) ** 2))
+        mass_u = float((np.abs(u) ** 2).sum())
         out = explicit - 0.5j * eps * tau * np.conj(u0) * u
         out[n0] += -0.5j * eps * tau * (mass_u - abs(u0) ** 2)
         dcu = ops.inv_dx * conjugate_coeffs(u)
-        out += (eps / 4.0) * ops.inv_dx * (
-            _grid_product(u, dcu, grid, dealias)
-            - ops.prop * _grid_product(
-                np.conj(ops.prop) * u, ops.prop * dcu, grid, dealias
-            )
+        t1, t2 = _grid_products(
+            [u, dcu, np.conj(ops.prop) * u, ops.prop * dcu], _PAIRS, grid, dealias
         )
+        out += (eps / 4.0) * ops.inv_dx * (t1 - ops.prop * t2)
         return out
 
-    guess = li1_conj_step(w, QuadSchemeConfig(eps, tau, QuadNonlinearity.MODULUS_SQUARE,
-                                              cfg.fp_tol, cfg.fp_max_iter),
-                          ops, dealias).coeffs.copy()
+    guess = li1_conj_step(w, cfg, ops, dealias).coeffs
     solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
     return SpectralField(grid, solution), iters
 

@@ -1,9 +1,10 @@
 """Small-grid self-checks wired to the ``selftest`` CLI subcommand.
 
-Every check replays one of the package's load-bearing equivalences at N <= 16:
-scheme steps against brute-force convolution oracles, symmetric schemes
-against time reversal, constant data against the zero-mode ODE integrators,
-and the serialization round trips.  The whole battery is meant to run in
+Every check replays one of the package's load-bearing equivalences, mostly at
+N <= 16: scheme steps against brute-force convolution oracles, symmetric
+schemes against time reversal, constant data against the zero-mode ODE
+integrators, stacked transforms against row-by-row ones, and the
+serialization round trips.  The whole battery is meant to run in
 seconds, as a deployment smoke test rather than a substitute for the pytest
 suite.
 """
@@ -48,11 +49,13 @@ from .spectral import (
     OperatorSymbols,
     SpectralField,
     TorusGrid,
+    coeffs_from_values,
     field_from_text,
     field_to_text,
     phi1,
     random_initial_data,
     sobolev_norm,
+    values_from_coeffs,
 )
 
 __all__ = ["run_selftest", "CheckResult"]
@@ -193,6 +196,25 @@ def _check_phi1_identity() -> str:
     return f"residual {worst:.1e}"
 
 
+def _check_stacked_transforms() -> str:
+    # the steppers transform all factors of a product stage in one call; on a
+    # numpy whose FFT treats a stack differently from lone rows, that would
+    # change the numbers
+    sizes = (16, 96, 128, 1024)
+    for n in sizes:
+        grid = TorusGrid(n)
+        stack = np.stack([random_initial_data(grid, 1.0, seed).coeffs for seed in range(4)])
+        vals = values_from_coeffs(stack, grid)
+        back = coeffs_from_values(vals, grid)
+        for row in range(len(stack)):
+            if not (np.array_equal(vals[row], values_from_coeffs(stack[row], grid))
+                    and np.array_equal(back[row], coeffs_from_values(vals[row], grid))):
+                raise AssertionError(
+                    f"row {row} of a (4, {n}) stack differs from its lone transform"
+                )
+    return f"(4, N) stacks at N = {', '.join(map(str, sizes))}"
+
+
 def _check_serialization() -> str:
     grid = TorusGrid(16)
     w = random_initial_data(grid, 1.5, 9)
@@ -226,6 +248,7 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("constant-data zero-mode reductions", _check_zero_mode_reductions),
     ("resonance classification vs phase defect", _check_resonance_classification),
     ("phi1 against expm1 decomposition", _check_phi1_identity),
+    ("stacked transforms match row-by-row, bit for bit", _check_stacked_transforms),
     ("serialization round trips", _check_serialization),
 ]
 

@@ -74,6 +74,20 @@ class TorusGrid:
         return s
 
     @cached_property
+    def _half_roll(self) -> np.ndarray:
+        # take-index of fftshift and of ifftshift, which coincide for even N
+        n = self.n_modes
+        idx = (np.arange(n) + n // 2) % n
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def _h1_weights(self) -> np.ndarray:
+        w = 1.0 + np.abs(self.wavenumbers)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
     def _inv_ik(self) -> np.ndarray:
         # symbol of the regularized antiderivative: 1/(i l), zero at l = 0
         k = self.wavenumbers
@@ -91,13 +105,19 @@ class TorusGrid:
 
 
 def coeffs_from_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """DFT of grid samples to ascending-l coefficients (array level)."""
-    return grid._grid_phase * np.fft.fftshift(np.fft.fft(values)) / grid.n_modes
+    """DFT of grid samples to ascending-l coefficients (array level).
+
+    Transforms along the last axis, so a ``(..., N)`` stack of fields takes
+    one call; each row comes out bit for bit as it would alone.
+    """
+    spectrum = np.fft.fft(values).take(grid._half_roll, axis=-1)
+    return grid._grid_phase * spectrum / grid.n_modes
 
 
 def values_from_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Grid samples of the trigonometric interpolant (array level)."""
-    return np.fft.ifft(np.fft.ifftshift(coeffs * grid._grid_phase)) * grid.n_modes
+    """Grid samples of the trigonometric interpolant (array level, last axis)."""
+    shifted = (coeffs * grid._grid_phase).take(grid._half_roll, axis=-1)
+    return np.fft.ifft(shifted) * grid.n_modes
 
 
 def conjugate_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -200,7 +220,12 @@ def apply_phi1_laplacian(field: SpectralField, a: complex) -> SpectralField:
 
 
 def sobolev_weights(grid: TorusGrid, r: float) -> np.ndarray:
-    """The H^r weights (1 + |l|)^r in ascending l order."""
+    """The H^r weights (1 + |l|)^r in ascending l order.
+
+    For r = 1 this is the grid's cached array, which is read-only.
+    """
+    if r == 1.0:
+        return grid._h1_weights
     return (1.0 + np.abs(grid.wavenumbers)) ** float(r)
 
 
@@ -210,7 +235,7 @@ def sobolev_norm(field: SpectralField, r: float) -> float:
         raise ValueError(f"r must be >= 0, got {r}")
     w = sobolev_weights(field.grid, r)
     c = field.coeffs
-    return math.sqrt(float(np.sum((w * np.abs(c)) ** 2)))
+    return math.sqrt(float(((w * np.abs(c)) ** 2).sum()))
 
 
 _U64 = (1 << 64) - 1
@@ -291,6 +316,7 @@ class OperatorSymbols:
     """Per-mode multipliers for a fixed time step tau.
 
     prop             exp(-i tau l^2)        — symbol of exp(i tau dxx)
+    prop_half        exp(-i tau l^2 / 2)    — symbol of exp(i (tau/2) dxx)
     inv_dx           1/(i l), 0 at l = 0    — regularized antiderivative
     phi1_2           phi1(2 i tau l^2)      — symbol of phi1(-2 i tau dxx)
     phi1_1           phi1(i tau l^2)        — symbol of phi1(-i tau dxx)
@@ -301,6 +327,7 @@ class OperatorSymbols:
     tau: float
     grid: TorusGrid
     prop: np.ndarray
+    prop_half: np.ndarray
     inv_dx: np.ndarray
     phi1_2: np.ndarray
     phi1_1: np.ndarray
@@ -316,6 +343,7 @@ class OperatorSymbols:
         phi1_1c = phi1(-1j * tau * lsq)
         arrays = dict(
             prop=prop,
+            prop_half=np.exp(-0.5j * tau * lsq),
             inv_dx=grid._inv_ik.copy(),
             phi1_2=phi1_2,
             phi1_1=phi1_1,

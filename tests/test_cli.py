@@ -8,7 +8,7 @@ import pytest
 from lowreg_nlse import harness
 from lowreg_nlse.cli import _finish, main, parse_args
 from lowreg_nlse.harness import CSV_COLUMNS, Equation, SweepRecord, read_records_csv
-from lowreg_nlse.spectral import field_from_text
+from lowreg_nlse.spectral import field_from_text, field_to_text
 
 
 def _simulate_args(tmp_path, **overrides):
@@ -141,6 +141,27 @@ def test_simulate_writes_record_and_snapshot(tmp_path):
     assert field.grid.n_modes == 16
 
 
+def test_snapshot_out_runs_no_extra_trajectory(tmp_path, monkeypatch):
+    calls = []
+    original = harness.run_trajectory
+
+    def counting(params, *args, **kwargs):
+        calls.append(params.scheme)
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trajectory", counting)
+    assert main(_simulate_args(tmp_path)) == 0
+    plain = list(calls)
+    calls.clear()
+    snap = tmp_path / "final.txt"
+    assert main(_simulate_args(tmp_path, **{"snapshot-out": str(snap)})) == 0
+    assert calls == plain == ["sli2", "sli2", "li1"]
+    # the snapshot is the final field of the scheme's own trajectory
+    p = harness.SimParams(Equation.QUAD_SQUARE, "li1", eps=0.5, tau=0.1, t_final=0.5,
+                          n_modes=16, theta=2.0)
+    assert snap.read_text() == field_to_text(original(p, harness.make_initial_data(p)).state)
+
+
 def test_simulate_is_deterministic_apart_from_wall_clock(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(_simulate_args(tmp_path, out=str(out1))) == 0
@@ -249,6 +270,26 @@ def test_picard_stall_names_the_step_on_every_path(tmp_path, capsys, jobs,
     assert code == 1
     err = capsys.readouterr().err
     assert f"implicit solve failed at step 1 ({failing_time})" in err
+
+
+@pytest.mark.parametrize("fp_max_iter, trajectory", [
+    ("1", "in the reference trajectory (step 0.00025, eps "),
+    ("4", "in the cell (scheme sli2, eps "),
+])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_picard_stall_names_the_trajectory(tmp_path, capsys, jobs, fp_max_iter, trajectory):
+    code = main(
+        ["sweep-eps", "--equation", "quad-modsq", "--scheme", "sli2",
+         "--eps-list", "0.5,0.35,0.25", "--T", "0.2", "--tau", "0.05",
+         "--modes", "16", "--fp-max-iter", fp_max_iter, "--jobs", jobs,
+         "--out", str(tmp_path / "stall.csv")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "implicit solve failed at step 1 (t = " in err
+    assert trajectory in err
+    if fp_max_iter == "4":
+        assert "tau 0.05)" in err
 
 
 def test_unwritable_output_is_diagnosed(tmp_path, capsys):

@@ -30,7 +30,7 @@ from lowreg_nlse.harness import (
     sweep_tau,
     write_records_csv,
 )
-from lowreg_nlse.quadratic import QuadSchemeConfig, li1_step
+from lowreg_nlse.quadratic import FixedPointError, QuadSchemeConfig, li1_step
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
@@ -197,6 +197,15 @@ def test_solver_failure_survives_pickling():
     assert str(back) == str(info.value)
     assert (back.step_index, back.residual) == (1, info.value.residual)
     assert str(back.inner) == str(info.value.inner)
+
+
+def test_solver_failure_names_its_trajectory_through_pickling():
+    where = "cell (scheme sli2, eps 0.5, tau 0.05)"
+    exc = SolverFailure(2, 0.1, FixedPointError(1e-3, 4), where)
+    assert f"implicit solve failed at step 2 (t = 0.1) in the {where}: " in str(exc)
+    back = pickle.loads(pickle.dumps(exc))
+    assert str(back) == str(exc)
+    assert (back.where, back.step_index, back.residual) == (where, 2, 1e-3)
 
 
 def test_wrong_grid_rejected():

@@ -1,5 +1,7 @@
 """Tests for the spectral core: transforms, symbols, norms, random data, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from lowreg_nlse.spectral import (
     TorusGrid,
     antiderivative,
     apply_phi1_laplacian,
+    coeffs_from_values,
     conjugate_coeffs,
     conjugate_field,
     field_from_text,
@@ -21,10 +24,13 @@ from lowreg_nlse.spectral import (
     phi1,
     random_initial_data,
     sobolev_norm,
+    sobolev_weights,
     truncate_two_thirds,
+    values_from_coeffs,
     _SERIES_CUTOFF,
     _SplitMix64,
 )
+from lowreg_nlse.quadratic import _grid_products
 
 
 def _random_field(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -125,6 +131,52 @@ def test_round_trip_many_fields(n):
         back = forward_transform(inverse_transform(f), grid)
         err = np.linalg.norm(back.coeffs - f.coeffs)
         assert err <= 1e-12 * np.linalg.norm(f.coeffs)
+
+
+def _fftshift_coeffs_from_values(values, grid):
+    # the np.fft.fftshift formulation the transforms are checked against
+    return grid._grid_phase * np.fft.fftshift(np.fft.fft(values)) / grid.n_modes
+
+
+def _fftshift_values_from_coeffs(coeffs, grid):
+    return np.fft.ifft(np.fft.ifftshift(coeffs * grid._grid_phase)) * grid.n_modes
+
+
+@pytest.mark.parametrize("n", [4, 6, 16, 96, 128, 1024])
+def test_transform_pair_equals_fftshift_formula_bit_for_bit(n):
+    rng = np.random.default_rng(500 + n)
+    grid = TorusGrid(n)
+    stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    vals = values_from_coeffs(stack, grid)
+    back = coeffs_from_values(vals, grid)
+    assert vals.shape == back.shape == (3, n)
+    for row in range(3):
+        want_vals = _fftshift_values_from_coeffs(stack[row], grid)
+        want_back = _fftshift_coeffs_from_values(want_vals, grid)
+        assert np.array_equal(values_from_coeffs(stack[row], grid), want_vals)
+        assert np.array_equal(coeffs_from_values(want_vals, grid), want_back)
+        assert np.array_equal(vals[row], want_vals)
+        assert np.array_equal(back[row], want_back)
+
+
+@pytest.mark.parametrize("n", [6, 16, 128])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_batched_products_equal_one_at_a_time(n, dealias):
+    rng = np.random.default_rng(900 + n)
+    grid = TorusGrid(n)
+    factors = [_random_field(grid, rng).coeffs for _ in range(3)]
+    products = ((0, 0), (1, 2), (0, 0, 2), (2, 1, 0))
+    batched = _grid_products(factors, products, grid, dealias)
+    assert batched.shape == (len(products), n)
+    for row, indices in zip(batched, products):
+        first, *rest = [values_from_coeffs(factors[i], grid) for i in indices]
+        prod = first
+        for vals in rest:
+            prod = prod * vals
+        want = coeffs_from_values(prod, grid)
+        if dealias:
+            want = np.where(grid._two_thirds_keep, want, 0.0)
+        assert np.array_equal(row, want)
 
 
 def test_parseval():
@@ -322,6 +374,17 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(SpectralField(grid, mode1), 1.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n", [8, 96, 1024])
+def test_sobolev_norm_with_cached_h1_weights_equals_direct_formula(n):
+    grid = TorusGrid(n)
+    f = random_initial_data(grid, 1.0, n)
+    weights = (1.0 + np.abs(grid.wavenumbers)) ** 1.0
+    direct = math.sqrt(float(np.sum((weights * np.abs(f.coeffs)) ** 2)))
+    assert sobolev_norm(f, 1.0) == direct
+    assert sobolev_weights(grid, 1) is sobolev_weights(grid, 1.0)
+    assert np.array_equal(sobolev_weights(grid, 1.0), weights)
+
+
 def test_sobolev_norm_rejects_negative_order():
     grid = TorusGrid(8)
     f = SpectralField(grid, np.ones(8, dtype=complex))
@@ -405,6 +468,12 @@ class TestOperatorSymbols:
         assert ops.phi1_1[n0] == 1.0 + 0j
         assert ops.phi1_1c[n0] == 1.0 + 0j
         assert ops.one_minus_phi1_2[n0] == 0.0 + 0j
+
+    def test_half_step_propagator(self):
+        grid = TorusGrid(16)
+        ops = OperatorSymbols.build(grid, 0.3)
+        lsq = (grid.wavenumbers * grid.wavenumbers).astype(np.float64)
+        assert np.array_equal(ops.prop_half, np.exp(-0.5j * 0.3 * lsq))
 
     def test_propagator_unimodular(self):
         ops = OperatorSymbols.build(TorusGrid(64), -2.1)
