@@ -12,7 +12,8 @@ Flags may be preloaded from a JSON file via ``--config``; explicit flags
 override file values.  The long-time subcommands take the horizon constant
 ``--T`` and derive t_final = T/eps (quadratic) or T/eps^2 (cubic); ``simulate``
 takes a raw ``--t-final``.  Exit status: 0 when every record is reliable,
-1 on solver/IO failure or unreliable records, 2 on usage errors.
+1 on solver/IO failure or unreliable records, 2 on usage errors, which
+include every value :class:`~lowreg_nlse.harness.SimParams` rejects.
 """
 from __future__ import annotations
 
@@ -205,6 +206,13 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
         parser.error(f"--tau must be positive, got {config.tau}")
     if getattr(config, "T", None) is not None and config.T <= 0:
         parser.error(f"--T must be positive, got {config.T}")
+    # SimParams' own checks, horizon aside: scheme for the equation, fp settings, norm
+    tau = config.tau if getattr(config, "tau", None) is not None else max(config.tau_list)
+    for scheme in _schemes(config):
+        try:
+            _base_params(config, scheme, tau, 0.0)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _horizon(equation: Equation, T: float, eps: float) -> float:

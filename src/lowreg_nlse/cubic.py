@@ -4,7 +4,9 @@ The two non-resonant low-regularity maps split the cubic interaction into its
 resonant part (integrated exactly — this is what distinguishes them from the
 plain resonance-based scheme) and a non-resonant part handled through a
 phi1-filtered product.  Baselines: the unfiltered resonance-based first-order
-map (``os18_step``) and Strang splitting.
+map (``os18_step``) and Strang splitting.  The step contract is the quadratic
+one: the explicit maps return the new field, ``nrsli2_step_info`` returns it
+with its Picard iteration count.
 
 Auxiliary functions: ``g_zero_mode`` and ``h_field`` carry the resonant-part
 bookkeeping.  Both are diagonal constructions in Fourier space; the zero mode
@@ -27,7 +29,7 @@ from .spectral import (
     conjugate_coeffs,
     values_from_coeffs,
 )
-from .quadratic import FixedPointError, _grid_products, _picard
+from .quadratic import FixedPointError, _StepConfig, _check, _grid_products, _picard
 
 __all__ = [
     "CubicScheme",
@@ -37,7 +39,6 @@ __all__ = [
     "h_field",
     "nrli1_step",
     "os18_step",
-    "nrsli2_step",
     "nrsli2_step_info",
     "strang_step",
 ]
@@ -51,7 +52,7 @@ class CubicScheme(Enum):
 
 
 @dataclass(frozen=True)
-class CubicSchemeConfig:
+class CubicSchemeConfig(_StepConfig):
     """Parameters for one cubic-equation step (negative tau allowed, see quadratic)."""
 
     eps: float
@@ -59,16 +60,6 @@ class CubicSchemeConfig:
     scheme: CubicScheme = CubicScheme.NRLI1
     fp_tol: float = 1e-12
     fp_max_iter: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.tau == 0.0:
-            raise ValueError("tau must be nonzero")
-        if self.fp_tol <= 0.0:
-            raise ValueError("fp_tol must be positive")
-        if self.fp_max_iter < 1:
-            raise ValueError("fp_max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -99,16 +90,6 @@ class ResonanceWeights:
         return l == l2 or l == l3
 
 
-def _check(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols,
-           want: CubicScheme) -> None:
-    if w.grid != ops.grid:
-        raise ValueError("field and operator symbols live on different grids")
-    if cfg.tau != ops.tau:
-        raise ValueError(f"config tau {cfg.tau} does not match symbols tau {ops.tau}")
-    if cfg.scheme is not want:
-        raise ValueError(f"stepper expects scheme {want}, got {cfg.scheme}")
-
-
 # ---------------------------------------------------------------------------
 # auxiliary functions
 # ---------------------------------------------------------------------------
@@ -133,23 +114,21 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
     return SpectralField(u.grid, ops.one_minus_phi1_2 * (np.abs(c) ** 2) * c)
 
 
-def _filtered_cubic(coeffs: np.ndarray, phi1_symbol: np.ndarray,
-                    grid: TorusGrid, dealias: bool) -> np.ndarray:
-    """Spectrum of w^2 * (Phi conj(w)) with Phi the given diagonal phi1 symbol."""
-    factors = [coeffs, phi1_symbol * conjugate_coeffs(coeffs)]
-    return _grid_products(factors, ((0, 0, 1),), grid, dealias)[0]
+def _filtered_cubics(c: np.ndarray, symbols: list[np.ndarray],
+                     grid: TorusGrid) -> np.ndarray:
+    """Spectra of w^2 (Phi conj w), one row per diagonal phi1 symbol Phi, in one stage."""
+    cc = conjugate_coeffs(c)
+    factors = [c] + [phi * cc for phi in symbols]
+    return _grid_products(factors, tuple((0, 0, k) for k in range(1, len(factors))), grid)
 
 
 # ---------------------------------------------------------------------------
 # explicit first-order maps
+#
+# A product stage and a core each, as in quadratic; nrsli2 shares its stage.
 # ---------------------------------------------------------------------------
 
-def os18_step(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
-) -> SpectralField:
+def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
     """Resonance-based first-order baseline.
 
     w -> P [ w - i tau eps^2 w^2 (phi1(-2 i tau dxx) conj w) ]
@@ -159,22 +138,17 @@ def os18_step(
     restore the exact resonant integral.
     """
     _check(w, cfg, ops, CubicScheme.OS18)
-    core = _os18_core(w.coeffs, cfg.eps, cfg.tau, ops, dealias)
-    return SpectralField(w.grid, core)
+    c = w.coeffs
+    [cubic] = _filtered_cubics(c, [ops.phi1_2], w.grid)
+    return SpectralField(w.grid, _os18_core(c, cubic, cfg.eps, cfg.tau, ops))
 
 
-def _os18_core(c: np.ndarray, eps: float, tau: float,
-               ops: OperatorSymbols, dealias: bool) -> np.ndarray:
-    cubic = _filtered_cubic(c, ops.phi1_2, ops.grid, dealias)
+def _os18_core(c: np.ndarray, cubic: np.ndarray, eps: float, tau: float,
+               ops: OperatorSymbols) -> np.ndarray:
     return ops.prop * (c - 1j * tau * eps * eps * cubic)
 
 
-def nrli1_step(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
-) -> SpectralField:
+def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
     """Non-resonant first-order map: exact zero-mode/resonant treatment.
 
     w -> P [ w - i tau eps^2 w^2 (phi1(-2 i tau dxx) conj w) ]
@@ -185,12 +159,14 @@ def nrli1_step(
     double-counted all-equal overlap.
     """
     _check(w, cfg, ops, CubicScheme.NRLI1)
-    return SpectralField(w.grid, _nrli1_core(w.coeffs, cfg.eps, cfg.tau, ops, dealias))
+    c = w.coeffs
+    [cubic] = _filtered_cubics(c, [ops.phi1_2], w.grid)
+    return SpectralField(w.grid, _nrli1_core(c, cubic, cfg.eps, cfg.tau, ops))
 
 
-def _nrli1_core(c: np.ndarray, eps: float, tau: float,
-                ops: OperatorSymbols, dealias: bool) -> np.ndarray:
-    core = _os18_core(c, eps, tau, ops, dealias)
+def _nrli1_core(c: np.ndarray, cubic: np.ndarray, eps: float, tau: float,
+                ops: OperatorSymbols) -> np.ndarray:
+    core = _os18_core(c, cubic, eps, tau, ops)
     weighted = ops.one_minus_phi1_2 * np.abs(c) ** 2
     g0 = complex(weighted.sum())
     h = weighted * c
@@ -206,7 +182,6 @@ def _nrsli2_step_impl(
     w: SpectralField,
     cfg: CubicSchemeConfig,
     ops: OperatorSymbols,
-    dealias: bool,
     gh_half_step: bool,
 ) -> tuple[SpectralField, int]:
     """Fixed-point solve of the two-endpoint non-resonant relation.
@@ -230,8 +205,9 @@ def _nrsli2_step_impl(
         mult_n = ops.one_minus_phi1_2
         mult_u = ops.one_minus_phi1_2
 
-    # explicit endpoint, assembled once
-    cubic_n = _filtered_cubic(c, ops.phi1_1, grid, dealias)
+    # explicit endpoint, assembled once; its product stage also serves the
+    # nrli1 predictor
+    cubic_2, cubic_n = _filtered_cubics(c, [ops.phi1_2, ops.phi1_1], grid)
     weighted_n = mult_n * np.abs(c) ** 2
     g0_n = complex(weighted_n.sum())
     h_n = weighted_n * c
@@ -239,35 +215,21 @@ def _nrsli2_step_impl(
         - 0.5j * e2 * tau * (2.0 * g0_n * (ops.prop * c) - ops.prop * h_n)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        cubic_u = _filtered_cubic(u, ops.phi1_1c, grid, dealias)
+        [cubic_u] = _filtered_cubics(u, [ops.phi1_1c], grid)
         weighted_u = mult_u * np.abs(u) ** 2
         g0_u = complex(weighted_u.sum())
         h_u = weighted_u * u
         return explicit - 0.5j * e2 * tau * cubic_u \
             - 0.5j * e2 * tau * (2.0 * g0_u * u - h_u)
 
-    guess = _nrli1_core(c, eps, tau, ops, dealias)
+    guess = _nrli1_core(c, cubic_2, eps, tau, ops)
     solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
     return SpectralField(grid, solution), iters
 
 
 def nrsli2_step_info(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
+    w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols
 ) -> tuple[SpectralField, int]:
-    """As :func:`nrsli2_step`, also returning the Picard iteration count."""
-    _check(w, cfg, ops, CubicScheme.NRSLI2)
-    return _nrsli2_step_impl(w, cfg, ops, dealias, gh_half_step=True)
-
-
-def nrsli2_step(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
-) -> SpectralField:
     """Non-resonant time-symmetric second-order map.
 
     Solves
@@ -277,21 +239,19 @@ def nrsli2_step(
         - (i eps^2 tau / 2) [ 2 g0+(w) P w - P h+(w) + 2 g0-(u) u - h-(u) ]
 
     by Picard iteration from the first-order predictor, where g0+/h+ and
-    g0-/h- carry the signed half-step multipliers 1 - phi1(+-i tau m^2).
-    Stepping with tau then -tau returns the input to the iteration tolerance.
+    g0-/h- carry the signed half-step multipliers 1 - phi1(+-i tau m^2), and
+    returns u with the iteration count.  Stepping with tau then -tau returns
+    the input to the iteration tolerance.
     """
-    return nrsli2_step_info(w, cfg, ops, dealias)[0]
+    _check(w, cfg, ops, CubicScheme.NRSLI2)
+    return _nrsli2_step_impl(w, cfg, ops, gh_half_step=True)
 
 
 # ---------------------------------------------------------------------------
 # splitting baseline
 # ---------------------------------------------------------------------------
 
-def strang_step(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
-    ops: OperatorSymbols,
-) -> SpectralField:
+def strang_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
     """Strang splitting: half kinetic, exact pointwise nonlinear flow, half kinetic.
 
     The nonlinear sub-flow of i w_t = eps^2 |w|^2 w conserves |w| pointwise,

@@ -7,6 +7,10 @@ The three experiment families mirror the structure of long-time error studies:
   eps-dependent horizon T/eps (quadratic) or T/eps^2 (cubic),
 * ``error_vs_time`` — error growth along a single trajectory.
 
+A trajectory steps with the one-step map that the table ``_STEPPERS`` gives
+for its (equation, scheme); the same table is the set of schemes
+:class:`SimParams` accepts.
+
 Errors are measured against a fine-step trajectory of the matching symmetric
 scheme (the quadratic two-endpoint map, or the cubic non-resonant symmetric
 map).  Every reference is validated by a Richardson-style self-consistency
@@ -45,6 +49,7 @@ from .quadratic import (
     FixedPointError,
     QuadNonlinearity,
     QuadSchemeConfig,
+    _check_settings,
     li1_conj_step,
     li1_step,
     sli2_conj_step_info,
@@ -85,8 +90,20 @@ class Equation(Enum):
     CUBIC = "cubic"
 
 
-_QUAD_SCHEMES = ("li1", "sli2")
-_CUBIC_SCHEMES = ("nrli1", "nrsli2", "os18", "strang")
+# (equation, scheme) -> (stepper, nonlinearity or scheme of its config).  The
+# stepper is named, not held: _build_stepper looks it up among this module's
+# globals, so a stepper swapped in there is the one that runs.  A name ending
+# in _info returns (field, Picard count), any other the field alone.
+_STEPPERS: dict[tuple[Equation, str], tuple[str, Enum]] = {
+    (Equation.QUAD_SQUARE, "li1"): ("li1_step", QuadNonlinearity.SQUARE),
+    (Equation.QUAD_SQUARE, "sli2"): ("sli2_step_info", QuadNonlinearity.SQUARE),
+    (Equation.QUAD_MODSQ, "li1"): ("li1_conj_step", QuadNonlinearity.MODULUS_SQUARE),
+    (Equation.QUAD_MODSQ, "sli2"): ("sli2_conj_step_info", QuadNonlinearity.MODULUS_SQUARE),
+    (Equation.CUBIC, "nrli1"): ("nrli1_step", CubicScheme.NRLI1),
+    (Equation.CUBIC, "nrsli2"): ("nrsli2_step_info", CubicScheme.NRSLI2),
+    (Equation.CUBIC, "os18"): ("os18_step", CubicScheme.OS18),
+    (Equation.CUBIC, "strang"): ("strang_step", CubicScheme.STRANG),
+}
 
 
 @dataclass(frozen=True)
@@ -112,8 +129,8 @@ class SimParams:
     fp_max_iter: int = 100
 
     def __post_init__(self) -> None:
-        valid = _CUBIC_SCHEMES if self.equation is Equation.CUBIC else _QUAD_SCHEMES
-        if self.scheme not in valid:
+        if (self.equation, self.scheme) not in _STEPPERS:
+            valid = [scheme for eq, scheme in _STEPPERS if eq is self.equation]
             raise ValueError(
                 f"scheme {self.scheme!r} not available for {self.equation.value}"
                 f" (choose from {', '.join(valid)})"
@@ -122,8 +139,7 @@ class SimParams:
             raise ValueError("tau must be positive for trajectory runs")
         if self.t_final < 0.0:
             raise ValueError("t_final must be nonnegative")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
         if self.theta < 0.0:
             raise ValueError("theta must be nonnegative")
         if self.error_norm_r < 0.0:
@@ -224,34 +240,16 @@ def _horizon_steps(params: SimParams) -> tuple[int, float]:
 def _build_stepper(
     params: SimParams,
 ) -> tuple[TorusGrid, Callable[[SpectralField], tuple[SpectralField, int | None]]]:
+    """Grid and one-step map w -> (field, Picard count or None) of params' table entry."""
+    name, kind = _STEPPERS[(params.equation, params.scheme)]
     grid = TorusGrid(params.n_modes)
     ops = OperatorSymbols.build(grid, params.tau)
-    eps, tau = params.eps, params.tau
-
-    if params.equation is Equation.CUBIC:
-        scheme_enum = CubicScheme(params.scheme)
-        cfg = CubicSchemeConfig(eps, tau, scheme_enum, params.fp_tol, params.fp_max_iter)
-        if scheme_enum is CubicScheme.NRLI1:
-            return grid, lambda w: (nrli1_step(w, cfg, ops), None)
-        if scheme_enum is CubicScheme.OS18:
-            return grid, lambda w: (os18_step(w, cfg, ops), None)
-        if scheme_enum is CubicScheme.STRANG:
-            return grid, lambda w: (strang_step(w, cfg, ops), None)
-        return grid, lambda w: nrsli2_step_info(w, cfg, ops)
-
-    nonlin = (
-        QuadNonlinearity.SQUARE
-        if params.equation is Equation.QUAD_SQUARE
-        else QuadNonlinearity.MODULUS_SQUARE
-    )
-    cfg = QuadSchemeConfig(eps, tau, nonlin, params.fp_tol, params.fp_max_iter)
-    if params.scheme == "li1":
-        stepper = li1_step if nonlin is QuadNonlinearity.SQUARE else li1_conj_step
-        return grid, lambda w: (stepper(w, cfg, ops), None)
-    stepper_info = (
-        sli2_step_info if nonlin is QuadNonlinearity.SQUARE else sli2_conj_step_info
-    )
-    return grid, lambda w: stepper_info(w, cfg, ops)
+    config = CubicSchemeConfig if params.equation is Equation.CUBIC else QuadSchemeConfig
+    cfg = config(params.eps, params.tau, kind, params.fp_tol, params.fp_max_iter)
+    stepper = globals()[name]
+    if name.endswith("_info"):
+        return grid, lambda w: stepper(w, cfg, ops)
+    return grid, lambda w: (stepper(w, cfg, ops), None)
 
 
 def run_trajectory(

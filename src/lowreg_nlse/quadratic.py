@@ -7,10 +7,12 @@ oscillatory interaction, form the remaining products pseudo-spectrally".  The
 zeroth mode is treated exactly (its quadratic self-interaction carries no
 oscillation and is integrated as the plain zero-mode ODE term).
 
-Implicit steps are solved by Picard iteration with the explicit map as the
-initial guess; non-convergence raises :class:`FixedPointError` carrying the
-last residual so callers can diagnose step-size/amplitude combinations outside
-the contraction regime.
+Every step function takes ``(w, cfg, ops)``.  The explicit maps return the
+new field; the implicit ``*_step_info`` maps return it with their Picard
+iteration count.  Implicit steps are solved by Picard iteration with the
+explicit map as the initial guess; non-convergence raises
+:class:`FixedPointError` carrying the last residual so callers can diagnose
+step-size/amplitude combinations outside the contraction regime.
 """
 from __future__ import annotations
 
@@ -36,8 +38,6 @@ __all__ = [
     "FixedPointError",
     "li1_step",
     "li1_conj_step",
-    "sli2_step",
-    "sli2_conj_step",
     "sli2_step_info",
     "sli2_conj_step_info",
 ]
@@ -48,8 +48,27 @@ class QuadNonlinearity(Enum):
     MODULUS_SQUARE = "modulus_square"
 
 
+def _check_settings(eps: float, fp_tol: float, fp_max_iter: int) -> None:
+    """Reject an eps outside (0, 1], a nonpositive tolerance or no iterations."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if fp_tol <= 0.0:
+        raise ValueError("fp_tol must be positive")
+    if fp_max_iter < 1:
+        raise ValueError("fp_max_iter must be at least 1")
+
+
+class _StepConfig:
+    """Validation shared by the quadratic and the cubic step configs."""
+
+    def __post_init__(self) -> None:
+        _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
+        if self.tau == 0.0:
+            raise ValueError("tau must be nonzero")
+
+
 @dataclass(frozen=True)
-class QuadSchemeConfig:
+class QuadSchemeConfig(_StepConfig):
     """Parameters for one quadratic-equation step.
 
     ``tau`` may be negative: the symmetric schemes are exercised backwards in
@@ -61,16 +80,6 @@ class QuadSchemeConfig:
     nonlinearity: QuadNonlinearity = QuadNonlinearity.SQUARE
     fp_tol: float = 1e-12
     fp_max_iter: int = 100
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.tau == 0.0:
-            raise ValueError("tau must be nonzero")
-        if self.fp_tol <= 0.0:
-            raise ValueError("fp_tol must be positive")
-        if self.fp_max_iter < 1:
-            raise ValueError("fp_max_iter must be at least 1")
 
 
 class FixedPointError(RuntimeError):
@@ -90,21 +99,21 @@ class FixedPointError(RuntimeError):
         return type(self), (self.residual, self.iterations)
 
 
-def _check_args(w: SpectralField, cfg, ops: OperatorSymbols,
-                want: QuadNonlinearity | None = None) -> None:
+def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
+    """Reject a field, config and symbols that do not fit each other or ``want``."""
     if w.grid != ops.grid:
         raise ValueError("field and operator symbols live on different grids")
     if cfg.tau != ops.tau:
         raise ValueError(f"config tau {cfg.tau} does not match symbols tau {ops.tau}")
-    if want is not None and cfg.nonlinearity is not want:
-        raise ValueError(f"stepper expects nonlinearity {want}, got {cfg.nonlinearity}")
+    have = cfg.nonlinearity if isinstance(want, QuadNonlinearity) else cfg.scheme
+    if have is not want:
+        raise ValueError(f"stepper expects {want}, got {have}")
 
 
 def _grid_products(
     factors: list[np.ndarray],
     products: tuple[tuple[int, ...], ...],
     grid: TorusGrid,
-    dealias: bool,
 ) -> np.ndarray:
     """Spectra of pointwise products of fields given by their spectra.
 
@@ -120,10 +129,7 @@ def _grid_products(
         np.multiply(vals[i], vals[j], out=row)
         for k in more:
             row *= vals[k]
-    out = coeffs_from_values(prods, grid)
-    if dealias:
-        out = np.where(grid._two_thirds_keep, out, 0.0)
-    return out
+    return coeffs_from_values(prods, grid)
 
 
 _SQUARES = ((0, 0), (1, 1))  # f0^2 and f1^2
@@ -154,14 +160,29 @@ def _picard(
 
 # ---------------------------------------------------------------------------
 # explicit first-order maps
+#
+# Each map is a product stage of the spectrum c and a core that assembles the
+# step from both; an implicit map's explicit half hands its stage to the core.
 # ---------------------------------------------------------------------------
 
-def li1_step(
-    w: SpectralField,
-    cfg: QuadSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
-) -> SpectralField:
+def _li1_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
+    """(P dx^-1 w)^2 and (dx^-1 w)^2."""
+    d = ops.inv_dx * c
+    return _grid_products([ops.prop * d, d], _SQUARES, ops.grid)
+
+
+def _li1_core(c: np.ndarray, stage: np.ndarray, eps: float, tau: float,
+              ops: OperatorSymbols) -> np.ndarray:
+    n0 = ops.grid.n_modes // 2
+    w0 = c[n0]
+    sq_prop, sq_plain = stage
+    out = (1.0 - 2j * eps * tau * w0) * (ops.prop * c)
+    out[n0] += 1j * eps * tau * w0 * w0
+    out += (eps / 2.0) * (sq_prop - ops.prop * sq_plain)
+    return out
+
+
+def li1_step(w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols) -> SpectralField:
     """Explicit first-order step for the w^2 nonlinearity.
 
     w -> (1 - 2 i eps tau w0) P w + i eps tau w0^2
@@ -170,26 +191,33 @@ def li1_step(
     with P the free propagator over tau, w0 the zeroth Fourier coefficient,
     and squares formed pointwise on the grid.
     """
-    _check_args(w, cfg, ops, QuadNonlinearity.SQUARE)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    n0 = grid.n_modes // 2
+    _check(w, cfg, ops, QuadNonlinearity.SQUARE)
     c = w.coeffs
+    return SpectralField(w.grid, _li1_core(c, _li1_stage(c, ops), cfg.eps, cfg.tau, ops))
+
+
+def _li1_conj_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
+    """(P w)(P* dx^-1 conj w) and w (dx^-1 conj w)."""
+    dcc = ops.inv_dx * conjugate_coeffs(c)
+    return _grid_products(
+        [ops.prop * c, np.conj(ops.prop) * dcc, c, dcc], _PAIRS, ops.grid
+    )
+
+
+def _li1_conj_core(c: np.ndarray, stage: np.ndarray, eps: float, tau: float,
+                   ops: OperatorSymbols) -> np.ndarray:
+    n0 = ops.grid.n_modes // 2
     w0 = c[n0]
-
-    out = (1.0 - 2j * eps * tau * w0) * (ops.prop * c)
-    out[n0] += 1j * eps * tau * w0 * w0
-
-    d = ops.inv_dx * c
-    sq_prop, sq_plain = _grid_products([ops.prop * d, d], _SQUARES, grid, dealias)
-    out += (eps / 2.0) * (sq_prop - ops.prop * sq_plain)
-    return SpectralField(grid, out)
+    mass = float((np.abs(c) ** 2).sum())
+    t1, t2 = stage
+    out = (1.0 - 1j * eps * tau * np.conj(w0)) * (ops.prop * c)
+    out[n0] += -1j * eps * tau * (mass - abs(w0) ** 2)
+    out += (eps / 2.0) * ops.inv_dx * (t1 - ops.prop * t2)
+    return out
 
 
 def li1_conj_step(
-    w: SpectralField,
-    cfg: QuadSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
+    w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols
 ) -> SpectralField:
     """Explicit first-order step for the |w|^2 nonlinearity.
 
@@ -200,22 +228,10 @@ def li1_conj_step(
     the purely-constant interaction counted exactly once, so on zero-mode data
     the step reduces to the forward-Euler update of i v' = eps |v|^2.
     """
-    _check_args(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    n0 = grid.n_modes // 2
+    _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
     c = w.coeffs
-    w0 = c[n0]
-    mass = float((np.abs(c) ** 2).sum())
-
-    out = (1.0 - 1j * eps * tau * np.conj(w0)) * (ops.prop * c)
-    out[n0] += -1j * eps * tau * (mass - abs(w0) ** 2)
-
-    dcc = ops.inv_dx * conjugate_coeffs(c)
-    t1, t2 = _grid_products(
-        [ops.prop * c, np.conj(ops.prop) * dcc, c, dcc], _PAIRS, grid, dealias
-    )
-    out += (eps / 2.0) * ops.inv_dx * (t1 - ops.prop * t2)
-    return SpectralField(grid, out)
+    stage = _li1_conj_stage(c, ops)
+    return SpectralField(w.grid, _li1_conj_core(c, stage, cfg.eps, cfg.tau, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -223,45 +239,8 @@ def li1_conj_step(
 # ---------------------------------------------------------------------------
 
 def sli2_step_info(
-    w: SpectralField,
-    cfg: QuadSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
+    w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols
 ) -> tuple[SpectralField, int]:
-    """As :func:`sli2_step`, also returning the Picard iteration count."""
-    _check_args(w, cfg, ops, QuadNonlinearity.SQUARE)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    n0 = grid.n_modes // 2
-    c = w.coeffs
-    w0 = c[n0]
-
-    # explicit half of the update, assembled once
-    explicit = (1.0 - 1j * eps * tau * w0) * (ops.prop * c)
-    explicit[n0] += 0.5j * eps * tau * w0 * w0
-    d = ops.inv_dx * c
-    sq_prop, sq_plain = _grid_products([ops.prop * d, d], _SQUARES, grid, dealias)
-    explicit += (eps / 4.0) * (sq_prop - ops.prop * sq_plain)
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        u0 = u[n0]
-        out = explicit - 1j * eps * tau * u0 * u
-        out[n0] += 0.5j * eps * tau * u0 * u0
-        du = ops.inv_dx * u
-        sq, sq_back = _grid_products([du, np.conj(ops.prop) * du], _SQUARES, grid, dealias)
-        out += (eps / 4.0) * (sq - ops.prop * sq_back)
-        return out
-
-    guess = li1_step(w, cfg, ops, dealias).coeffs
-    solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
-    return SpectralField(grid, solution), iters
-
-
-def sli2_step(
-    w: SpectralField,
-    cfg: QuadSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
-) -> SpectralField:
     """Implicit time-symmetric second-order step for the w^2 nonlinearity.
 
     Solves
@@ -270,33 +249,58 @@ def sli2_step(
         + (eps/4) [ (P dx^-1 w)^2 + (dx^-1 u)^2
                     - P (dx^-1 w)^2 - P (P* dx^-1 u)^2 ]
 
-    for u = w^{n+1} by Picard iteration started from the explicit step.
-    Applying the step with tau and then with -tau returns the input to within
-    the iteration tolerance.
+    for u = w^{n+1} by Picard iteration started from the explicit step, and
+    returns u with the iteration count.  Applying the step with tau and then
+    with -tau returns the input to within the iteration tolerance.
     """
-    return sli2_step_info(w, cfg, ops, dealias)[0]
+    _check(w, cfg, ops, QuadNonlinearity.SQUARE)
+    grid, eps, tau = w.grid, cfg.eps, cfg.tau
+    n0 = grid.n_modes // 2
+    c = w.coeffs
+    w0 = c[n0]
+
+    # explicit half of the update, assembled once
+    stage = _li1_stage(c, ops)
+    sq_prop, sq_plain = stage
+    explicit = (1.0 - 1j * eps * tau * w0) * (ops.prop * c)
+    explicit[n0] += 0.5j * eps * tau * w0 * w0
+    explicit += (eps / 4.0) * (sq_prop - ops.prop * sq_plain)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        u0 = u[n0]
+        out = explicit - 1j * eps * tau * u0 * u
+        out[n0] += 0.5j * eps * tau * u0 * u0
+        du = ops.inv_dx * u
+        sq, sq_back = _grid_products([du, np.conj(ops.prop) * du], _SQUARES, grid)
+        out += (eps / 4.0) * (sq - ops.prop * sq_back)
+        return out
+
+    guess = _li1_core(c, stage, eps, tau, ops)
+    solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
+    return SpectralField(grid, solution), iters
 
 
 def sli2_conj_step_info(
-    w: SpectralField,
-    cfg: QuadSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
+    w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols
 ) -> tuple[SpectralField, int]:
-    """As :func:`sli2_conj_step`, also returning the Picard iteration count."""
-    _check_args(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
+    """Implicit time-symmetric second-order step for the |w|^2 nonlinearity.
+
+    Trapezoidal counterpart of :func:`li1_conj_step`: both endpoint fields
+    contribute half-weighted zero-mode, mean and bracket terms, the endpoint
+    terms being the tau-reversed mirror images of the starting ones.  Same
+    fixed-point contract as :func:`sli2_step_info`.
+    """
+    _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
     grid, eps, tau = w.grid, cfg.eps, cfg.tau
     n0 = grid.n_modes // 2
     c = w.coeffs
     w0 = c[n0]
     mass = float((np.abs(c) ** 2).sum())
 
+    stage = _li1_conj_stage(c, ops)
+    t1, t2 = stage
     explicit = (1.0 - 0.5j * eps * tau * np.conj(w0)) * (ops.prop * c)
     explicit[n0] += -0.5j * eps * tau * (mass - abs(w0) ** 2)
-    dcc = ops.inv_dx * conjugate_coeffs(c)
-    t1, t2 = _grid_products(
-        [ops.prop * c, np.conj(ops.prop) * dcc, c, dcc], _PAIRS, grid, dealias
-    )
     explicit += (eps / 4.0) * ops.inv_dx * (t1 - ops.prop * t2)
 
     def apply(u: np.ndarray) -> np.ndarray:
@@ -306,27 +310,11 @@ def sli2_conj_step_info(
         out[n0] += -0.5j * eps * tau * (mass_u - abs(u0) ** 2)
         dcu = ops.inv_dx * conjugate_coeffs(u)
         t1, t2 = _grid_products(
-            [u, dcu, np.conj(ops.prop) * u, ops.prop * dcu], _PAIRS, grid, dealias
+            [u, dcu, np.conj(ops.prop) * u, ops.prop * dcu], _PAIRS, grid
         )
         out += (eps / 4.0) * ops.inv_dx * (t1 - ops.prop * t2)
         return out
 
-    guess = li1_conj_step(w, cfg, ops, dealias).coeffs
+    guess = _li1_conj_core(c, stage, eps, tau, ops)
     solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
     return SpectralField(grid, solution), iters
-
-
-def sli2_conj_step(
-    w: SpectralField,
-    cfg: QuadSchemeConfig,
-    ops: OperatorSymbols,
-    dealias: bool = False,
-) -> SpectralField:
-    """Implicit time-symmetric second-order step for the |w|^2 nonlinearity.
-
-    Trapezoidal counterpart of :func:`li1_conj_step`: both endpoint fields
-    contribute half-weighted zero-mode, mean and bracket terms, the endpoint
-    terms being the tau-reversed mirror images of the starting ones.  Same
-    fixed-point contract as :func:`sli2_step`.
-    """
-    return sli2_conj_step_info(w, cfg, ops, dealias)[0]

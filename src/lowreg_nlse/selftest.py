@@ -22,7 +22,7 @@ from .cubic import (
     CubicSchemeConfig,
     ResonanceWeights,
     nrli1_step,
-    nrsli2_step,
+    nrsli2_step_info,
     os18_step,
     strang_step,
 )
@@ -42,8 +42,8 @@ from .quadratic import (
     QuadSchemeConfig,
     li1_conj_step,
     li1_step,
-    sli2_conj_step,
-    sli2_step,
+    sli2_conj_step_info,
+    sli2_step_info,
 )
 from .spectral import (
     OperatorSymbols,
@@ -109,8 +109,9 @@ def _check_cubic_oracle() -> str:
 
 
 def _round_trip_residual(step: Callable, cfg_fwd, cfg_bwd, ops_fwd, ops_bwd, w) -> float:
-    forward = step(w, cfg_fwd, ops_fwd)
-    return _h1_diff(step(forward, cfg_bwd, ops_bwd), w)
+    # step returns (field, Picard count), as the implicit maps do
+    forward, _ = step(w, cfg_fwd, ops_fwd)
+    return _h1_diff(step(forward, cfg_bwd, ops_bwd)[0], w)
 
 
 def _check_symmetry() -> str:
@@ -121,14 +122,14 @@ def _check_symmetry() -> str:
     worst = 0.0
     for seed in range(3):
         w = random_initial_data(grid, 1.0, seed)
-        for step, nonlin in ((sli2_step, QuadNonlinearity.SQUARE),
-                             (sli2_conj_step, QuadNonlinearity.MODULUS_SQUARE)):
+        for step, nonlin in ((sli2_step_info, QuadNonlinearity.SQUARE),
+                             (sli2_conj_step_info, QuadNonlinearity.MODULUS_SQUARE)):
             cf = QuadSchemeConfig(eps, tau, nonlin, fp_tol=tol)
             cb = QuadSchemeConfig(eps, -tau, nonlin, fp_tol=tol)
             worst = max(worst, _round_trip_residual(step, cf, cb, ops_f, ops_b, w))
         cf = CubicSchemeConfig(eps, tau, CubicScheme.NRSLI2, fp_tol=tol)
         cb = CubicSchemeConfig(eps, -tau, CubicScheme.NRSLI2, fp_tol=tol)
-        worst = max(worst, _round_trip_residual(nrsli2_step, cf, cb, ops_f, ops_b, w))
+        worst = max(worst, _round_trip_residual(nrsli2_step_info, cf, cb, ops_f, ops_b, w))
     if worst > 10 * tol:
         raise AssertionError(f"round-trip residual {worst:.3e} exceeds {10 * tol:.0e}")
     # the explicit one-endpoint map must NOT pass the same gate, or the
@@ -136,7 +137,7 @@ def _check_symmetry() -> str:
     w = random_initial_data(grid, 1.0, 5)
     cf = QuadSchemeConfig(eps, tau)
     cb = QuadSchemeConfig(eps, -tau)
-    asym = _round_trip_residual(li1_step, cf, cb, ops_f, ops_b, w)
+    asym = _round_trip_residual(lambda *a: (li1_step(*a), None), cf, cb, ops_f, ops_b, w)
     if asym < 1e-6:
         raise AssertionError(f"li1 round trip suspiciously tight: {asym:.3e}")
     return f"residual {worst:.1e}, one-endpoint control {asym:.1e}"
@@ -152,9 +153,9 @@ def _check_zero_mode_reductions() -> str:
     checks = [
         (li1_step(w, QuadSchemeConfig(eps, tau), ops).coeffs[n0],
          euler_zero_mode_square(v0, eps, tau)),
-        (sli2_step(w, QuadSchemeConfig(eps, tau), ops).coeffs[n0],
+        (sli2_step_info(w, QuadSchemeConfig(eps, tau), ops)[0].coeffs[n0],
          trapezoid_zero_mode_square(v0, eps, tau)),
-        (nrsli2_step(w, CubicSchemeConfig(eps, tau, CubicScheme.NRSLI2), ops).coeffs[n0],
+        (nrsli2_step_info(w, CubicSchemeConfig(eps, tau, CubicScheme.NRSLI2), ops)[0].coeffs[n0],
          trapezoid_zero_mode_cubic(v0, eps, tau)),
         (strang_step(w, CubicSchemeConfig(eps, tau, CubicScheme.STRANG), ops).coeffs[n0],
          rotation_zero_mode_cubic(v0, eps, tau)),

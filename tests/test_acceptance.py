@@ -18,15 +18,15 @@ from lowreg_nlse.cubic import (
     g_zero_mode,
     h_field,
     nrli1_step,
-    nrsli2_step,
+    nrsli2_step_info,
     os18_step,
     strang_step,
 )
 from lowreg_nlse.harness import (
     Equation,
     SimParams,
-    _reference_params,
-    _snap_to_horizon,
+    _cell_refs,
+    _ReferenceStore,
     fit_order,
     make_initial_data,
     run_trajectory,
@@ -46,8 +46,8 @@ from lowreg_nlse.quadratic import (
     QuadNonlinearity,
     QuadSchemeConfig,
     li1_step,
-    sli2_conj_step,
-    sli2_step,
+    sli2_conj_step_info,
+    sli2_step_info,
 )
 from lowreg_nlse.selftest import run_selftest
 from lowreg_nlse.spectral import (
@@ -82,9 +82,11 @@ def _slope(rows):
 def _tau_family(equation, schemes, eps, T, theta, ref_tau, seed=0):
     """One tau-sweep family: shared initial data, one reference pair.
 
-    Returns per-scheme rows (tau, H1 error, trajectory sup-H1) plus the
-    reference self-consistency gap and the reference's own sup-H1 (the
-    stand-in for the exact solution's bound M).
+    The pair comes from the harness reference store, snapped to the horizon
+    of the coarsest step as a sweep cell's would be.  Returns per-scheme rows
+    (tau, H1 error, trajectory sup-H1) plus the reference self-consistency
+    gap and the reference's own sup-H1 (the stand-in for the exact solution's
+    bound M).
     """
     cubic = equation is Equation.CUBIC
     t_final = T / (eps * eps) if cubic else T / eps
@@ -93,11 +95,9 @@ def _tau_family(equation, schemes, eps, T, theta, ref_tau, seed=0):
         t_final=t_final, n_modes=128, theta=theta, seed=seed,
     )
     w0 = make_initial_data(base)
-    t_actual = round(t_final / _TAUS[0]) * _TAUS[0]
-    rt = _snap_to_horizon(t_actual, ref_tau)
-    fine = run_trajectory(_reference_params(base, rt, t_actual), w0)
-    finer = run_trajectory(_reference_params(base, rt / 2.0, t_actual), w0)
-    gap = _h1(fine.state, finer.state)
+    [pair] = _ReferenceStore().pairs([_cell_refs(base, w0, ref_tau)])
+    fine = pair.fine
+    gap = _h1(fine.state, pair.finer.state)
 
     results = {}
     for scheme in schemes:
@@ -110,7 +110,10 @@ def _tau_family(equation, schemes, eps, T, theta, ref_tau, seed=0):
 
 
 def _eps_family(equation, schemes, eps_list, T, tau, theta, ref_tau, seed=0):
-    """One eps-sweep family at horizons T/eps^k, references shared per eps."""
+    """One eps-sweep family at horizons T/eps^k, one reference pair per eps.
+
+    The pairs come from the harness reference store, as a sweep's cells' would.
+    """
     cubic = equation is Equation.CUBIC
     base = SimParams(
         equation=equation, scheme=schemes[0], eps=eps_list[0], tau=tau,
@@ -118,20 +121,16 @@ def _eps_family(equation, schemes, eps_list, T, tau, theta, ref_tau, seed=0):
         n_modes=128, theta=theta, seed=seed,
     )
     w0 = make_initial_data(base)
+    cells = [replace(base, eps=eps, t_final=T / (eps * eps) if cubic else T / eps)
+             for eps in eps_list]
+    pairs = _ReferenceStore().pairs([_cell_refs(cell, w0, ref_tau) for cell in cells])
     errors = {scheme: [] for scheme in schemes}
     gaps = {}
-    for eps in eps_list:
-        t_final = T / (eps * eps) if cubic else T / eps
-        t_actual = round(t_final / tau) * tau
-        rt = _snap_to_horizon(t_actual, ref_tau)
-        ref_base = replace(base, eps=eps, t_final=t_actual)
-        fine = run_trajectory(_reference_params(ref_base, rt, t_actual), w0)
-        finer = run_trajectory(_reference_params(ref_base, rt / 2.0, t_actual), w0)
-        gaps[eps] = _h1(fine.state, finer.state)
+    for cell, pair in zip(cells, pairs):
+        gaps[cell.eps] = _h1(pair.fine.state, pair.finer.state)
         for scheme in schemes:
-            params = replace(ref_base, scheme=scheme, tau=tau)
-            traj = run_trajectory(params, w0)
-            errors[scheme].append((eps, _h1(traj.state, fine.state)))
+            traj = run_trajectory(replace(cell, scheme=scheme), w0)
+            errors[scheme].append((cell.eps, _h1(traj.state, pair.fine.state)))
     return {"errors": errors, "gaps": gaps}
 
 
@@ -276,14 +275,15 @@ def test_criterion_4_time_reversal_symmetry():
     worst = 0.0
     for seed in range(20):
         w = random_initial_data(grid, 1.0, seed)
-        for step, nonlin in ((sli2_step, QuadNonlinearity.SQUARE),
-                             (sli2_conj_step, QuadNonlinearity.MODULUS_SQUARE)):
+        for step, nonlin in ((sli2_step_info, QuadNonlinearity.SQUARE),
+                             (sli2_conj_step_info, QuadNonlinearity.MODULUS_SQUARE)):
             cf = QuadSchemeConfig(eps, tau, nonlin, fp_tol=fp_tol)
             cb = QuadSchemeConfig(eps, -tau, nonlin, fp_tol=fp_tol)
-            worst = max(worst, _h1(step(step(w, cf, ops_f), cb, ops_b), w))
+            worst = max(worst, _h1(step(step(w, cf, ops_f)[0], cb, ops_b)[0], w))
         cf = CubicSchemeConfig(eps, tau, CubicScheme.NRSLI2, fp_tol=fp_tol)
         cb = CubicSchemeConfig(eps, -tau, CubicScheme.NRSLI2, fp_tol=fp_tol)
-        worst = max(worst, _h1(nrsli2_step(nrsli2_step(w, cf, ops_f), cb, ops_b), w))
+        mid, _ = nrsli2_step_info(w, cf, ops_f)
+        worst = max(worst, _h1(nrsli2_step_info(mid, cb, ops_b)[0], w))
     assert worst <= 10 * fp_tol, f"symmetric round trip {worst:.3e}"
 
     # one-endpoint maps must fail the same gate; seed 5 is the documented case
@@ -409,11 +409,11 @@ def test_criterion_9_zero_mode_reductions():
                        euler_zero_mode_cubic(v0, eps, tau)),
         "strang/rotation": (strang_step(w, cs, ops).coeffs[n0],
                             rotation_zero_mode_cubic(v0, eps, tau)),
-        "sli2/trapezoid": (sli2_step(w, sq, ops).coeffs[n0],
+        "sli2/trapezoid": (sli2_step_info(w, sq, ops)[0].coeffs[n0],
                            trapezoid_zero_mode_square(v0, eps, tau)),
-        "sli2-conj/trapezoid": (sli2_conj_step(w, cj, ops).coeffs[n0],
+        "sli2-conj/trapezoid": (sli2_conj_step_info(w, cj, ops)[0].coeffs[n0],
                                 trapezoid_zero_mode_modsq(v0, eps, tau)),
-        "nrsli2/trapezoid": (nrsli2_step(w, c2, ops).coeffs[n0],
+        "nrsli2/trapezoid": (nrsli2_step_info(w, c2, ops)[0].coeffs[n0],
                              trapezoid_zero_mode_cubic(v0, eps, tau)),
     }
     for name, (got, want) in checks.items():

@@ -110,6 +110,26 @@ def test_config_file_list_values(tmp_path):
     assert config.tau_list == [0.1, 0.05, 0.025, 0.0125]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fp-tol", "0", "fp_tol must be positive"),
+    ("--fp-max-iter", "0", "fp_max_iter must be at least 1"),
+    ("--error-norm-r", "-1", "error_norm_r must be nonnegative"),
+    ("--scheme", "os18", "scheme 'os18' not available for quad-square"),
+], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme"])
+@pytest.mark.parametrize("subcommand", ["simulate", "sweep-tau"])
+def test_bad_run_settings_are_usage_errors(tmp_path, capsys, subcommand, flag, value, message):
+    if subcommand == "simulate":
+        argv = _simulate_args(tmp_path)
+    else:
+        argv = ["sweep-tau", "--equation", "quad-square", "--scheme", "li1", "--eps", "0.5",
+                "--tau-list", "0.1,0.05,0.025,0.0125", "--T", "0.5", "--modes", "16",
+                "--out", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as info:
+        parse_args(argv + [flag, value])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_rejects_scheme_list(tmp_path, capsys):
     with pytest.raises(SystemExit):
         parse_args(_simulate_args(tmp_path, scheme="li1,sli2"))

@@ -30,7 +30,23 @@ from lowreg_nlse.harness import (
     sweep_tau,
     write_records_csv,
 )
-from lowreg_nlse.quadratic import FixedPointError, QuadSchemeConfig, li1_step
+from lowreg_nlse.cubic import (
+    CubicScheme,
+    CubicSchemeConfig,
+    nrli1_step,
+    nrsli2_step_info,
+    os18_step,
+    strang_step,
+)
+from lowreg_nlse.quadratic import (
+    FixedPointError,
+    QuadNonlinearity,
+    QuadSchemeConfig,
+    li1_conj_step,
+    li1_step,
+    sli2_conj_step_info,
+    sli2_step_info,
+)
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
@@ -174,6 +190,66 @@ def test_fp_iteration_stats():
     assert 1.0 <= implicit.fp_iter_mean <= implicit.fp_iter_max
     explicit = run_trajectory(_quad("li1"), make_initial_data(_quad("li1")))
     assert explicit.fp_iter_max is None
+
+
+# every (equation, scheme) SimParams accepts: the stepper it must run and
+# the nonlinearity or scheme of the config that stepper is handed
+_STEP_OF = {
+    (Equation.QUAD_SQUARE, "li1"): (li1_step, QuadNonlinearity.SQUARE),
+    (Equation.QUAD_SQUARE, "sli2"): (sli2_step_info, QuadNonlinearity.SQUARE),
+    (Equation.QUAD_MODSQ, "li1"): (li1_conj_step, QuadNonlinearity.MODULUS_SQUARE),
+    (Equation.QUAD_MODSQ, "sli2"): (sli2_conj_step_info, QuadNonlinearity.MODULUS_SQUARE),
+    (Equation.CUBIC, "nrli1"): (nrli1_step, CubicScheme.NRLI1),
+    (Equation.CUBIC, "nrsli2"): (nrsli2_step_info, CubicScheme.NRSLI2),
+    (Equation.CUBIC, "os18"): (os18_step, CubicScheme.OS18),
+    (Equation.CUBIC, "strang"): (strang_step, CubicScheme.STRANG),
+}
+_IMPLICIT = {(Equation.QUAD_SQUARE, "sli2"), (Equation.QUAD_MODSQ, "sli2"),
+             (Equation.CUBIC, "nrsli2")}
+
+
+def _accepted(equation, scheme):
+    try:
+        SimParams(equation=equation, scheme=scheme, eps=0.5, tau=0.1, t_final=0.5)
+    except ValueError:
+        return False
+    return True
+
+
+def test_simparams_accepts_exactly_the_stepper_table():
+    names = {scheme for _, scheme in _STEP_OF} | {"li2", "nrli2", ""}
+    accepted = {(eq, s) for eq in Equation for s in names if _accepted(eq, s)}
+    assert accepted == set(_STEP_OF)
+
+
+@pytest.mark.parametrize("equation, scheme", list(_STEP_OF))
+def test_trajectory_steps_through_the_harness_global(monkeypatch, equation, scheme):
+    # the traced benchmark swaps the stepper globals of harness the same way
+    stepper, kind = _STEP_OF[(equation, scheme)]
+    name = stepper.__name__
+    assert getattr(harness, name) is stepper
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return stepper(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
+    p = SimParams(equation=equation, scheme=scheme, eps=0.5, tau=0.05, t_final=0.2,
+                  n_modes=16, theta=2.0, seed=3)
+    w0 = make_initial_data(p)
+    out = run_trajectory(p, w0)
+    assert len(calls) == out.n_steps == 4
+    assert (out.fp_iter_max is not None) == ((equation, scheme) in _IMPLICIT)
+
+    one = run_trajectory(replace(p, t_final=p.tau), w0)
+    config = CubicSchemeConfig if equation is Equation.CUBIC else QuadSchemeConfig
+    cfg = config(p.eps, p.tau, kind, p.fp_tol, p.fp_max_iter)
+    direct = stepper(w0, cfg, OperatorSymbols.build(w0.grid, p.tau))
+    if (equation, scheme) in _IMPLICIT:
+        direct, iters = direct
+        assert one.fp_iter_max == iters
+    assert one.state.coeffs.tobytes() == direct.coeffs.tobytes()
 
 
 def test_solver_failure_carries_step_index():

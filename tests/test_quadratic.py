@@ -21,9 +21,7 @@ from lowreg_nlse.quadratic import (
     QuadSchemeConfig,
     li1_conj_step,
     li1_step,
-    sli2_conj_step,
     sli2_conj_step_info,
-    sli2_step,
     sli2_step_info,
 )
 from lowreg_nlse.spectral import (
@@ -143,8 +141,8 @@ def test_li1_zero_field():
     assert np.all(li1_step(z, _cfg(0.5, 0.1), ops).coeffs == 0)
     cfgc = _cfg(0.5, 0.1, QuadNonlinearity.MODULUS_SQUARE)
     assert np.all(li1_conj_step(z, cfgc, ops).coeffs == 0)
-    assert np.all(sli2_step(z, _cfg(0.5, 0.1), ops).coeffs == 0)
-    assert np.all(sli2_conj_step(z, cfgc, ops).coeffs == 0)
+    assert np.all(sli2_step_info(z, _cfg(0.5, 0.1), ops)[0].coeffs == 0)
+    assert np.all(sli2_conj_step_info(z, cfgc, ops)[0].coeffs == 0)
 
 
 def test_li1_constant_field_is_euler():
@@ -185,7 +183,7 @@ def test_sli2_constant_field_is_trapezoid():
     grid = TorusGrid(8)
     eps, tau, c = 0.5, 0.1, 0.8 - 0.2j
     ops = OperatorSymbols.build(grid, tau)
-    out = sli2_step(_zero_mode_field(grid, c), _cfg(eps, tau), ops)
+    out = sli2_step_info(_zero_mode_field(grid, c), _cfg(eps, tau), ops)[0]
     want = trapezoid_zero_mode_square(c, eps, tau)
     assert abs(out.coeffs[4] - want) < 1e-12
     assert np.max(np.abs(np.delete(out.coeffs, 4))) < 1e-12
@@ -196,7 +194,7 @@ def test_sli2_conj_constant_field_is_trapezoid():
     eps, tau, c = 0.6, 0.2, -0.3 + 0.7j
     ops = OperatorSymbols.build(grid, tau)
     cfg = _cfg(eps, tau, QuadNonlinearity.MODULUS_SQUARE)
-    out = sli2_conj_step(_zero_mode_field(grid, c), cfg, ops)
+    out = sli2_conj_step_info(_zero_mode_field(grid, c), cfg, ops)[0]
     want = trapezoid_zero_mode_modsq(c, eps, tau)
     assert abs(out.coeffs[4] - want) < 1e-12
     assert np.max(np.abs(np.delete(out.coeffs, 4))) < 1e-12
@@ -213,8 +211,8 @@ def test_sli2_symmetry_round_trip():
     bwd = OperatorSymbols.build(grid, -tau)
     for seed in range(10):
         w = random_initial_data(grid, 1.0, seed)
-        mid = sli2_step(w, _cfg(eps, tau), fwd)
-        back = sli2_step(mid, _cfg(eps, -tau), bwd)
+        mid = sli2_step_info(w, _cfg(eps, tau), fwd)[0]
+        back = sli2_step_info(mid, _cfg(eps, -tau), bwd)[0]
         assert _diff_h1(back, w) <= 10 * 1e-12
 
 
@@ -227,7 +225,7 @@ def test_sli2_conj_symmetry_round_trip():
     cfg_b = _cfg(eps, -tau, QuadNonlinearity.MODULUS_SQUARE)
     for seed in range(10):
         w = random_initial_data(grid, 1.0, seed)
-        back = sli2_conj_step(sli2_conj_step(w, cfg_f, fwd), cfg_b, bwd)
+        back = sli2_conj_step_info(sli2_conj_step_info(w, cfg_f, fwd)[0], cfg_b, bwd)[0]
         assert _diff_h1(back, w) <= 10 * 1e-12
 
 
@@ -290,7 +288,7 @@ def test_sli2_local_error_third_order():
 
     def step(w, tau):
         cfg = _cfg(eps, tau, fp_tol=1e-14)
-        return sli2_step(w, cfg, OperatorSymbols.build(w.grid, tau))
+        return sli2_step_info(w, cfg, OperatorSymbols.build(w.grid, tau))[0]
 
     slope = _local_error_slope(step, "quad-square", eps=eps, taus=taus)
     assert 2.6 <= slope <= 3.4
@@ -344,5 +342,5 @@ def test_sli2_divergence_raises():
     ops = OperatorSymbols.build(grid, tau)
     w = SpectralField(grid, 50.0 * random_initial_data(grid, 0.0, 1).coeffs)
     with pytest.raises(FixedPointError) as exc:
-        sli2_step(w, _cfg(1.0, tau, fp_max_iter=30), ops)
+        sli2_step_info(w, _cfg(1.0, tau, fp_max_iter=30), ops)
     assert exc.value.iterations <= 30

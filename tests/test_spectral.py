@@ -160,13 +160,12 @@ def test_transform_pair_equals_fftshift_formula_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [6, 16, 128])
-@pytest.mark.parametrize("dealias", [False, True])
-def test_batched_products_equal_one_at_a_time(n, dealias):
+def test_batched_products_equal_one_at_a_time(n):
     rng = np.random.default_rng(900 + n)
     grid = TorusGrid(n)
     factors = [_random_field(grid, rng).coeffs for _ in range(3)]
     products = ((0, 0), (1, 2), (0, 0, 2), (2, 1, 0))
-    batched = _grid_products(factors, products, grid, dealias)
+    batched = _grid_products(factors, products, grid)
     assert batched.shape == (len(products), n)
     for row, indices in zip(batched, products):
         first, *rest = [values_from_coeffs(factors[i], grid) for i in indices]
@@ -174,8 +173,6 @@ def test_batched_products_equal_one_at_a_time(n, dealias):
         for vals in rest:
             prod = prod * vals
         want = coeffs_from_values(prod, grid)
-        if dealias:
-            want = np.where(grid._two_thirds_keep, want, 0.0)
         assert np.array_equal(row, want)
 
 
@@ -543,7 +540,7 @@ def test_field_text_round_trip_property(seed, theta):
 
 
 # ---------------------------------------------------------------------------
-# dealiasing helper
+# 2/3-rule filter
 # ---------------------------------------------------------------------------
 
 def test_truncate_two_thirds():
