@@ -13,7 +13,8 @@ override file values.  The long-time subcommands take the horizon constant
 ``--T`` and derive t_final = T/eps (quadratic) or T/eps^2 (cubic); ``simulate``
 takes a raw ``--t-final``.  Exit status: 0 when every record is reliable,
 1 on solver/IO failure or unreliable records, 2 on usage errors, which
-include every value :class:`~lowreg_nlse.harness.SimParams` rejects.
+include every value :class:`~lowreg_nlse.harness.SimParams` rejects and
+every check a sweep makes of its own lists and reference step.
 """
 from __future__ import annotations
 
@@ -28,6 +29,9 @@ from .harness import (
     Equation,
     SimParams,
     SweepRecord,
+    _check_error_vs_time,
+    _check_eps_sweep,
+    _check_tau_sweep,
     _run_single_point,
     error_vs_time,
     shared_references,
@@ -206,6 +210,17 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
         parser.error(f"--tau must be positive, got {config.tau}")
     if getattr(config, "T", None) is not None and config.T <= 0:
         parser.error(f"--T must be positive, got {config.T}")
+    # the sweep's own checks of its lists and reference step
+    try:
+        if sub == "sweep-tau":
+            _check_tau_sweep(config.tau_list, config.ref_tau)
+        elif sub == "sweep-eps":
+            _check_eps_sweep(config.eps_list, config.tau, config.ref_tau)
+        elif sub == "error-vs-time":
+            t_final = _horizon(Equation(config.equation), config.T, config.eps)
+            _check_error_vs_time(config.sample_times, config.tau, t_final, config.ref_tau)
+    except ValueError as exc:
+        parser.error(str(exc))
     # SimParams' own checks, horizon aside: scheme for the equation, fp settings, norm
     tau = config.tau if getattr(config, "tau", None) is not None else max(config.tau_list)
     for scheme in _schemes(config):

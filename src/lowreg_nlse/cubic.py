@@ -29,7 +29,15 @@ from .spectral import (
     conjugate_coeffs,
     values_from_coeffs,
 )
-from .quadratic import FixedPointError, _StepConfig, _check, _grid_products, _picard
+from .quadratic import (
+    FixedPointError,
+    _StepConfig,
+    _check,
+    _column,
+    _grid_products,
+    _picard,
+    _sums,
+)
 
 __all__ = [
     "CubicScheme",
@@ -126,6 +134,7 @@ def _filtered_cubics(c: np.ndarray, symbols: list[np.ndarray],
 # explicit first-order maps
 #
 # A product stage and a core each, as in quadratic; nrsli2 shares its stage.
+# The cores act on (B, N) stacks as the quadratic ones do.
 # ---------------------------------------------------------------------------
 
 def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
@@ -140,12 +149,12 @@ def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) ->
     _check(w, cfg, ops, CubicScheme.OS18)
     c = w.coeffs
     [cubic] = _filtered_cubics(c, [ops.phi1_2], w.grid)
-    return SpectralField(w.grid, _os18_core(c, cubic, cfg.eps, cfg.tau, ops))
+    return SpectralField(w.grid, _os18_core(c, cubic, (cfg.eps,), (cfg.tau,), ops))
 
 
-def _os18_core(c: np.ndarray, cubic: np.ndarray, eps: float, tau: float,
+def _os18_core(c: np.ndarray, cubic: np.ndarray, eps: tuple, tau: tuple,
                ops: OperatorSymbols) -> np.ndarray:
-    return ops.prop * (c - 1j * tau * eps * eps * cubic)
+    return ops.prop * (c - _column([1j * t * e * e for e, t in zip(eps, tau)]) * cubic)
 
 
 def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
@@ -161,31 +170,35 @@ def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -
     _check(w, cfg, ops, CubicScheme.NRLI1)
     c = w.coeffs
     [cubic] = _filtered_cubics(c, [ops.phi1_2], w.grid)
-    return SpectralField(w.grid, _nrli1_core(c, cubic, cfg.eps, cfg.tau, ops))
+    return SpectralField(w.grid, _nrli1_core(c, cubic, (cfg.eps,), (cfg.tau,), ops))
 
 
-def _nrli1_core(c: np.ndarray, cubic: np.ndarray, eps: float, tau: float,
+def _nrli1_core(c: np.ndarray, cubic: np.ndarray, eps: tuple, tau: tuple,
                 ops: OperatorSymbols) -> np.ndarray:
     core = _os18_core(c, cubic, eps, tau, ops)
     weighted = ops.one_minus_phi1_2 * np.abs(c) ** 2
-    g0 = complex(weighted.sum())
+    g0 = _sums(weighted)
     h = weighted * c
-    return core - 2j * eps * eps * tau * g0 * (ops.prop * c) \
-        + 1j * eps * eps * tau * (ops.prop * h)
+    return core - _column([2j * e * e * t * g for e, t, g in zip(eps, tau, g0)]) * (ops.prop * c) \
+        + _column([1j * e * e * t for e, t in zip(eps, tau)]) * (ops.prop * h)
 
 
 # ---------------------------------------------------------------------------
 # implicit symmetric second-order map
 # ---------------------------------------------------------------------------
 
-def _nrsli2_step_impl(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
+def _nrsli2_rows(
+    c: np.ndarray,
+    eps: tuple,
+    tau: tuple,
     ops: OperatorSymbols,
-    gh_half_step: bool,
-) -> tuple[SpectralField, int]:
-    """Fixed-point solve of the two-endpoint non-resonant relation.
+    tol: float,
+    max_iter: int,
+    gh_half_step: bool = True,
+) -> tuple[np.ndarray, list[int]]:
+    """Fixed-point solve of the two-endpoint non-resonant relation, row by row.
 
+    Returns the solutions of the rows of the stack c and their Picard counts.
     Composing the half-step maps (forward half step, then an inverted
     backward half step) produces resonance corrections whose g/h multipliers
     carry the *signed half* arguments: 1 - phi1(+- i tau m^2) for the n / n+1
@@ -194,9 +207,8 @@ def _nrsli2_step_impl(
     because it is the naive transcription, and the time-reversal test shows
     it is not symmetric (see tests).
     """
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    e2 = eps * eps
-    c = w.coeffs
+    grid = ops.grid
+    e2 = tuple(e * e for e in eps)
 
     if gh_half_step:
         mult_n = 1.0 - ops.phi1_1      # 1 - phi1(+i tau m^2), forward endpoint
@@ -209,22 +221,35 @@ def _nrsli2_step_impl(
     # nrli1 predictor
     cubic_2, cubic_n = _filtered_cubics(c, [ops.phi1_2, ops.phi1_1], grid)
     weighted_n = mult_n * np.abs(c) ** 2
-    g0_n = complex(weighted_n.sum())
+    g0_n = _sums(weighted_n)
     h_n = weighted_n * c
-    explicit = ops.prop * (c - 0.5j * tau * e2 * cubic_n) \
-        - 0.5j * e2 * tau * (2.0 * g0_n * (ops.prop * c) - ops.prop * h_n)
+    explicit = ops.prop * (c - _column([0.5j * t * q for t, q in zip(tau, e2)]) * cubic_n) \
+        - _column([0.5j * q * t for q, t in zip(e2, tau)]) \
+        * (_column([2.0 * g for g in g0_n]) * (ops.prop * c) - ops.prop * h_n)
 
-    def apply(u: np.ndarray) -> np.ndarray:
+    def apply(u, half, mult_u, ops, explicit):
         [cubic_u] = _filtered_cubics(u, [ops.phi1_1c], grid)
         weighted_u = mult_u * np.abs(u) ** 2
-        g0_u = complex(weighted_u.sum())
+        g0_u = _sums(weighted_u)
         h_u = weighted_u * u
-        return explicit - 0.5j * e2 * tau * cubic_u \
-            - 0.5j * e2 * tau * (2.0 * g0_u * u - h_u)
+        return explicit - half * cubic_u \
+            - half * (_column([2.0 * g for g in g0_u]) * u - h_u)
 
     guess = _nrli1_core(c, cubic_2, eps, tau, ops)
-    solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
-    return SpectralField(grid, solution), iters
+    half = _column([0.5j * q * t for q, t in zip(e2, tau)])
+    return _picard(apply, guess, (half, mult_u, ops, explicit), grid, tol, max_iter)
+
+
+def _nrsli2_step_impl(
+    w: SpectralField,
+    cfg: CubicSchemeConfig,
+    ops: OperatorSymbols,
+    gh_half_step: bool,
+) -> tuple[SpectralField, int]:
+    """One-row call of :func:`_nrsli2_rows`, with its g/h multiplier choice."""
+    u, [iters] = _nrsli2_rows(w.coeffs, (cfg.eps,), (cfg.tau,), ops,
+                              cfg.fp_tol, cfg.fp_max_iter, gh_half_step)
+    return SpectralField(w.grid, u), iters
 
 
 def nrsli2_step_info(

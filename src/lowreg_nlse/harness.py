@@ -21,6 +21,9 @@ unreliable rather than trusted silently.
 Reference step sizes are snapped so the reference lands exactly on the
 compared times; the fast free-propagator phases make even microscopic horizon
 mismatches visible in H^1, so exact alignment is load-bearing, not cosmetic.
+The reference trajectories a command still needs advance in lockstep, as the
+rows of one coefficient stack (``_run_rows``), each row bit for bit the
+trajectory it would be alone.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ import numpy as np
 from .cubic import (
     CubicScheme,
     CubicSchemeConfig,
+    _nrsli2_rows,
     nrli1_step,
     nrsli2_step_info,
     os18_step,
@@ -50,6 +54,8 @@ from .quadratic import (
     QuadNonlinearity,
     QuadSchemeConfig,
     _check_settings,
+    _sli2_conj_rows,
+    _sli2_rows,
     li1_conj_step,
     li1_step,
     sli2_conj_step_info,
@@ -61,6 +67,7 @@ from .spectral import (
     TorusGrid,
     random_initial_data,
     sobolev_norm,
+    sobolev_norms,
 )
 
 __all__ = [
@@ -103,6 +110,15 @@ _STEPPERS: dict[tuple[Equation, str], tuple[str, Enum]] = {
     (Equation.CUBIC, "nrsli2"): ("nrsli2_step_info", CubicScheme.NRSLI2),
     (Equation.CUBIC, "os18"): ("os18_step", CubicScheme.OS18),
     (Equation.CUBIC, "strang"): ("strang_step", CubicScheme.STRANG),
+}
+
+# rows core of the symmetric map each equation's references step with
+# (_reference_params picks the scheme): (c, eps, tau, ops, tol, max_iter)
+# -> (c, Picard counts) for a (B, N) stack, row r with eps[r] and tau[r]
+_REFERENCE_ROWS = {
+    Equation.QUAD_SQUARE: _sli2_rows,
+    Equation.QUAD_MODSQ: _sli2_conj_rows,
+    Equation.CUBIC: _nrsli2_rows,
 }
 
 
@@ -252,6 +268,60 @@ def _build_stepper(
     return grid, lambda w: (stepper(w, cfg, ops), None)
 
 
+class _Track:
+    """Bookkeeping of one trajectory: its snapshots, sup_h1, Picard counts and failure.
+
+    :func:`run_trajectory` keeps one; the lockstep reference runner keeps one
+    per row, whose states are rows of its stack.  ``where`` names the
+    trajectory in its failure.
+    """
+
+    def __init__(self, params: SimParams, w0: SpectralField,
+                 sample_times: Sequence[float], where: str = "") -> None:
+        self.grid = w0.grid
+        self.tau = params.tau
+        self.where = where
+        self.n_steps, self.t_actual = _horizon_steps(params)
+        self.snap_at: dict[int, int] = {}
+        for t in sample_times:
+            k = min(max(int(round(t / params.tau)), 0), self.n_steps)
+            self.snap_at[k] = self.snap_at.get(k, 0) + 1
+        self.state: SpectralField | np.ndarray = w0
+        self.sup_h1 = sobolev_norm(w0, 1.0)
+        self.iters: list[int] = []
+        self.snapshots = [(0.0, w0)] * self.snap_at.get(0, 0)
+
+    def _field(self) -> SpectralField:
+        if isinstance(self.state, SpectralField):
+            return self.state
+        return SpectralField(self.grid, self.state)
+
+    def record(self, k: int, state: SpectralField | np.ndarray, it: int | None,
+               h1: float) -> None:
+        """Step k reached ``state`` (a field or its coefficients) after ``it`` iterations."""
+        self.state = state
+        if it is not None:
+            self.iters.append(it)
+        self.sup_h1 = max(self.sup_h1, h1)
+        if k in self.snap_at:
+            self.snapshots.extend([(k * self.tau, self._field())] * self.snap_at[k])
+
+    def failure(self, k: int, exc: FixedPointError) -> SolverFailure:
+        return SolverFailure(k, k * self.tau, exc, self.where)
+
+    def result(self) -> TrajectoryResult:
+        iters = self.iters
+        return TrajectoryResult(
+            state=self._field(),
+            t_actual=self.t_actual,
+            n_steps=self.n_steps,
+            sup_h1=self.sup_h1,
+            fp_iter_max=max(iters) if iters else None,
+            fp_iter_mean=sum(iters) / len(iters) if iters else None,
+            snapshots=tuple(self.snapshots),
+        )
+
+
 def run_trajectory(
     params: SimParams,
     w0: SpectralField,
@@ -266,40 +336,15 @@ def run_trajectory(
     grid, step = _build_stepper(params)
     if w0.grid != grid:
         raise ValueError("w0 does not live on the configured grid")
-
-    n_steps, t_actual = _horizon_steps(params)
-
-    snap_at: dict[int, int] = {}
-    for t in sample_times:
-        k = min(max(int(round(t / params.tau)), 0), n_steps)
-        snap_at[k] = snap_at.get(k, 0) + 1
-
-    snapshots: list[tuple[float, SpectralField]] = []
+    track = _Track(params, w0, sample_times)
     w = w0
-    sup_h1 = sobolev_norm(w, 1.0)
-    iters: list[int] = []
-    for _ in range(snap_at.get(0, 0)):
-        snapshots.append((0.0, w))
-    for k in range(1, n_steps + 1):
+    for k in range(1, track.n_steps + 1):
         try:
             w, it = step(w)
         except FixedPointError as exc:
-            raise SolverFailure(k, k * params.tau, exc) from exc
-        if it is not None:
-            iters.append(it)
-        sup_h1 = max(sup_h1, sobolev_norm(w, 1.0))
-        for _ in range(snap_at.get(k, 0)):
-            snapshots.append((k * params.tau, w))
-
-    return TrajectoryResult(
-        state=w,
-        t_actual=t_actual,
-        n_steps=n_steps,
-        sup_h1=sup_h1,
-        fp_iter_max=max(iters) if iters else None,
-        fp_iter_mean=sum(iters) / len(iters) if iters else None,
-        snapshots=tuple(snapshots),
-    )
+            raise track.failure(k, exc) from exc
+        track.record(k, w, it, sobolev_norm(w, 1.0))
+    return track.result()
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +422,58 @@ class _ReferencePair:
     ref_tau: float
 
 
-def _reference_worker(task) -> TrajectoryResult:
-    params, w0, sample_times = task
-    where = f"reference trajectory (step {params.tau:.6g}, eps {params.eps:g})"
-    with _naming_failures(where):
-        return run_trajectory(params, w0, sample_times=sample_times)
+def _reference_name(params: SimParams) -> str:
+    return f"reference trajectory (step {params.tau:.6g}, eps {params.eps:g})"
 
+
+def _run_rows(
+    rows: Sequence[tuple[SimParams, SpectralField, tuple[float, ...]]],
+) -> list[TrajectoryResult]:
+    """Reference trajectories advanced in lockstep as the rows of one (B, N) stack.
+
+    Each row is (reference params, w0, sample times); all share equation,
+    N, fp_tol and fp_max_iter.  Row r steps with its own eps and tau through
+    the rows core of its equation's symmetric map, and leaves the stack once
+    its own step count is done, so its state, sup_h1, Picard counts and
+    snapshots are those :func:`run_trajectory` gives it.  A stalled row
+    raises :class:`SolverFailure` naming its reference trajectory.
+    """
+    # longest first, so the rows still stepping are always a prefix
+    order = sorted(range(len(rows)), key=lambda r: -_horizon_steps(rows[r][0])[0])
+    params = [rows[r][0] for r in order]
+    first = params[0]
+    grid = TorusGrid(first.n_modes)
+    step_rows = _REFERENCE_ROWS[first.equation]
+    tracks = [_Track(p, rows[r][1], rows[r][2], _reference_name(p))
+              for p, r in zip(params, order)]
+    eps = tuple(p.eps for p in params)
+    ops = OperatorSymbols.stack([OperatorSymbols.build(grid, p.tau) for p in params])
+    c = np.stack([rows[r][1].coeffs for r in order])
+    live = len(rows)
+    for k in range(1, tracks[0].n_steps + 1):
+        while tracks[live - 1].n_steps < k:
+            live -= 1
+        if live < len(c):
+            c, eps, ops = c[:live], eps[:live], ops.take(slice(live))
+        try:
+            c, iters = step_rows(c, eps, ops.tau, ops, first.fp_tol, first.fp_max_iter)
+        except FixedPointError as exc:
+            raise tracks[exc.row].failure(k, exc) from exc
+        for track, row, it, h1 in zip(tracks, c, iters, sobolev_norms(c, grid, 1.0).tolist()):
+            track.record(k, row, it, h1)
+    results: list = [None] * len(rows)
+    for r, track in zip(order, tracks):
+        results[r] = track.result()
+    return results
+
+
+def _reference_worker(batch) -> list[TrajectoryResult]:
+    """The trajectories of one batch: a lone one as any trajectory, more in lockstep."""
+    if len(batch) > 1:
+        return _run_rows(batch)
+    [(params, w0, sample_times)] = batch
+    with _naming_failures(_reference_name(params)):
+        return [run_trajectory(params, w0, sample_times=sample_times)]
 
 
 def _longest_first(mapper, fn, tasks: list, costs: Sequence[int]) -> list:
@@ -409,29 +500,47 @@ class _ReferenceStore:
         self._built: dict[tuple, tuple[float, TrajectoryResult]] = {}
 
     def build(
-        self, refs: Sequence[_Reference], mapper=map
+        self, refs: Sequence[_Reference], mapper=map, batches: int = 1
     ) -> list[tuple[float, TrajectoryResult]]:
-        """(step, trajectory) of each of refs, building the missing ones via mapper."""
+        """(step, trajectory) of each of refs, building the missing ones via mapper.
+
+        The missing ones are grouped by equation, N, fp_tol and fp_max_iter.
+        A group's trajectories, longest first, are dealt round-robin into
+        min(batches, size) batches; each batch is one mapper task and
+        advances in lockstep.
+        """
         todo: dict[tuple, _Reference] = {}
         for ref in refs:
             if ref.key not in self._built:
                 todo.setdefault(ref.key, ref)
-        missing = list(todo.values())
+        groups: dict[tuple, list[_Reference]] = {}
+        for ref in sorted(todo.values(), key=lambda r: r.n_steps, reverse=True):
+            p = ref.params
+            groups.setdefault((p.equation, p.n_modes, p.fp_tol, p.fp_max_iter), []).append(ref)
+        lots = [
+            group[i::n]
+            for group in groups.values()
+            for n in [min(batches, len(group))]
+            for i in range(n)
+        ]
         tasks = [
-            (_reference_params(r.params, r.step, r.t_final), r.w0, r.sample_times)
-            for r in missing
+            [(_reference_params(r.params, r.step, r.t_final), r.w0, r.sample_times)
+             for r in lot]
+            for lot in lots
         ]
         results = _longest_first(
-            mapper, _reference_worker, tasks, [r.n_steps for r in missing]
+            mapper, _reference_worker, tasks, [lot[0].n_steps for lot in lots]
         )
-        for ref, result in zip(missing, results):
-            self._built[ref.key] = (ref.step, result)
+        for lot, trajectories in zip(lots, results):
+            for ref, result in zip(lot, trajectories):
+                self._built[ref.key] = (ref.step, result)
         return [self._built[ref.key] for ref in refs]
 
     def pairs(
-        self, requests: Sequence[tuple[_Reference, _Reference]], mapper=map
+        self, requests: Sequence[tuple[_Reference, _Reference]], mapper=map,
+        batches: int = 1,
     ) -> list[_ReferencePair]:
-        built = self.build([ref for pair in requests for ref in pair], mapper)
+        built = self.build([ref for pair in requests for ref in pair], mapper, batches)
         return [
             _ReferencePair(fine, finer, step)
             for (step, fine), (_, finer) in zip(built[0::2], built[1::2])
@@ -469,8 +578,7 @@ def reference_solution(
     ``ref_tau`` must undercut params.tau by at least a factor of ten; it is
     then snapped to divide the (step-count-snapped) horizon exactly.
     """
-    if ref_tau > params.tau / 10.0:
-        raise ValueError("ref_tau must be at most tau/10")
+    _check_ref_tau(params.tau, ref_tau)
     _, t_actual = _horizon_steps(params)
     ref = _Reference(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual)
     [(_, traj)] = _ReferenceStore().build([ref])
@@ -479,6 +587,57 @@ def reference_solution(
 
 def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
     return sobolev_norm(SpectralField(a.grid, a.coeffs - b.coeffs), r)
+
+
+# ---------------------------------------------------------------------------
+# sweep arguments
+#
+# Each sweep and the CLI (at parse time) run the same check of its lists;
+# each returns the reference step, ref_tau or its default.
+# ---------------------------------------------------------------------------
+
+def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None) -> float:
+    """Reject fewer than 4 step sizes, a nonpositive one or ref_tau > min(taus)/10."""
+    if len(taus) < 4:
+        raise ValueError("tau sweep needs at least 4 step sizes")
+    if any(t <= 0 for t in taus):
+        raise ValueError("step sizes must be positive")
+    if ref_tau is None:
+        ref_tau = min(taus) / 100.0
+    if ref_tau > min(taus) / 10.0:
+        raise ValueError("ref_tau must be at most a tenth of the smallest tau")
+    return ref_tau
+
+
+def _check_eps_sweep(eps_values: Sequence[float], tau: float, ref_tau: float | None) -> float:
+    """Reject fewer than 3 eps, one outside (0, 1], a non-decreasing list or ref_tau > tau/10."""
+    if len(eps_values) < 3:
+        raise ValueError("eps sweep needs at least 3 values")
+    if any(not 0.0 < e <= 1.0 for e in eps_values):
+        raise ValueError("eps values must lie in (0, 1]")
+    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
+        raise ValueError("eps values must be strictly decreasing")
+    return _check_ref_tau(tau, ref_tau)
+
+
+def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
+                        ref_tau: float | None) -> float:
+    """Reject sample times out of order, negative or past t_final, or ref_tau > tau/10."""
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must be strictly increasing")
+    if any(t < 0 for t in times):
+        raise ValueError("sample times must be nonnegative")
+    if times and times[-1] > t_final + tau / 2.0:
+        raise ValueError("sample times must not exceed t_final")
+    return _check_ref_tau(tau, ref_tau)
+
+
+def _check_ref_tau(tau: float, ref_tau: float | None) -> float:
+    if ref_tau is None:
+        ref_tau = tau / 100.0
+    if ref_tau > tau / 10.0:
+        raise ValueError("ref_tau must be at most tau/10")
+    return ref_tau
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +672,10 @@ def _run_single_point(
     params = replace(base, eps=eps, tau=tau, t_final=t_final)
     w0 = make_initial_data(params)
     if pair is None:
-        [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
+        # a lone cell (simulate) builds its two trajectories one at a time
+        # through run_trajectory, the calls test_snapshot_out_runs_no_extra_
+        # trajectory in tests/test_cli.py counts
+        [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)], batches=2)
     started = time.perf_counter()
     with _naming_failures(_cell_name(params)):
         traj = run_trajectory(params, w0)
@@ -555,16 +717,17 @@ def _run_points(
 ) -> tuple[list[SweepRecord], list[float]]:
     """Run the cells against reference pairs taken from the shared store.
 
-    The missing reference trajectories are built first, longest first; then
-    the cells run, each handed its pair.  With jobs > 1 both phases share one
-    pool of at most ``jobs`` workers.
+    The missing reference trajectories are built first, in lockstep batches
+    (one batch, or with jobs > 1 up to ``jobs`` of them); then the cells run,
+    each handed its pair.  With jobs > 1 both phases share one pool of at
+    most ``jobs`` workers.
     """
     params = [replace(base, eps=eps, tau=tau, t_final=tf) for eps, tau, tf in cells]
     requests = [_cell_refs(p, make_initial_data(p), ref_tau) for p in params]
     store = _references()
     if jobs is not None and jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = store.pairs(requests, pool.map)
+            pairs = store.pairs(requests, pool.map, jobs)
             payloads = [
                 (base, eps, tau, tf, ref_tau, pair)
                 for (eps, tau, tf), pair in zip(cells, pairs)
@@ -595,15 +758,7 @@ def sweep_tau(
     coarse to resolve the largest error cannot order the rest.
     """
     taus = [float(t) for t in tau_list]
-    if len(taus) < 4:
-        raise ValueError("tau sweep needs at least 4 step sizes")
-    if any(t <= 0 for t in taus):
-        raise ValueError("step sizes must be positive")
-    if ref_tau is None:
-        ref_tau = min(taus) / 100.0
-    if ref_tau > min(taus) / 10.0:
-        raise ValueError("ref_tau must be at most a tenth of the smallest tau")
-
+    ref_tau = _check_tau_sweep(taus, ref_tau)
     cells = [(base.eps, tau, base.t_final) for tau in taus]
     records, gaps = _run_points(base, cells, ref_tau, jobs)
 
@@ -632,16 +787,7 @@ def sweep_eps(
     smallest-eps errors legitimately approach the reference's own resolution.
     """
     eps_values = [float(e) for e in eps_list]
-    if len(eps_values) < 3:
-        raise ValueError("eps sweep needs at least 3 values")
-    if any(not 0.0 < e <= 1.0 for e in eps_values):
-        raise ValueError("eps values must lie in (0, 1]")
-    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("eps values must be strictly decreasing")
-    if ref_tau is None:
-        ref_tau = base.tau / 100.0
-    if ref_tau > base.tau / 10.0:
-        raise ValueError("ref_tau must be at most tau/10")
+    ref_tau = _check_eps_sweep(eps_values, base.tau, ref_tau)
 
     cubic = base.equation is Equation.CUBIC
     cells = [(e, base.tau, T / (e * e) if cubic else T / e) for e in eps_values]
@@ -661,16 +807,7 @@ def error_vs_time(
     exactly on a reference step; errors are then compared at identical times.
     """
     times = [float(t) for t in sample_times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must be strictly increasing")
-    if any(t < 0 for t in times):
-        raise ValueError("sample times must be nonnegative")
-    if times and times[-1] > base.t_final + base.tau / 2.0:
-        raise ValueError("sample times must not exceed t_final")
-    if ref_tau is None:
-        ref_tau = base.tau / 100.0
-    if ref_tau > base.tau / 10.0:
-        raise ValueError("ref_tau must be at most tau/10")
+    ref_tau = _check_error_vs_time(times, base.tau, base.t_final, ref_tau)
 
     w0 = make_initial_data(base)
     started = time.perf_counter()

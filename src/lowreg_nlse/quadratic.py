@@ -16,6 +16,7 @@ step-size/amplitude combinations outside the contraction regime.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -83,20 +84,24 @@ class QuadSchemeConfig(_StepConfig):
 
 
 class FixedPointError(RuntimeError):
-    """Picard iteration failed to reach the residual tolerance."""
+    """Picard iteration failed to reach the residual tolerance.
 
-    def __init__(self, residual: float, iterations: int):
+    ``row`` is the row of the stack whose iteration failed (0 for one field).
+    """
+
+    def __init__(self, residual: float, iterations: int, row: int = 0):
         super().__init__(
             f"fixed-point iteration stalled: residual {residual:.3e} "
             f"after {iterations} iterations"
         )
         self.residual = residual
         self.iterations = iterations
+        self.row = row
 
     def __reduce__(self):
         # rebuild from the constructor's arguments, not the formatted message,
         # so the error survives the trip back from a pool worker
-        return type(self), (self.residual, self.iterations)
+        return type(self), (self.residual, self.iterations, self.row)
 
 
 def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
@@ -110,6 +115,45 @@ def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
         raise ValueError(f"stepper expects {want}, got {have}")
 
 
+# ---------------------------------------------------------------------------
+# rows
+#
+# Every core below acts on a (B, N) stack of spectra c, row r with its own
+# eps[r] and tau[r] (tuples of floats) and row r of ``ops``, the rows'
+# symbols stacked by OperatorSymbols.stack.  A public step is the one-row
+# call of its core, which hands it the lone (N,) spectrum, one-entry tuples
+# and the step's own symbols.
+# Per-row scalars (the zero mode, the masses, the g0 sums) are formed one
+# row at a time with exactly the scalar operations of a lone field: numpy's
+# vectorised complex product and modulus may differ from the scalar ones in
+# the last bit.  Whole rows are broadcast against a (B, 1) column, which
+# runs the same loop as a scalar against one row.
+# ---------------------------------------------------------------------------
+
+def _column(values: list):
+    """Per-row scalars as a (B, 1) column; one row's scalar as it is."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _zero_modes(c: np.ndarray, n0: int) -> np.ndarray:
+    """The zero-mode coefficient of each row, iterated as numpy scalars."""
+    return c[..., n0].reshape(-1)
+
+
+def _add_to_zero_modes(out: np.ndarray, n0: int, values: list) -> None:
+    """Add values[r] to the zero mode of row r of out."""
+    if out.ndim == 1:
+        out[n0] += values[0]
+    else:
+        out[:, n0] += values
+
+
+def _sums(a: np.ndarray) -> list:
+    """The sum of each row of a, as Python numbers."""
+    sums = a.sum(axis=-1).tolist()
+    return sums if a.ndim > 1 else [sums]
+
+
 def _grid_products(
     factors: list[np.ndarray],
     products: tuple[tuple[int, ...], ...],
@@ -121,10 +165,11 @@ def _grid_products(
     ``(i, j, k)`` is (f_i * f_j) * f_k, multiplied left to right on the grid.
     The whole stage costs one inverse transform of the stacked factors and
     one forward transform of the stacked products; row r of the result is
-    the spectrum of product r.
+    the spectrum of product r.  Factors may be ``(N,)`` spectra or
+    ``(B, N)`` stacks; each product then has their shape.
     """
     vals = values_from_coeffs(np.array(factors), grid)
-    prods = np.empty((len(products), grid.n_modes), dtype=np.complex128)
+    prods = np.empty((len(products),) + vals.shape[1:], dtype=np.complex128)
     for row, (i, j, *more) in zip(prods, products):
         np.multiply(vals[i], vals[j], out=row)
         for k in more:
@@ -136,26 +181,63 @@ _SQUARES = ((0, 0), (1, 1))  # f0^2 and f1^2
 _PAIRS = ((0, 1), (2, 3))  # f0 f1 and f2 f3
 
 
+def _narrow(arg, keep: np.ndarray):
+    """The rows ``keep`` (a boolean mask) of a per-row argument of a core."""
+    if isinstance(arg, tuple):
+        return tuple(x for x, k in zip(arg, keep) if k)
+    if isinstance(arg, OperatorSymbols):
+        return arg.take(keep)
+    return arg[keep]
+
+
 def _picard(
-    step_map: Callable[[np.ndarray], np.ndarray],
+    apply: Callable[..., np.ndarray],
     guess: np.ndarray,
+    args: tuple,
     grid: TorusGrid,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, list[int]]:
+    """Picard iteration u <- apply(u, *args) of every row of guess (or of one field).
+
+    ``args`` are the per-row arguments of the map.  A row stops at the first
+    iterate whose H^1-weighted change is within tol and leaves the stack; the
+    others go on with ``args`` narrowed to them, so each row's iterates and
+    count are those of a lone solve.  Returns the solutions and the count of
+    each row; a row that diverges or stalls raises FixedPointError with its
+    row.
+    """
     weights = sobolev_weights(grid, 1.0)
+    n_rows = len(guess) if guess.ndim > 1 else 1
+    live = tuple(range(n_rows))  # the row of guess of each row still iterating
+    iters = [0] * n_rows
+    solution = None
     u = guess
-    residual = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            u_next = step_map(u)
-            residual = float(np.sqrt(((weights * np.abs(u_next - u)) ** 2).sum()))
-            if residual <= tol:
-                return u_next, it
-            if not np.isfinite(residual):
-                raise FixedPointError(residual, it)
+            u_next = apply(u, *args)
+            residual = [math.sqrt(x) for x in _sums((weights * np.abs(u_next - u)) ** 2)]
+            done = [res <= tol for res in residual]
+            if solution is None and all(done):
+                return u_next, [it] * n_rows
+            for res, ok, row in zip(residual, done, live):
+                if not (ok or math.isfinite(res)):
+                    raise FixedPointError(res, it, row)
+            if any(done):
+                if solution is None:
+                    solution = np.empty_like(guess)
+                keep = np.logical_not(done)
+                finished = [row for ok, row in zip(done, live) if ok]
+                solution[finished] = u_next[~keep]
+                for row in finished:
+                    iters[row] = it
+                if not keep.any():
+                    return solution, iters
+                live, residual = _narrow(live, keep), _narrow(tuple(residual), keep)
+                args = tuple(_narrow(arg, keep) for arg in args)
+                u_next = u_next[keep]
             u = u_next
-    raise FixedPointError(residual, max_iter)
+    raise FixedPointError(residual[0], max_iter, live[0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +253,14 @@ def _li1_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
     return _grid_products([ops.prop * d, d], _SQUARES, ops.grid)
 
 
-def _li1_core(c: np.ndarray, stage: np.ndarray, eps: float, tau: float,
+def _li1_core(c: np.ndarray, stage: np.ndarray, eps: tuple, tau: tuple,
               ops: OperatorSymbols) -> np.ndarray:
     n0 = ops.grid.n_modes // 2
-    w0 = c[n0]
+    w0 = _zero_modes(c, n0)
     sq_prop, sq_plain = stage
-    out = (1.0 - 2j * eps * tau * w0) * (ops.prop * c)
-    out[n0] += 1j * eps * tau * w0 * w0
-    out += (eps / 2.0) * (sq_prop - ops.prop * sq_plain)
+    out = _column([1.0 - 2j * e * t * z for e, t, z in zip(eps, tau, w0)]) * (ops.prop * c)
+    _add_to_zero_modes(out, n0, [1j * e * t * z * z for e, t, z in zip(eps, tau, w0)])
+    out += _column([e / 2.0 for e in eps]) * (sq_prop - ops.prop * sq_plain)
     return out
 
 
@@ -193,7 +275,7 @@ def li1_step(w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols) -> S
     """
     _check(w, cfg, ops, QuadNonlinearity.SQUARE)
     c = w.coeffs
-    return SpectralField(w.grid, _li1_core(c, _li1_stage(c, ops), cfg.eps, cfg.tau, ops))
+    return SpectralField(w.grid, _li1_core(c, _li1_stage(c, ops), (cfg.eps,), (cfg.tau,), ops))
 
 
 def _li1_conj_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
@@ -204,15 +286,18 @@ def _li1_conj_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
     )
 
 
-def _li1_conj_core(c: np.ndarray, stage: np.ndarray, eps: float, tau: float,
+def _li1_conj_core(c: np.ndarray, stage: np.ndarray, eps: tuple, tau: tuple,
                    ops: OperatorSymbols) -> np.ndarray:
     n0 = ops.grid.n_modes // 2
-    w0 = c[n0]
-    mass = float((np.abs(c) ** 2).sum())
+    w0 = _zero_modes(c, n0)
+    mass = _sums(np.abs(c) ** 2)
     t1, t2 = stage
-    out = (1.0 - 1j * eps * tau * np.conj(w0)) * (ops.prop * c)
-    out[n0] += -1j * eps * tau * (mass - abs(w0) ** 2)
-    out += (eps / 2.0) * ops.inv_dx * (t1 - ops.prop * t2)
+    out = _column([1.0 - 1j * e * t * np.conj(z) for e, t, z in zip(eps, tau, w0)]) \
+        * (ops.prop * c)
+    _add_to_zero_modes(
+        out, n0, [-1j * e * t * (m - abs(z) ** 2) for e, t, z, m in zip(eps, tau, w0, mass)]
+    )
+    out += _column([e / 2.0 for e in eps]) * ops.inv_dx * (t1 - ops.prop * t2)
     return out
 
 
@@ -231,12 +316,45 @@ def li1_conj_step(
     _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
     c = w.coeffs
     stage = _li1_conj_stage(c, ops)
-    return SpectralField(w.grid, _li1_conj_core(c, stage, cfg.eps, cfg.tau, ops))
+    return SpectralField(w.grid, _li1_conj_core(c, stage, (cfg.eps,), (cfg.tau,), ops))
 
 
 # ---------------------------------------------------------------------------
 # implicit symmetric second-order maps
 # ---------------------------------------------------------------------------
+
+def _sli2_rows(c: np.ndarray, eps: tuple, tau: tuple, ops: OperatorSymbols,
+               tol: float, max_iter: int) -> tuple[np.ndarray, list[int]]:
+    """sli2 on each row of the stack c; the solutions and Picard counts."""
+    n0 = ops.grid.n_modes // 2
+    w0 = _zero_modes(c, n0)
+
+    # explicit half of the update, assembled once
+    stage = _li1_stage(c, ops)
+    sq_prop, sq_plain = stage
+    explicit = _column([1.0 - 1j * e * t * z for e, t, z in zip(eps, tau, w0)]) \
+        * (ops.prop * c)
+    _add_to_zero_modes(explicit, n0, [0.5j * e * t * z * z for e, t, z in zip(eps, tau, w0)])
+    explicit += _column([e / 4.0 for e in eps]) * (sq_prop - ops.prop * sq_plain)
+
+    # the map's per-row factors i eps tau and i eps tau / 2, formed once
+    ie_t = tuple(1j * e * t for e, t in zip(eps, tau))
+    half = tuple(0.5j * e * t for e, t in zip(eps, tau))
+    quarter = _column([e / 4.0 for e in eps])
+
+    def apply(u, ie_t, half, quarter, ops, explicit):
+        u0 = _zero_modes(u, n0)
+        out = explicit - _column([a * z for a, z in zip(ie_t, u0)]) * u
+        _add_to_zero_modes(out, n0, [h * z * z for h, z in zip(half, u0)])
+        du = ops.inv_dx * u
+        sq, sq_back = _grid_products([du, np.conj(ops.prop) * du], _SQUARES, ops.grid)
+        out += quarter * (sq - ops.prop * sq_back)
+        return out
+
+    guess = _li1_core(c, stage, eps, tau, ops)
+    args = (ie_t, half, quarter, ops, explicit)
+    return _picard(apply, guess, args, ops.grid, tol, max_iter)
+
 
 def sli2_step_info(
     w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols
@@ -254,30 +372,50 @@ def sli2_step_info(
     with -tau returns the input to within the iteration tolerance.
     """
     _check(w, cfg, ops, QuadNonlinearity.SQUARE)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    n0 = grid.n_modes // 2
-    c = w.coeffs
-    w0 = c[n0]
+    u, [iters] = _sli2_rows(w.coeffs, (cfg.eps,), (cfg.tau,), ops,
+                            cfg.fp_tol, cfg.fp_max_iter)
+    return SpectralField(w.grid, u), iters
 
-    # explicit half of the update, assembled once
-    stage = _li1_stage(c, ops)
-    sq_prop, sq_plain = stage
-    explicit = (1.0 - 1j * eps * tau * w0) * (ops.prop * c)
-    explicit[n0] += 0.5j * eps * tau * w0 * w0
-    explicit += (eps / 4.0) * (sq_prop - ops.prop * sq_plain)
 
-    def apply(u: np.ndarray) -> np.ndarray:
-        u0 = u[n0]
-        out = explicit - 1j * eps * tau * u0 * u
-        out[n0] += 0.5j * eps * tau * u0 * u0
-        du = ops.inv_dx * u
-        sq, sq_back = _grid_products([du, np.conj(ops.prop) * du], _SQUARES, grid)
-        out += (eps / 4.0) * (sq - ops.prop * sq_back)
+def _sli2_conj_rows(c: np.ndarray, eps: tuple, tau: tuple, ops: OperatorSymbols,
+                    tol: float, max_iter: int) -> tuple[np.ndarray, list[int]]:
+    """sli2 for |w|^2 on each row of the stack c; the solutions and Picard counts."""
+    n0 = ops.grid.n_modes // 2
+    w0 = _zero_modes(c, n0)
+    mass = _sums(np.abs(c) ** 2)
+
+    stage = _li1_conj_stage(c, ops)
+    t1, t2 = stage
+    explicit = _column([1.0 - 0.5j * e * t * np.conj(z) for e, t, z in zip(eps, tau, w0)]) \
+        * (ops.prop * c)
+    _add_to_zero_modes(
+        explicit, n0,
+        [-0.5j * e * t * (m - abs(z) ** 2) for e, t, z, m in zip(eps, tau, w0, mass)],
+    )
+    explicit += _column([e / 4.0 for e in eps]) * ops.inv_dx * (t1 - ops.prop * t2)
+
+    # the map's per-row factors +-i eps tau / 2, formed once
+    half = tuple(0.5j * e * t for e, t in zip(eps, tau))
+    minus_half = tuple(-0.5j * e * t for e, t in zip(eps, tau))
+    quarter = _column([e / 4.0 for e in eps])
+
+    def apply(u, half, minus_half, quarter, ops, explicit):
+        u0 = _zero_modes(u, n0)
+        mass_u = _sums(np.abs(u) ** 2)
+        out = explicit - _column([h * np.conj(z) for h, z in zip(half, u0)]) * u
+        _add_to_zero_modes(
+            out, n0, [h * (m - abs(z) ** 2) for h, z, m in zip(minus_half, u0, mass_u)]
+        )
+        dcu = ops.inv_dx * conjugate_coeffs(u)
+        t1, t2 = _grid_products(
+            [u, dcu, np.conj(ops.prop) * u, ops.prop * dcu], _PAIRS, ops.grid
+        )
+        out += quarter * ops.inv_dx * (t1 - ops.prop * t2)
         return out
 
-    guess = _li1_core(c, stage, eps, tau, ops)
-    solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
-    return SpectralField(grid, solution), iters
+    guess = _li1_conj_core(c, stage, eps, tau, ops)
+    args = (half, minus_half, quarter, ops, explicit)
+    return _picard(apply, guess, args, ops.grid, tol, max_iter)
 
 
 def sli2_conj_step_info(
@@ -291,30 +429,6 @@ def sli2_conj_step_info(
     fixed-point contract as :func:`sli2_step_info`.
     """
     _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    n0 = grid.n_modes // 2
-    c = w.coeffs
-    w0 = c[n0]
-    mass = float((np.abs(c) ** 2).sum())
-
-    stage = _li1_conj_stage(c, ops)
-    t1, t2 = stage
-    explicit = (1.0 - 0.5j * eps * tau * np.conj(w0)) * (ops.prop * c)
-    explicit[n0] += -0.5j * eps * tau * (mass - abs(w0) ** 2)
-    explicit += (eps / 4.0) * ops.inv_dx * (t1 - ops.prop * t2)
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        u0 = u[n0]
-        mass_u = float((np.abs(u) ** 2).sum())
-        out = explicit - 0.5j * eps * tau * np.conj(u0) * u
-        out[n0] += -0.5j * eps * tau * (mass_u - abs(u0) ** 2)
-        dcu = ops.inv_dx * conjugate_coeffs(u)
-        t1, t2 = _grid_products(
-            [u, dcu, np.conj(ops.prop) * u, ops.prop * dcu], _PAIRS, grid
-        )
-        out += (eps / 4.0) * ops.inv_dx * (t1 - ops.prop * t2)
-        return out
-
-    guess = _li1_conj_core(c, stage, eps, tau, ops)
-    solution, iters = _picard(apply, guess, grid, cfg.fp_tol, cfg.fp_max_iter)
-    return SpectralField(grid, solution), iters
+    u, [iters] = _sli2_conj_rows(w.coeffs, (cfg.eps,), (cfg.tau,), ops,
+                                 cfg.fp_tol, cfg.fp_max_iter)
+    return SpectralField(w.grid, u), iters

@@ -3,10 +3,10 @@
 Every check replays one of the package's load-bearing equivalences, mostly at
 N <= 16: scheme steps against brute-force convolution oracles, symmetric
 schemes against time reversal, constant data against the zero-mode ODE
-integrators, stacked transforms against row-by-row ones, and the
-serialization round trips.  The whole battery is meant to run in
-seconds, as a deployment smoke test rather than a substitute for the pytest
-suite.
+integrators, stacked transforms and the batched symmetric maps against
+row-by-row ones, and the serialization round trips.  The whole battery is
+meant to run in seconds, as a deployment smoke test rather than a substitute
+for the pytest suite.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .cubic import (
     CubicScheme,
     CubicSchemeConfig,
     ResonanceWeights,
+    _nrsli2_rows,
     nrli1_step,
     nrsli2_step_info,
     os18_step,
@@ -40,6 +41,8 @@ from .oracles import (
 from .quadratic import (
     QuadNonlinearity,
     QuadSchemeConfig,
+    _sli2_conj_rows,
+    _sli2_rows,
     li1_conj_step,
     li1_step,
     sli2_conj_step_info,
@@ -216,6 +219,35 @@ def _check_stacked_transforms() -> str:
     return f"(4, N) stacks at N = {', '.join(map(str, sizes))}"
 
 
+def _check_batched_maps() -> str:
+    # reference trajectories step as rows of one stack; each row, with its
+    # own eps and step, must come out as the map applied to it alone
+    grid = TorusGrid(16)
+    rows = [(0.5, 0.05, 3), (0.9, -0.02, 267), (0.2, 0.01, 11)]
+    fields = [random_initial_data(grid, 1.0, seed) for _, _, seed in rows]
+    ops = [OperatorSymbols.build(grid, tau) for _, tau, _ in rows]
+    stacked = OperatorSymbols.stack(ops)
+    eps = tuple(e for e, _, _ in rows)
+    maps = [
+        ("sli2", sli2_step_info, _sli2_rows,
+         lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.SQUARE)),
+        ("sli2_conj", sli2_conj_step_info, _sli2_conj_rows,
+         lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.MODULUS_SQUARE)),
+        ("nrsli2", nrsli2_step_info, _nrsli2_rows,
+         lambda e, t: CubicSchemeConfig(e, t, CubicScheme.NRSLI2)),
+    ]
+    for name, step, rows_core, config in maps:
+        out, iters = rows_core(np.stack([w.coeffs for w in fields]), eps, stacked.tau,
+                               stacked, 1e-12, 100)
+        for r, (w, o) in enumerate(zip(fields, ops)):
+            lone, lone_iters = step(w, config(eps[r], o.tau), o)
+            if out[r].tobytes() != lone.coeffs.tobytes() or iters[r] != lone_iters:
+                raise AssertionError(
+                    f"{name}: row {r} of a (3, 16) stack differs from its lone step"
+                )
+    return "sli2, sli2_conj, nrsli2 on a (3, 16) stack of mixed eps and steps"
+
+
 def _check_serialization() -> str:
     grid = TorusGrid(16)
     w = random_initial_data(grid, 1.5, 9)
@@ -250,6 +282,7 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("resonance classification vs phase defect", _check_resonance_classification),
     ("phi1 against expm1 decomposition", _check_phi1_identity),
     ("stacked transforms match row-by-row, bit for bit", _check_stacked_transforms),
+    ("batched symmetric maps match one-row calls bit for bit", _check_batched_maps),
     ("serialization round trips", _check_serialization),
 ]
 

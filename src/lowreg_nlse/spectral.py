@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -124,9 +125,10 @@ def conjugate_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Spectrum of the complex conjugate field: conj(f)_hat[l] = conj(f_hat[-l]).
 
     The l = -N/2 row maps to itself (N/2 and -N/2 coincide on the grid), which
-    is exactly what pointwise conjugation in physical space produces.
+    is exactly what pointwise conjugation in physical space produces.  Acts
+    on the last axis of a ``(..., N)`` stack.
     """
-    return np.conj(np.concatenate((coeffs[:1], coeffs[:0:-1])))
+    return np.conj(np.concatenate((coeffs[..., :1], coeffs[..., :0:-1]), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -238,6 +240,15 @@ def sobolev_norm(field: SpectralField, r: float) -> float:
     return math.sqrt(float(((w * np.abs(c)) ** 2).sum()))
 
 
+def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, r: float) -> np.ndarray:
+    """H^r norm of each row of a ``(B, N)`` coefficient stack.
+
+    Row for row the same arithmetic as :func:`sobolev_norm`, so each entry
+    equals the norm of that row's field bit for bit.
+    """
+    return np.sqrt(((sobolev_weights(grid, r) * np.abs(coeffs)) ** 2).sum(axis=-1))
+
+
 _U64 = (1 << 64) - 1
 
 
@@ -322,6 +333,9 @@ class OperatorSymbols:
     phi1_1           phi1(i tau l^2)        — symbol of phi1(-i tau dxx)
     phi1_1c          phi1(-i tau l^2)       — symbol of phi1(i tau dxx)
     one_minus_phi1_2 1 - phi1(2 i tau l^2)
+
+    :meth:`stack` puts the symbols of several steps into one instance whose
+    arrays have a row per step, for the rows cores of the symmetric maps.
     """
 
     tau: float
@@ -333,6 +347,10 @@ class OperatorSymbols:
     phi1_1: np.ndarray
     phi1_1c: np.ndarray
     one_minus_phi1_2: np.ndarray
+
+    _ARRAYS: ClassVar[tuple[str, ...]] = (
+        "prop", "prop_half", "inv_dx", "phi1_2", "phi1_1", "phi1_1c", "one_minus_phi1_2",
+    )
 
     @classmethod
     def build(cls, grid: TorusGrid, tau: float) -> "OperatorSymbols":
@@ -353,3 +371,24 @@ class OperatorSymbols:
         for a in arrays.values():
             a.setflags(write=False)
         return cls(tau=float(tau), grid=grid, **arrays)
+
+    @classmethod
+    def stack(cls, rows: Sequence["OperatorSymbols"]) -> "OperatorSymbols":
+        """The symbols of several steps on one grid, for a ``(B, N)`` stack.
+
+        Row r of each array is that array of ``rows[r]``, and ``tau`` is the
+        tuple of the rows' steps.
+        """
+        return cls(
+            tau=tuple(ops.tau for ops in rows),
+            grid=rows[0].grid,
+            **{name: np.stack([getattr(ops, name) for ops in rows]) for name in cls._ARRAYS},
+        )
+
+    def take(self, rows) -> "OperatorSymbols":
+        """The rows ``rows`` (a slice or a boolean mask) of stacked symbols."""
+        return type(self)(
+            tau=tuple(np.asarray(self.tau)[rows].tolist()),
+            grid=self.grid,
+            **{name: getattr(self, name)[rows] for name in self._ARRAYS},
+        )

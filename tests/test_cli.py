@@ -130,6 +130,34 @@ def test_bad_run_settings_are_usage_errors(tmp_path, capsys, subcommand, flag, v
     assert message in capsys.readouterr().err
 
 
+_EPS_SWEEP = ["sweep-eps", "--equation", "quad-modsq", "--scheme", "li1", "--tau", "0.05",
+              "--T", "0.2", "--modes", "16"]
+_TAU_SWEEP = ["sweep-tau", "--equation", "quad-modsq", "--scheme", "li1", "--eps", "0.5",
+              "--T", "0.2", "--modes", "16"]
+_ERROR_VS_TIME = ["error-vs-time", "--equation", "quad-modsq", "--scheme", "li1",
+                  "--eps", "0.5", "--tau", "0.05", "--T", "0.2", "--modes", "16"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_EPS_SWEEP + ["--eps-list", "0.5,1.5,0.2"], "eps values must lie in (0, 1]"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,0.6,0.2"], "eps values must be strictly decreasing"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,0.2"], "eps sweep needs at least 3 values"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.05,-0.025,0.0125"], "step sizes must be positive"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025"], "tau sweep needs at least 4 step sizes"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--ref-tau", "0.01"],
+     "ref_tau must be at most tau/10"),
+    (_ERROR_VS_TIME + ["--sample-times", "0.5,0.2"], "sample times must be strictly increasing"),
+], ids=["eps-range", "eps-order", "eps-count", "tau-sign", "tau-count", "ref-tau",
+        "sample-order"])
+def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    # the sweep's own check, run at parse time: exit 2 before any trajectory
+    monkeypatch.setattr(harness, "run_trajectory", None)
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_rejects_scheme_list(tmp_path, capsys):
     with pytest.raises(SystemExit):
         parse_args(_simulate_args(tmp_path, scheme="li1,sli2"))
@@ -254,6 +282,21 @@ def test_sweep_eps_builds_each_pair_once_and_jobs_agree(tmp_path, reference_buil
         assert len(reference_builds) == 6
         assert len(set(reference_builds)) == 6
         assert sorted({eps for eps, _, _ in reference_builds}) == [0.25, 0.35, 0.5]
+        rows[jobs] = _rows_without_wall_clock(out)
+    assert len(rows["1"]) == 7
+    assert rows["1"] == rows["2"]
+
+
+def test_cubic_sweep_eps_batched_references_agree_across_jobs(tmp_path):
+    # both runs step their nrsli2 references as lockstep rows: one batch of
+    # six at --jobs 1, two of three at --jobs 2
+    argv = ["sweep-eps", "--equation", "cubic", "--scheme", "nrli1,nrsli2",
+            "--tau", "0.05", "--eps-list", "0.9,0.7,0.5", "--T", "0.1",
+            "--theta", "2", "--modes", "16", "--ref-tau", "5e-3", "--seed", "267"]
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
         rows[jobs] = _rows_without_wall_clock(out)
     assert len(rows["1"]) == 7
     assert rows["1"] == rows["2"]

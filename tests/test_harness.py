@@ -356,6 +356,68 @@ def test_cubic_reference_cross_validated_against_strang():
     assert _diff_norm(ref, strang.state) < 5e-5
 
 
+def _lone_reference(ref):
+    params = harness._reference_params(ref.params, ref.step, ref.t_final)
+    return run_trajectory(params, ref.w0, sample_times=ref.sample_times)
+
+
+def _same_trajectory(a, b):
+    assert a.state.coeffs.tobytes() == b.state.coeffs.tobytes()
+    assert (a.n_steps, a.t_actual, a.fp_iter_max) == (b.n_steps, b.t_actual, b.fp_iter_max)
+    assert repr(a.sup_h1) == repr(b.sup_h1) and repr(a.fp_iter_mean) == repr(b.fp_iter_mean)
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, x), (_, y) in zip(a.snapshots, b.snapshots):
+        assert x.coeffs.tobytes() == y.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("batches", [1, 2])
+@pytest.mark.parametrize("equation", list(Equation))
+def test_batched_references_equal_lone_trajectories(monkeypatch, equation, batches):
+    lockstep = []
+    original = harness._run_rows
+
+    def counting(rows):
+        lockstep.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(harness, "_run_rows", counting)
+    base = SimParams(equation=equation, scheme="nrli1" if equation is Equation.CUBIC else "li1",
+                     eps=0.5, tau=0.1, t_final=0.5, n_modes=16, theta=1.5, seed=267)
+    refs = []
+    # rows of different eps, lengths, steps (so Picard counts) and sample times
+    for eps, t_final, step, times in [(0.5, 0.5, 0.01, (0.0, 0.2, 0.2)), (0.3, 0.8, 0.02, ()),
+                                      (0.8, 0.3, 0.005, (0.1, 0.3)), (0.6, 0.0, 0.01, (0.0,))]:
+        p = replace(base, eps=eps, t_final=t_final)
+        refs.extend(harness._pair_refs(p, make_initial_data(p), step, t_final, times))
+    store = harness._ReferenceStore()
+    built = store.build(refs, batches=batches)
+    # the two halves of the zero-horizon pair take no step and share a key
+    assert sorted(lockstep) == ([7] if batches == 1 else [3, 4])
+    assert len({traj.fp_iter_max for _, traj in built}) > 1
+    for ref, (_, traj) in zip(refs, built):
+        _same_trajectory(traj, _lone_reference(ref))
+
+
+def test_stalled_reference_row_names_its_own_step():
+    # quad-modsq at eps 1 and step 0.1 needs 15, 17, 19, 27 Picard iterations
+    # at its first four steps, so at fp_max_iter 20 it stalls at step 4; the
+    # longer row beside it converges throughout
+    easy = _quad(equation=Equation.QUAD_MODSQ, eps=0.5, theta=1.0, seed=267, fp_max_iter=20)
+    hard = replace(easy, eps=1.0)
+    refs = [harness._Reference(easy, make_initial_data(easy), 0.01, 0.5),
+            harness._Reference(hard, make_initial_data(hard), 0.1, 1.0)]
+    with pytest.raises(SolverFailure) as lone:
+        _lone_reference(refs[1])
+    with pytest.raises(SolverFailure) as info:
+        harness._ReferenceStore().build(refs)
+    failure = info.value
+    assert (failure.step_index, failure.t) == (lone.value.step_index, lone.value.t) == (4, 0.4)
+    assert failure.where == "reference trajectory (step 0.1, eps 1)"
+    assert failure.residual == lone.value.residual
+    assert str(failure).startswith("implicit solve failed at step 4 (t = 0.4) in the "
+                                   "reference trajectory (step 0.1, eps 1): ")
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
