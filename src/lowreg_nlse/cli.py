@@ -8,13 +8,16 @@ Subcommands::
     error-vs-time   error growth along one trajectory
     selftest        small-grid oracle and symmetry battery
 
-Flags may be preloaded from a JSON file via ``--config``; explicit flags
-override file values.  The long-time subcommands take the horizon constant
-``--T`` and derive t_final = T/eps (quadratic) or T/eps^2 (cubic); ``simulate``
+A ``--config`` JSON object holds flags of the subcommand, keyed by their
+dests (``tau_list`` for ``--tau-list``; lists as JSON arrays or comma
+strings); they count as typed right after the subcommand, so explicit flags
+override them.  The long-time subcommands take the horizon constant ``--T``
+and derive t_final = T/eps (quadratic) or T/eps^2 (cubic); ``simulate``
 takes a raw ``--t-final``.  Exit status: 0 when every record is reliable,
 1 on solver/IO failure or unreliable records, 2 on usage errors, which
-include every value :class:`~lowreg_nlse.harness.SimParams` rejects and
-every check a sweep makes of its own lists and reference step.
+include a config key or value the subcommand's flags do not take, every
+value :class:`~lowreg_nlse.harness.SimParams` rejects (named by its flag) and
+every check a run makes of its own lists and reference step.
 """
 from __future__ import annotations
 
@@ -31,23 +34,26 @@ from .harness import (
     SweepRecord,
     _check_error_vs_time,
     _check_eps_sweep,
+    _check_ref_tau,
     _check_tau_sweep,
+    _horizon,
     _run_single_point,
     error_vs_time,
     shared_references,
     sweep_eps,
     sweep_tau,
     write_records_csv,
-    SolverFailure,
 )
 from .selftest import run_selftest
 from .spectral import field_to_text
 
-_EQUATIONS = [e.value for e in Equation]
-_LIST_FLAGS = {"tau_list", "eps_list", "sample_times"}
-_FLOAT_KEYS = {"eps", "tau", "theta", "T", "t_final", "ref_tau", "error_norm_r", "fp_tol"}
-_INT_KEYS = {"seed", "modes", "fp_max_iter", "jobs"}
-_STR_KEYS = {"equation", "scheme", "out", "snapshot_out"}
+# the flag that sets each SimParams field; a SimParams error begins with the
+# name of the field it rejects
+_FLAGS = {
+    "equation": "--equation", "scheme": "--scheme", "eps": "--eps", "tau": "--tau",
+    "t_final": "--t-final", "n_modes": "--modes", "theta": "--theta", "seed": "--seed",
+    "error_norm_r": "--error-norm-r", "fp_tol": "--fp-tol", "fp_max_iter": "--fp-max-iter",
+}
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -58,7 +64,7 @@ def _comma_floats(text: str) -> list[float]:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, sweeps: bool) -> None:
-    sub.add_argument("--equation", help=f"one of {', '.join(_EQUATIONS)}")
+    sub.add_argument("--equation", choices=[e.value for e in Equation])
     sub.add_argument(
         "--scheme",
         help="scheme identifier" + ("; comma-separate to compare several" if sweeps else ""),
@@ -73,7 +79,7 @@ def _add_common(sub: argparse.ArgumentParser, *, sweeps: bool) -> None:
     sub.add_argument("--ref-tau", type=float, default=None, dest="ref_tau",
                      help="reference step (default: auto, two decades below)")
     sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--config", help="JSON file of flag defaults (flags override)")
+    sub.add_argument("--config", help="JSON object of flags by dest (flags override)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     stau.add_argument("--tau-list", type=_comma_floats, dest="tau_list",
                       help="comma-separated step sizes (>= 4)")
     stau.add_argument("--T", type=float, help="horizon constant; t_final = T/eps^k")
-    stau.add_argument("--jobs", type=int, default=None, help="worker processes")
+    stau.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
 
     seps = subs.add_parser("sweep-eps", help="error vs nonlinearity strength")
     _add_common(seps, sweeps=True)
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     seps.add_argument("--eps-list", type=_comma_floats, dest="eps_list",
                       help="strictly decreasing values in (0, 1] (>= 3)")
     seps.add_argument("--T", type=float, help="horizon constant; t_final = T/eps^k")
-    seps.add_argument("--jobs", type=int, default=None, help="worker processes")
+    seps.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
 
     evt = subs.add_parser("error-vs-time", help="error growth along a trajectory")
     _add_common(evt, sweeps=True)
@@ -113,15 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     evt.add_argument("--T", type=float, help="horizon constant; t_final = T/eps^k")
 
     subs.add_parser("selftest", help="small-grid oracle and symmetry battery")
-    # config-file defaults must be planted on the subparser: the subcommand
-    # re-parses into a fresh namespace and would clobber main-parser defaults
-    parser.sub_parsers = {
-        "simulate": sim, "sweep-tau": stau, "sweep-eps": seps, "error-vs-time": evt,
-    }
     return parser
 
 
-def _load_config(parser: argparse.ArgumentParser, path: str) -> dict:
+def _config_flags(parser: argparse.ArgumentParser, first: argparse.Namespace) -> list[str]:
+    """The --config file named in ``first`` as flags of its subcommand."""
+    path = first.config
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -131,37 +134,37 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict:
         parser.error(f"--config: {path} is not valid JSON ({exc})")
     if not isinstance(raw, dict):
         parser.error(f"--config: {path} must hold a JSON object")
-    merged = {}
+    dests = set(vars(first)) - {"subcommand", "config"}
+    flags = []
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest in _LIST_FLAGS:
-            merged[dest] = (
-                [float(v) for v in value] if isinstance(value, list) else _comma_floats(value)
-            )
-        elif dest in _FLOAT_KEYS:
-            merged[dest] = float(value)
-        elif dest in _INT_KEYS:
-            merged[dest] = int(value)
-        elif dest in _STR_KEYS:
-            merged[dest] = str(value)
-        else:
-            parser.error(f"--config: unknown key {key!r}")
-    return merged
+        if key not in dests:
+            parser.error(f"--config: unknown key {key!r} for {first.subcommand}")
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Two-pass parse: config file fills defaults, explicit flags override."""
+    """Parse argv, with the --config file's flags typed ahead of the explicit ones."""
     parser = build_parser()
-    first = parser.parse_args(argv)
-    if getattr(first, "config", None):
-        defaults = _load_config(parser, first.config)
-        parser.sub_parsers[first.subcommand].set_defaults(**defaults)
-        config = parser.parse_args(argv)
-    else:
-        config = first
+    argv = list(argv)
+    config = parser.parse_args(argv)
+    if getattr(config, "config", None):
+        config = parser.parse_args(argv[:1] + _config_flags(parser, config) + argv[1:])
     if config.subcommand != "selftest":
         _validate(parser, config)
     return config
+
+
+# flags each subcommand needs besides --equation, --scheme and --out; sweep-eps
+# takes eps from --eps-list when --eps is not given
+_REQUIRED = {
+    "simulate": ["eps", "tau", "t_final"],
+    "sweep-tau": ["eps", "tau_list", "T"],
+    "sweep-eps": ["tau", "eps_list", "T"],
+    "error-vs-time": ["eps", "tau", "sample_times", "T"],
+}
 
 
 def _require(parser, config, names):
@@ -171,91 +174,62 @@ def _require(parser, config, names):
 
 
 def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> None:
-    _require(parser, config, ["equation", "scheme", "out"])
-    if config.subcommand == "sweep-eps":
-        if getattr(config, "eps_list", None) and config.eps is None:
-            config.eps = config.eps_list[0]
-    _require(parser, config, ["eps"])
-    if config.equation not in _EQUATIONS:
-        parser.error(f"--equation must be one of {', '.join(_EQUATIONS)}, got {config.equation!r}")
-    if not 0.0 < config.eps <= 1.0:
-        parser.error(f"--eps must lie in (0, 1], got {config.eps}")
-    if config.theta < 0:
-        parser.error(f"--theta must be nonnegative, got {config.theta}")
-    if config.modes < 4 or config.modes % 2:
-        parser.error(f"--modes must be an even integer >= 4, got {config.modes}")
-    if config.ref_tau is not None and config.ref_tau <= 0:
-        parser.error(f"--ref-tau must be positive, got {config.ref_tau}")
-
+    """What only the command line knows; the values themselves the library checks."""
     sub = config.subcommand
-    if sub == "simulate":
-        _require(parser, config, ["tau", "t_final"])
-        if "," in config.scheme:
-            parser.error("--scheme: simulate runs a single scheme")
-        if config.t_final < 0:
-            parser.error(f"--t-final must be nonnegative, got {config.t_final}")
-    elif sub == "sweep-tau":
-        _require(parser, config, ["tau_list", "T"])
-        if not config.tau_list:
-            parser.error("--tau-list must not be empty")
-    elif sub == "sweep-eps":
-        _require(parser, config, ["tau", "eps_list", "T"])
-        if not config.eps_list:
-            parser.error("--eps-list must not be empty")
-    elif sub == "error-vs-time":
-        _require(parser, config, ["tau", "sample_times", "T"])
-        if not config.sample_times:
-            parser.error("--sample-times must not be empty")
-    if getattr(config, "tau", None) is not None and config.tau <= 0:
-        parser.error(f"--tau must be positive, got {config.tau}")
-    if getattr(config, "T", None) is not None and config.T <= 0:
+    _require(parser, config, ["equation", "scheme", "out"] + _REQUIRED[sub])
+    if not _schemes(config):
+        parser.error("--scheme must not be empty")
+    if sub == "simulate" and "," in config.scheme:
+        parser.error("--scheme: simulate runs a single scheme")
+    for name in ("tau_list", "eps_list", "sample_times"):
+        if getattr(config, name, None) == []:
+            parser.error(f"--{name.replace('_', '-')} must not be empty")
+    if sub != "simulate" and config.T <= 0:
         parser.error(f"--T must be positive, got {config.T}")
-    # the sweep's own checks of its lists and reference step
+    if config.eps is None:  # sweep-eps
+        config.eps = config.eps_list[0]
     try:
-        if sub == "sweep-tau":
+        if sub == "sweep-tau":  # first: the SimParams below take their tau from the list
             _check_tau_sweep(config.tau_list, config.ref_tau)
+        bases = [_base_params(config, scheme) for scheme in _schemes(config)]
+        if sub == "simulate":
+            _check_ref_tau(config.tau, config.ref_tau)
         elif sub == "sweep-eps":
             _check_eps_sweep(config.eps_list, config.tau, config.ref_tau)
         elif sub == "error-vs-time":
-            t_final = _horizon(Equation(config.equation), config.T, config.eps)
-            _check_error_vs_time(config.sample_times, config.tau, t_final, config.ref_tau)
+            _check_error_vs_time(config.sample_times, config.tau, bases[0].t_final,
+                                 config.ref_tau)
     except ValueError as exc:
         parser.error(str(exc))
-    # SimParams' own checks, horizon aside: scheme for the equation, fp settings, norm
-    tau = config.tau if getattr(config, "tau", None) is not None else max(config.tau_list)
-    for scheme in _schemes(config):
-        try:
-            _base_params(config, scheme, tau, 0.0)
-        except ValueError as exc:
-            parser.error(str(exc))
 
 
-def _horizon(equation: Equation, T: float, eps: float) -> float:
-    return T / (eps * eps) if equation is Equation.CUBIC else T / eps
+def _base_params(config: argparse.Namespace, scheme: str) -> SimParams:
+    """One scheme's SimParams, from the flags, at the command's horizon.
 
-
-def _base_params(config, scheme: str, tau: float, t_final: float) -> SimParams:
-    return SimParams(
-        equation=Equation(config.equation),
-        scheme=scheme,
-        eps=config.eps,
-        tau=tau,
-        t_final=t_final,
-        n_modes=config.modes,
-        theta=config.theta,
-        seed=config.seed,
-        error_norm_r=config.error_norm_r,
-        fp_tol=config.fp_tol,
-        fp_max_iter=config.fp_max_iter,
-    )
-
-
-def _resolve_jobs(config) -> int | None:
-    jobs = getattr(config, "jobs", None)
-    if jobs is None:
-        env = os.environ.get("LOWREG_NLSE_JOBS")
-        jobs = int(env) if env else os.cpu_count()
-    return jobs
+    A rejected value raises ValueError naming its flag.  A sweep replaces eps
+    and tau cell by cell, sweep-eps the horizon too.
+    """
+    sub = config.subcommand
+    try:
+        params = SimParams(
+            equation=Equation(config.equation),
+            scheme=scheme,
+            eps=config.eps,
+            tau=max(config.tau_list) if sub == "sweep-tau" else config.tau,
+            t_final=config.t_final if sub == "simulate" else 0.0,
+            n_modes=config.modes,
+            theta=config.theta,
+            seed=config.seed,
+            error_norm_r=config.error_norm_r,
+            fp_tol=config.fp_tol,
+            fp_max_iter=config.fp_max_iter,
+        )
+    except ValueError as exc:
+        flag = _FLAGS.get(str(exc).split()[0])
+        raise ValueError(f"{flag}: {exc}" if flag else str(exc)) from None
+    if sub == "simulate":
+        return params
+    return replace(params, t_final=_horizon(params.equation, config.T, params.eps))
 
 
 def _schemes(config) -> list[str]:
@@ -287,12 +261,11 @@ def run(config: argparse.Namespace) -> int:
 
     try:
         if config.subcommand == "simulate":
-            params = _base_params(config, config.scheme, config.tau, config.t_final)
-            ref_tau = config.ref_tau if config.ref_tau is not None else config.tau / 100.0
+            params = _base_params(config, config.scheme)
             finals = []
             record, _ = _run_single_point(
-                params, params.eps, params.tau, params.t_final, ref_tau,
-                on_final=finals.append,
+                params, params.eps, params.tau, params.t_final,
+                _check_ref_tau(config.tau, config.ref_tau), on_final=finals.append,
             )
             if config.snapshot_out:
                 with open(config.snapshot_out, "w") as fh:
@@ -305,38 +278,21 @@ def run(config: argparse.Namespace) -> int:
             return _finish(config, [record])
 
         records: list[SweepRecord] = []
-        if config.subcommand == "sweep-tau":
-            t_final = _horizon(Equation(config.equation), config.T, config.eps)
-            jobs = _resolve_jobs(config)
-            for scheme in _schemes(config):
-                base = _base_params(config, scheme, max(config.tau_list), t_final)
-                recs, fit = sweep_tau(base, config.tau_list, config.ref_tau, jobs=jobs)
+        for scheme in _schemes(config):
+            base = _base_params(config, scheme)
+            if config.subcommand == "sweep-tau":
+                recs, fit = sweep_tau(base, config.tau_list, config.ref_tau, jobs=config.jobs)
                 print(f"{scheme}: slope {fit.slope:.3f} over {fit.n_points} steps")
-                records.extend(recs)
-        elif config.subcommand == "sweep-eps":
-            jobs = _resolve_jobs(config)
-            for scheme in _schemes(config):
-                # any admissible horizon works for the base; the sweep
-                # recomputes t_final per eps from T
-                t0 = _horizon(Equation(config.equation), config.T, config.eps_list[0])
-                base = _base_params(config, scheme, config.tau, t0)
-                base = replace(base, eps=config.eps_list[0])
-                recs, fit = sweep_eps(base, config.eps_list, config.T,
-                                      config.ref_tau, jobs=jobs)
+            elif config.subcommand == "sweep-eps":
+                recs, fit = sweep_eps(base, config.eps_list, config.T, config.ref_tau,
+                                      jobs=config.jobs)
                 print(f"{scheme}: slope {fit.slope:.3f} over {fit.n_points} values")
-                records.extend(recs)
-        else:  # error-vs-time
-            t_final = _horizon(Equation(config.equation), config.T, config.eps)
-            for scheme in _schemes(config):
-                base = _base_params(config, scheme, config.tau, t_final)
+            else:  # error-vs-time
                 recs = error_vs_time(base, config.sample_times, config.ref_tau)
                 print(f"{scheme}: error {recs[-1].error:.6e} at t = {recs[-1].t_final:g}")
-                records.extend(recs)
+            records.extend(recs)
         return _finish(config, records)
 
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

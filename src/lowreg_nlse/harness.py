@@ -156,6 +156,7 @@ class SimParams:
         if self.t_final < 0.0:
             raise ValueError("t_final must be nonnegative")
         _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
+        TorusGrid(self.n_modes)
         if self.theta < 0.0:
             raise ValueError("theta must be nonnegative")
         if self.error_norm_r < 0.0:
@@ -467,15 +468,6 @@ def _run_rows(
     return results
 
 
-def _reference_worker(batch) -> list[TrajectoryResult]:
-    """The trajectories of one batch: a lone one as any trajectory, more in lockstep."""
-    if len(batch) > 1:
-        return _run_rows(batch)
-    [(params, w0, sample_times)] = batch
-    with _naming_failures(_reference_name(params)):
-        return [run_trajectory(params, w0, sample_times=sample_times)]
-
-
 def _longest_first(mapper, fn, tasks: list, costs: Sequence[int]) -> list:
     """``mapper(fn, tasks)`` issued in decreasing cost, results in task order.
 
@@ -529,7 +521,7 @@ class _ReferenceStore:
             for lot in lots
         ]
         results = _longest_first(
-            mapper, _reference_worker, tasks, [lot[0].n_steps for lot in lots]
+            mapper, _run_rows, tasks, [lot[0].n_steps for lot in lots]
         )
         for lot, trajectories in zip(lots, results):
             for ref, result in zip(lot, trajectories):
@@ -575,8 +567,9 @@ def reference_solution(
 ) -> SpectralField:
     """Fine-step trajectory of the matching symmetric scheme up to params' horizon.
 
-    ``ref_tau`` must undercut params.tau by at least a factor of ten; it is
-    then snapped to divide the (step-count-snapped) horizon exactly.
+    ``ref_tau`` must be positive and undercut params.tau by at least a factor
+    of ten; it is then snapped to divide the (step-count-snapped) horizon
+    exactly.
     """
     _check_ref_tau(params.tau, ref_tau)
     _, t_actual = _horizon_steps(params)
@@ -597,16 +590,12 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None) -> float:
-    """Reject fewer than 4 step sizes, a nonpositive one or ref_tau > min(taus)/10."""
+    """Reject fewer than 4 step sizes, a nonpositive one or a bad ref_tau for min(taus)."""
     if len(taus) < 4:
         raise ValueError("tau sweep needs at least 4 step sizes")
     if any(t <= 0 for t in taus):
         raise ValueError("step sizes must be positive")
-    if ref_tau is None:
-        ref_tau = min(taus) / 100.0
-    if ref_tau > min(taus) / 10.0:
-        raise ValueError("ref_tau must be at most a tenth of the smallest tau")
-    return ref_tau
+    return _check_ref_tau(min(taus), ref_tau)
 
 
 def _check_eps_sweep(eps_values: Sequence[float], tau: float, ref_tau: float | None) -> float:
@@ -633,8 +622,11 @@ def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
 
 
 def _check_ref_tau(tau: float, ref_tau: float | None) -> float:
+    """ref_tau, or by default tau/100; reject a nonpositive one or one above tau/10."""
     if ref_tau is None:
         ref_tau = tau / 100.0
+    if ref_tau <= 0.0:
+        raise ValueError("ref_tau must be positive")
     if ref_tau > tau / 10.0:
         raise ValueError("ref_tau must be at most tau/10")
     return ref_tau
@@ -643,6 +635,11 @@ def _check_ref_tau(tau: float, ref_tau: float | None) -> float:
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+def _horizon(equation: Equation, T: float, eps: float) -> float:
+    """The long-time horizon T/eps (quadratic) or T/eps^2 (cubic)."""
+    return T / (eps * eps) if equation is Equation.CUBIC else T / eps
+
 
 def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float):
     """Reference pair of a sweep cell: ref_tau snapped to the cell's horizon."""
@@ -672,10 +669,7 @@ def _run_single_point(
     params = replace(base, eps=eps, tau=tau, t_final=t_final)
     w0 = make_initial_data(params)
     if pair is None:
-        # a lone cell (simulate) builds its two trajectories one at a time
-        # through run_trajectory, the calls test_snapshot_out_runs_no_extra_
-        # trajectory in tests/test_cli.py counts
-        [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)], batches=2)
+        [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
     started = time.perf_counter()
     with _naming_failures(_cell_name(params)):
         traj = run_trajectory(params, w0)
@@ -789,8 +783,7 @@ def sweep_eps(
     eps_values = [float(e) for e in eps_list]
     ref_tau = _check_eps_sweep(eps_values, base.tau, ref_tau)
 
-    cubic = base.equation is Equation.CUBIC
-    cells = [(e, base.tau, T / (e * e) if cubic else T / e) for e in eps_values]
+    cells = [(e, base.tau, _horizon(base.equation, T, e)) for e in eps_values]
     records, _ = _run_points(base, cells, ref_tau, jobs)
     fit = fit_order([(r.eps, r.error) for r in records], abscissa="eps")
     return records, fit

@@ -1,7 +1,10 @@
 """Command-line interface tests: parsing, precedence, outputs, exit codes."""
+import argparse
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,12 +113,29 @@ def test_config_file_list_values(tmp_path):
     assert config.tau_list == [0.1, 0.05, 0.025, 0.0125]
 
 
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["simulate"], {"tau": "abc"}, "argument --tau: invalid float value: 'abc'"),
+    (["simulate"], {"seed": 3.7}, "argument --seed: invalid int value: '3.7'"),
+    (["simulate"], {"jobs": 3}, "unknown key 'jobs' for simulate"),
+    (["sweep-eps"], {"t_final": 5}, "unknown key 't_final' for sweep-eps"),
+    (["sweep-tau"], {"tau-list": [0.1, 0.05, 0.025, 0.0125]}, "unknown key 'tau-list'"),
+], ids=["float", "int", "other-subcommand", "sweep-key", "flag-spelling"])
+def test_config_values_are_usage_errors(tmp_path, capsys, argv, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as info:
+        parse_args(argv + ["--config", str(path)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--fp-tol", "0", "fp_tol must be positive"),
     ("--fp-max-iter", "0", "fp_max_iter must be at least 1"),
     ("--error-norm-r", "-1", "error_norm_r must be nonnegative"),
     ("--scheme", "os18", "scheme 'os18' not available for quad-square"),
-], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme"])
+    ("--modes", "5", "--modes: n_modes must be an even integer >= 4"),
+], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme", "modes"])
 @pytest.mark.parametrize("subcommand", ["simulate", "sweep-tau"])
 def test_bad_run_settings_are_usage_errors(tmp_path, capsys, subcommand, flag, value, message):
     if subcommand == "simulate":
@@ -136,6 +156,8 @@ _TAU_SWEEP = ["sweep-tau", "--equation", "quad-modsq", "--scheme", "li1", "--eps
               "--T", "0.2", "--modes", "16"]
 _ERROR_VS_TIME = ["error-vs-time", "--equation", "quad-modsq", "--scheme", "li1",
                   "--eps", "0.5", "--tau", "0.05", "--T", "0.2", "--modes", "16"]
+_SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps", "0.5",
+             "--tau", "0.1", "--t-final", "0.5", "--modes", "16"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -147,8 +169,10 @@ _ERROR_VS_TIME = ["error-vs-time", "--equation", "quad-modsq", "--scheme", "li1"
     (_EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--ref-tau", "0.01"],
      "ref_tau must be at most tau/10"),
     (_ERROR_VS_TIME + ["--sample-times", "0.5,0.2"], "sample times must be strictly increasing"),
+    (_SIMULATE + ["--ref-tau", "0.1"], "ref_tau must be at most tau/10"),
+    (_SIMULATE + ["--ref-tau", "0"], "ref_tau must be positive"),
 ], ids=["eps-range", "eps-order", "eps-count", "tau-sign", "tau-count", "ref-tau",
-        "sample-order"])
+        "sample-order", "simulate-ref-tau", "simulate-ref-tau-zero"])
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     # the sweep's own check, run at parse time: exit 2 before any trajectory
     monkeypatch.setattr(harness, "run_trajectory", None)
@@ -156,6 +180,21 @@ def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv,
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+_SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", _SCRIPTS, ids=[p.stem for p in _SCRIPTS])
+def test_script_presets_parse(script):
+    # every preset's argv is a valid command line; nothing runs
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for equation in module.PRESETS:
+        args = argparse.Namespace(equation=equation, scheme=None, schemes=None, theta=5.0,
+                                  seed=267, jobs=2, out="preset.csv")
+        parse_args(module.build_argv(args))
 
 
 def test_simulate_rejects_scheme_list(tmp_path, capsys):
@@ -189,7 +228,7 @@ def test_simulate_writes_record_and_snapshot(tmp_path):
     assert field.grid.n_modes == 16
 
 
-def test_snapshot_out_runs_no_extra_trajectory(tmp_path, monkeypatch):
+def test_snapshot_out_runs_no_extra_trajectory(tmp_path, monkeypatch, reference_builds):
     calls = []
     original = harness.run_trajectory
 
@@ -200,10 +239,14 @@ def test_snapshot_out_runs_no_extra_trajectory(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_trajectory", counting)
     assert main(_simulate_args(tmp_path)) == 0
     plain = list(calls)
+    assert len(reference_builds) == 2
     calls.clear()
+    reference_builds.clear()
     snap = tmp_path / "final.txt"
     assert main(_simulate_args(tmp_path, **{"snapshot-out": str(snap)})) == 0
-    assert calls == plain == ["sli2", "sli2", "li1"]
+    # the scheme's own trajectory once; the reference pair builds in lockstep
+    assert calls == plain == ["li1"]
+    assert len(reference_builds) == 2
     # the snapshot is the final field of the scheme's own trajectory
     p = harness.SimParams(Equation.QUAD_SQUARE, "li1", eps=0.5, tau=0.1, t_final=0.5,
                           n_modes=16, theta=2.0)
@@ -285,6 +328,22 @@ def test_sweep_eps_builds_each_pair_once_and_jobs_agree(tmp_path, reference_buil
         rows[jobs] = _rows_without_wall_clock(out)
     assert len(rows["1"]) == 7
     assert rows["1"] == rows["2"]
+
+
+def test_config_file_runs_as_typed(tmp_path):
+    flags = {"equation": "quad-modsq", "scheme": "li1,sli2", "tau": 0.05,
+             "eps_list": [0.5, 0.35, 0.25], "T": 0.2, "theta": 2, "modes": 16,
+             "ref_tau": 5e-3, "jobs": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(flags))
+    typed = ["sweep-eps"]
+    for key, value in flags.items():
+        typed += [f"--{key.replace('_', '-')}",
+                  ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    assert main(typed + ["--out", str(tmp_path / "typed.csv")]) == 0
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(tmp_path / "cfg.csv")]) == 0
+    assert (_rows_without_wall_clock(tmp_path / "typed.csv")
+            == _rows_without_wall_clock(tmp_path / "cfg.csv"))
 
 
 def test_cubic_sweep_eps_batched_references_agree_across_jobs(tmp_path):

@@ -118,6 +118,8 @@ def test_scheme_equation_mismatch_rejected(kw):
         dict(eps=1.5),
         dict(theta=-1.0),
         dict(error_norm_r=-0.5),
+        dict(n_modes=5),
+        dict(n_modes=2),
     ],
 )
 def test_bad_numeric_params_rejected(kw):
@@ -306,8 +308,9 @@ def test_strang_trajectory_conserves_mass():
 
 def test_reference_requires_fine_step():
     p = _quad()
-    with pytest.raises(ValueError, match="ref_tau"):
-        reference_solution(p, make_initial_data(p), ref_tau=p.tau / 5)
+    for ref_tau in (p.tau / 5, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="ref_tau"):
+            reference_solution(p, make_initial_data(p), ref_tau=ref_tau)
 
 
 def test_reference_zero_horizon_is_identity():
@@ -435,8 +438,9 @@ def test_sweep_tau_needs_enough_points():
     base = _quad("sli2")
     with pytest.raises(ValueError, match="4"):
         sweep_tau(base, [0.1, 0.05, 0.025])
-    with pytest.raises(ValueError, match="ref_tau"):
-        sweep_tau(base, _TAUS, ref_tau=0.02)
+    for ref_tau in (0.02, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="ref_tau"):
+            sweep_tau(base, _TAUS, ref_tau=ref_tau)
 
 
 def test_sweep_tau_monotone_refinement(sli2_tau_sweep):
