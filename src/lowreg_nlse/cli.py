@@ -15,9 +15,10 @@ override them.  The long-time subcommands take the horizon constant ``--T``
 and derive t_final = T/eps (quadratic) or T/eps^2 (cubic); ``simulate``
 takes a raw ``--t-final``.  Exit status: 0 when every record is reliable,
 1 on solver/IO failure or unreliable records, 2 on usage errors, which
-include a config key or value the subcommand's flags do not take, every
-value :class:`~lowreg_nlse.harness.SimParams` rejects (named by its flag) and
-every check a run makes of its own lists and reference step.
+include a config key or value the subcommand's flags do not take (a null
+value too), ``--eps`` on ``sweep-eps`` (its eps come from ``--eps-list``),
+every value :class:`~lowreg_nlse.harness.SimParams` rejects (named by its
+flag) and every check a run makes of its own lists and reference step.
 """
 from __future__ import annotations
 
@@ -139,6 +140,8 @@ def _config_flags(parser: argparse.ArgumentParser, first: argparse.Namespace) ->
     for key, value in raw.items():
         if key not in dests:
             parser.error(f"--config: unknown key {key!r} for {first.subcommand}")
+        if value is None:
+            parser.error(f"--config: key {key!r} is null; give a value or leave the key out")
         if isinstance(value, list):
             value = ",".join(map(str, value))
         flags.append(f"--{key.replace('_', '-')}={value}")
@@ -158,7 +161,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 # flags each subcommand needs besides --equation, --scheme and --out; sweep-eps
-# takes eps from --eps-list when --eps is not given
+# takes eps from --eps-list and rejects --eps
 _REQUIRED = {
     "simulate": ["eps", "tau", "t_final"],
     "sweep-tau": ["eps", "tau_list", "T"],
@@ -176,6 +179,8 @@ def _require(parser, config, names):
 def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> None:
     """What only the command line knows; the values themselves the library checks."""
     sub = config.subcommand
+    if sub == "sweep-eps" and config.eps is not None:
+        parser.error("sweep-eps takes eps from --eps-list")
     _require(parser, config, ["equation", "scheme", "out"] + _REQUIRED[sub])
     if not _schemes(config):
         parser.error("--scheme must not be empty")
@@ -186,7 +191,7 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
             parser.error(f"--{name.replace('_', '-')} must not be empty")
     if sub != "simulate" and config.T <= 0:
         parser.error(f"--T must be positive, got {config.T}")
-    if config.eps is None:  # sweep-eps
+    if sub == "sweep-eps":
         config.eps = config.eps_list[0]
     try:
         if sub == "sweep-tau":  # first: the SimParams below take their tau from the list

@@ -31,12 +31,11 @@ from .spectral import (
 )
 from .quadratic import (
     FixedPointError,
+    _Map,
     _StepConfig,
     _check,
-    _column,
-    _grid_products,
     _picard,
-    _sums,
+    _prepared,
 )
 
 __all__ = [
@@ -122,19 +121,95 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
     return SpectralField(u.grid, ops.one_minus_phi1_2 * (np.abs(c) ** 2) * c)
 
 
-def _filtered_cubics(c: np.ndarray, symbols: list[np.ndarray],
-                     grid: TorusGrid) -> np.ndarray:
-    """Spectra of w^2 (Phi conj w), one row per diagonal phi1 symbol Phi, in one stage."""
-    cc = conjugate_coeffs(c)
-    factors = [c] + [phi * cc for phi in symbols]
-    return _grid_products(factors, tuple((0, 0, k) for k in range(1, len(factors))), grid)
+# ---------------------------------------------------------------------------
+# the prepared maps
+#
+# As in quadratic: explicit first-order maps are a product stage of c and a
+# core, and nrsli2's explicit endpoint shares its stage, P c and |c|^2 with
+# the nrli1 predictor.
+# ---------------------------------------------------------------------------
+
+class _NonresonantMap(_Map):
+    """os18, nrli1 and nrsli2, with nrsli2's choice of g/h multipliers."""
+
+    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols, tol: float,
+                 max_iter: int, gh_half_step: bool = True) -> None:
+        super().__init__(eps, tau, ops, tol, max_iter)
+        self.gh_half_step = gh_half_step
+        e, t = self.eps, self.tau
+        q = self.each(lambda e: e * e, e)
+        self.os18_factor = self.column(lambda e, t: 1j * t * e * e, e, t)
+        self.g_factor = self.each(lambda e, t: 2j * e * e * t, e, t)
+        self.h_factor = self.column(lambda e, t: 1j * e * e * t, e, t)
+        self.half_tq = self.column(lambda t, q: 0.5j * t * q, t, q)
+        self.half_qt = self.column(lambda q, t: 0.5j * q * t, q, t)
+        self.phi1_2, self.phi1_1, self.phi1_1c = ops.phi1_2, ops.phi1_1, ops.phi1_1c
+        self.one_minus_phi1_2 = ops.one_minus_phi1_2
+        if gh_half_step:
+            self.mult_n = 1.0 - ops.phi1_1  # 1 - phi1(+i tau m^2), forward endpoint
+            self.mult_u = 1.0 - ops.phi1_1c  # 1 - phi1(-i tau m^2), backward endpoint
+        else:
+            self.mult_n = ops.one_minus_phi1_2
+            self.mult_u = ops.one_minus_phi1_2
+        self._one = self.new_stage(2, ((0, 0, 1),))
+        self._two = self.new_stage(3, ((0, 0, 1), (0, 0, 2)))
+
+    def _like(self, eps: tuple, tau: tuple, ops: OperatorSymbols) -> "_NonresonantMap":
+        return type(self)(eps, tau, ops, self.tol, self.max_iter, self.gh_half_step)
+
+    @staticmethod
+    def _filtered(stage, c: np.ndarray, symbols: tuple) -> np.ndarray:
+        """Spectra of c^2 (Phi conj c), one row per diagonal phi1 symbol Phi."""
+        plain, *filtered = stage.rows
+        plain[...] = c
+        cc = conjugate_coeffs(c)
+        for row, phi in zip(filtered, symbols):
+            np.multiply(phi, cc, out=row)
+        return stage()
+
+    def _os18(self, c: np.ndarray, cubic: np.ndarray) -> np.ndarray:
+        return self.prop * (c - self.os18_factor * cubic)
+
+    def os18(self, c: np.ndarray) -> np.ndarray:
+        [cubic] = self._filtered(self._one, c, (self.phi1_2,))
+        return self._os18(c, cubic)
+
+    def _nrli1(self, c: np.ndarray, cubic: np.ndarray, prop_c: np.ndarray,
+               abs_sq: np.ndarray) -> np.ndarray:
+        weighted = self.one_minus_phi1_2 * abs_sq
+        g0 = weighted.sum(axis=-1).tolist()
+        h = weighted * c
+        return self._os18(c, cubic) \
+            - self.column(lambda a, g: a * g, self.g_factor, g0) * prop_c \
+            + self.h_factor * (self.prop * h)
+
+    def nrli1(self, c: np.ndarray) -> np.ndarray:
+        [cubic] = self._filtered(self._one, c, (self.phi1_2,))
+        return self._nrli1(c, cubic, self.prop * c, np.abs(c) ** 2)
+
+    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        cubic_2, cubic_n = self._filtered(self._two, c, (self.phi1_2, self.phi1_1))
+        prop_c = self.prop * c
+        abs_sq = np.abs(c) ** 2
+        weighted_n = self.mult_n * abs_sq
+        g0_n = weighted_n.sum(axis=-1).tolist()
+        h_n = weighted_n * c
+        explicit = self.prop * (c - self.half_tq * cubic_n) - self.half_qt \
+            * (self.column(lambda g: 2.0 * g, g0_n) * prop_c - self.prop * h_n)
+        return _picard(self, explicit, self._nrli1(c, cubic_2, prop_c, abs_sq))
+
+    def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
+        """One Picard map of nrsli2: the explicit endpoint plus the terms of u."""
+        [cubic_u] = self._filtered(self._one, u, (self.phi1_1c,))
+        weighted_u = self.mult_u * np.abs(u) ** 2
+        g0_u = weighted_u.sum(axis=-1).tolist()
+        h_u = weighted_u * u
+        return explicit - self.half_qt * cubic_u \
+            - self.half_qt * (self.column(lambda g: 2.0 * g, g0_u) * u - h_u)
 
 
 # ---------------------------------------------------------------------------
 # explicit first-order maps
-#
-# A product stage and a core each, as in quadratic; nrsli2 shares its stage.
-# The cores act on (B, N) stacks as the quadratic ones do.
 # ---------------------------------------------------------------------------
 
 def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
@@ -147,14 +222,7 @@ def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) ->
     restore the exact resonant integral.
     """
     _check(w, cfg, ops, CubicScheme.OS18)
-    c = w.coeffs
-    [cubic] = _filtered_cubics(c, [ops.phi1_2], w.grid)
-    return SpectralField(w.grid, _os18_core(c, cubic, (cfg.eps,), (cfg.tau,), ops))
-
-
-def _os18_core(c: np.ndarray, cubic: np.ndarray, eps: tuple, tau: tuple,
-               ops: OperatorSymbols) -> np.ndarray:
-    return ops.prop * (c - _column([1j * t * e * e for e, t in zip(eps, tau)]) * cubic)
+    return SpectralField(w.grid, _prepared(_NonresonantMap, cfg, ops).os18(w.coeffs))
 
 
 def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
@@ -168,19 +236,7 @@ def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -
     double-counted all-equal overlap.
     """
     _check(w, cfg, ops, CubicScheme.NRLI1)
-    c = w.coeffs
-    [cubic] = _filtered_cubics(c, [ops.phi1_2], w.grid)
-    return SpectralField(w.grid, _nrli1_core(c, cubic, (cfg.eps,), (cfg.tau,), ops))
-
-
-def _nrli1_core(c: np.ndarray, cubic: np.ndarray, eps: tuple, tau: tuple,
-                ops: OperatorSymbols) -> np.ndarray:
-    core = _os18_core(c, cubic, eps, tau, ops)
-    weighted = ops.one_minus_phi1_2 * np.abs(c) ** 2
-    g0 = _sums(weighted)
-    h = weighted * c
-    return core - _column([2j * e * e * t * g for e, t, g in zip(eps, tau, g0)]) * (ops.prop * c) \
-        + _column([1j * e * e * t for e, t in zip(eps, tau)]) * (ops.prop * h)
+    return SpectralField(w.grid, _prepared(_NonresonantMap, cfg, ops).nrli1(w.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +263,7 @@ def _nrsli2_rows(
     because it is the naive transcription, and the time-reversal test shows
     it is not symmetric (see tests).
     """
-    grid = ops.grid
-    e2 = tuple(e * e for e in eps)
-
-    if gh_half_step:
-        mult_n = 1.0 - ops.phi1_1      # 1 - phi1(+i tau m^2), forward endpoint
-        mult_u = 1.0 - ops.phi1_1c     # 1 - phi1(-i tau m^2), backward endpoint
-    else:
-        mult_n = ops.one_minus_phi1_2
-        mult_u = ops.one_minus_phi1_2
-
-    # explicit endpoint, assembled once; its product stage also serves the
-    # nrli1 predictor
-    cubic_2, cubic_n = _filtered_cubics(c, [ops.phi1_2, ops.phi1_1], grid)
-    weighted_n = mult_n * np.abs(c) ** 2
-    g0_n = _sums(weighted_n)
-    h_n = weighted_n * c
-    explicit = ops.prop * (c - _column([0.5j * t * q for t, q in zip(tau, e2)]) * cubic_n) \
-        - _column([0.5j * q * t for q, t in zip(e2, tau)]) \
-        * (_column([2.0 * g for g in g0_n]) * (ops.prop * c) - ops.prop * h_n)
-
-    def apply(u, half, mult_u, ops, explicit):
-        [cubic_u] = _filtered_cubics(u, [ops.phi1_1c], grid)
-        weighted_u = mult_u * np.abs(u) ** 2
-        g0_u = _sums(weighted_u)
-        h_u = weighted_u * u
-        return explicit - half * cubic_u \
-            - half * (_column([2.0 * g for g in g0_u]) * u - h_u)
-
-    guess = _nrli1_core(c, cubic_2, eps, tau, ops)
-    half = _column([0.5j * q * t for q, t in zip(e2, tau)])
-    return _picard(apply, guess, (half, mult_u, ops, explicit), grid, tol, max_iter)
+    return _NonresonantMap(eps, tau, ops, tol, max_iter, gh_half_step)(c)
 
 
 def _nrsli2_step_impl(
@@ -269,7 +295,8 @@ def nrsli2_step_info(
     the input to the iteration tolerance.
     """
     _check(w, cfg, ops, CubicScheme.NRSLI2)
-    return _nrsli2_step_impl(w, cfg, ops, gh_half_step=True)
+    u, [iters] = _prepared(_NonresonantMap, cfg, ops)(w.coeffs)
+    return SpectralField(w.grid, u), iters
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import numpy as np
 from .cubic import (
     CubicScheme,
     CubicSchemeConfig,
-    _nrsli2_rows,
+    _NonresonantMap,
     nrli1_step,
     nrsli2_step_info,
     os18_step,
@@ -53,9 +53,9 @@ from .quadratic import (
     FixedPointError,
     QuadNonlinearity,
     QuadSchemeConfig,
+    _ModSquareMap,
+    _SquareMap,
     _check_settings,
-    _sli2_conj_rows,
-    _sli2_rows,
     li1_conj_step,
     li1_step,
     sli2_conj_step_info,
@@ -112,13 +112,14 @@ _STEPPERS: dict[tuple[Equation, str], tuple[str, Enum]] = {
     (Equation.CUBIC, "strang"): ("strang_step", CubicScheme.STRANG),
 }
 
-# rows core of the symmetric map each equation's references step with
-# (_reference_params picks the scheme): (c, eps, tau, ops, tol, max_iter)
-# -> (c, Picard counts) for a (B, N) stack, row r with eps[r] and tau[r]
-_REFERENCE_ROWS = {
-    Equation.QUAD_SQUARE: _sli2_rows,
-    Equation.QUAD_MODSQ: _sli2_conj_rows,
-    Equation.CUBIC: _nrsli2_rows,
+# prepared maps of the symmetric scheme each equation's references step with
+# (_reference_params picks the scheme): built from (eps, tau, ops, tol,
+# max_iter) for the rows of a (B, N) stack, row r with eps[r] and tau[r], a
+# call takes c to (c, Picard counts)
+_REFERENCE_MAPS = {
+    Equation.QUAD_SQUARE: _SquareMap,
+    Equation.QUAD_MODSQ: _ModSquareMap,
+    Equation.CUBIC: _NonresonantMap,
 }
 
 
@@ -434,30 +435,35 @@ def _run_rows(
 
     Each row is (reference params, w0, sample times); all share equation,
     N, fp_tol and fp_max_iter.  Row r steps with its own eps and tau through
-    the rows core of its equation's symmetric map, and leaves the stack once
-    its own step count is done, so its state, sup_h1, Picard counts and
-    snapshots are those :func:`run_trajectory` gives it.  A stalled row
-    raises :class:`SolverFailure` naming its reference trajectory.
+    the symmetric map of its equation, prepared for the stack and again
+    only when rows leave it, which a row does once its own step count is
+    done.  The last row left steps as a lone field.  So each row's state,
+    sup_h1, Picard counts and snapshots are those :func:`run_trajectory`
+    gives it.  A stalled row raises :class:`SolverFailure` naming its
+    reference trajectory.
     """
     # longest first, so the rows still stepping are always a prefix
     order = sorted(range(len(rows)), key=lambda r: -_horizon_steps(rows[r][0])[0])
     params = [rows[r][0] for r in order]
     first = params[0]
     grid = TorusGrid(first.n_modes)
-    step_rows = _REFERENCE_ROWS[first.equation]
     tracks = [_Track(p, rows[r][1], rows[r][2], _reference_name(p))
               for p, r in zip(params, order)]
-    eps = tuple(p.eps for p in params)
     ops = OperatorSymbols.stack([OperatorSymbols.build(grid, p.tau) for p in params])
+    full = _REFERENCE_MAPS[first.equation](
+        tuple(p.eps for p in params), ops.tau, ops, first.fp_tol, first.fp_max_iter
+    )
+    step = full if len(rows) > 1 else full.last_row()
     c = np.stack([rows[r][1].coeffs for r in order])
     live = len(rows)
     for k in range(1, tracks[0].n_steps + 1):
         while tracks[live - 1].n_steps < k:
             live -= 1
         if live < len(c):
-            c, eps, ops = c[:live], eps[:live], ops.take(slice(live))
+            step = full.take(np.arange(len(rows)) < live) if live > 1 else full.last_row()
+            c = c[:live]
         try:
-            c, iters = step_rows(c, eps, ops.tau, ops, first.fp_tol, first.fp_max_iter)
+            c, iters = step(c)
         except FixedPointError as exc:
             raise tracks[exc.row].failure(k, exc) from exc
         for track, row, it, h1 in zip(tracks, c, iters, sobolev_norms(c, grid, 1.0).tolist()):

@@ -116,13 +116,15 @@ def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rows
+# prepared maps
 #
-# Every core below acts on a (B, N) stack of spectra c, row r with its own
-# eps[r] and tau[r] (tuples of floats) and row r of ``ops``, the rows'
-# symbols stacked by OperatorSymbols.stack.  A public step is the one-row
-# call of its core, which hands it the lone (N,) spectrum, one-entry tuples
-# and the step's own symbols.
+# A map is prepared once for fixed rows, each row with its own eps, step
+# and symbols: for one field (ops built for one step, c an (N,) spectrum)
+# or for the rows of a (B, N) stack (ops stacked by OperatorSymbols.stack).
+# What the step expressions evaluate first -- the per-row factors such as
+# i eps tau / 2, the coefficient rows (eps/4) dx^-1 and the stage buffers --
+# is built then, and every step evaluates the rest of the expressions in
+# the order of a lone step.
 # Per-row scalars (the zero mode, the masses, the g0 sums) are formed one
 # row at a time with exactly the scalar operations of a lone field: numpy's
 # vectorised complex product and modulus may differ from the scalar ones in
@@ -130,28 +132,36 @@ def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
 # runs the same loop as a scalar against one row.
 # ---------------------------------------------------------------------------
 
-def _column(values: list):
-    """Per-row scalars as a (B, 1) column; one row's scalar as it is."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+_SQUARES = ((0, 0), (1, 1))  # f0^2 and f1^2
+_PAIRS = ((0, 1), (2, 3))  # f0 f1 and f2 f3
 
 
-def _zero_modes(c: np.ndarray, n0: int) -> np.ndarray:
-    """The zero-mode coefficient of each row, iterated as numpy scalars."""
-    return c[..., n0].reshape(-1)
+class _Stage:
+    """A product stage whose factor, sample and product stacks are reused from call to call.
 
+    The caller writes the spectra of the factors into ``rows``, the rows of
+    an (F, ..., N) stack.  A call returns the spectra of ``products`` in a
+    new (P, ..., N) array, as :func:`_grid_products` does.
+    """
 
-def _add_to_zero_modes(out: np.ndarray, n0: int, values: list) -> None:
-    """Add values[r] to the zero mode of row r of out."""
-    if out.ndim == 1:
-        out[n0] += values[0]
-    else:
-        out[:, n0] += values
+    def __init__(self, n_factors: int, products: tuple[tuple[int, ...], ...],
+                 shape: tuple[int, ...], grid: TorusGrid) -> None:
+        self.factors = np.empty((n_factors,) + shape, dtype=np.complex128)
+        self.rows = tuple(self.factors)
+        self.grid = grid
+        self._values = np.empty_like(self.factors)
+        self._products = np.empty((len(products),) + shape, dtype=np.complex128)
+        # each product's row and the sample rows it multiplies, left to right
+        self._plan = [(row, [self._values[i] for i in indices])
+                      for row, indices in zip(self._products, products)]
 
-
-def _sums(a: np.ndarray) -> list:
-    """The sum of each row of a, as Python numbers."""
-    sums = a.sum(axis=-1).tolist()
-    return sums if a.ndim > 1 else [sums]
+    def __call__(self) -> np.ndarray:
+        values_from_coeffs(self.factors, self.grid, out=self._values)
+        for row, (first, second, *more) in self._plan:
+            np.multiply(first, second, out=row)
+            for vals in more:
+                row *= vals
+        return coeffs_from_values(self._products, self.grid)
 
 
 def _grid_products(
@@ -168,101 +178,286 @@ def _grid_products(
     the spectrum of product r.  Factors may be ``(N,)`` spectra or
     ``(B, N)`` stacks; each product then has their shape.
     """
-    vals = values_from_coeffs(np.array(factors), grid)
-    prods = np.empty((len(products),) + vals.shape[1:], dtype=np.complex128)
-    for row, (i, j, *more) in zip(prods, products):
-        np.multiply(vals[i], vals[j], out=row)
-        for k in more:
-            row *= vals[k]
-    return coeffs_from_values(prods, grid)
+    stage = _Stage(len(factors), products, np.shape(factors[0]), grid)
+    stage.factors[...] = factors
+    return stage()
 
 
-_SQUARES = ((0, 0), (1, 1))  # f0^2 and f1^2
-_PAIRS = ((0, 1), (2, 3))  # f0 f1 and f2 f3
+class _Map:
+    """The maps of one nonlinearity, prepared for fixed rows and Picard settings.
 
-
-def _narrow(arg, keep: np.ndarray):
-    """The rows ``keep`` (a boolean mask) of a per-row argument of a core."""
-    if isinstance(arg, tuple):
-        return tuple(x for x, k in zip(arg, keep) if k)
-    if isinstance(arg, OperatorSymbols):
-        return arg.take(keep)
-    return arg[keep]
-
-
-def _picard(
-    apply: Callable[..., np.ndarray],
-    guess: np.ndarray,
-    args: tuple,
-    grid: TorusGrid,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, list[int]]:
-    """Picard iteration u <- apply(u, *args) of every row of guess (or of one field).
-
-    ``args`` are the per-row arguments of the map.  A row stops at the first
-    iterate whose H^1-weighted change is within tol and leaves the stack; the
-    others go on with ``args`` narrowed to them, so each row's iterates and
-    count are those of a lone solve.  Returns the solutions and the count of
-    each row; a row that diverges or stalls raises FixedPointError with its
-    row.
+    Built once per trajectory (:func:`_prepared`) or per lockstep batch;
+    ``eps`` and ``tau`` are tuples with an entry per row.  Calling the map
+    takes the symmetric step of c and returns the solutions with the Picard
+    count of each row; its explicit first-order maps are methods.  A map
+    holds the symbol arrays it uses, and a stack's map its symbols too, to
+    narrow them; one field's map, kept on its symbols, holds no reference
+    back to them.
     """
-    weights = sobolev_weights(grid, 1.0)
-    n_rows = len(guess) if guess.ndim > 1 else 1
-    live = tuple(range(n_rows))  # the row of guess of each row still iterating
-    iters = [0] * n_rows
-    solution = None
+
+    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols,
+                 tol: float, max_iter: int) -> None:
+        self.lone = ops.prop.ndim == 1
+        # one field's eps and step as scalars, a stack's as tuples
+        self.eps, self.tau = (eps[0], tau[0]) if self.lone else (tuple(eps), tuple(tau))
+        self.stacked = None if self.lone else ops
+        self.shape = ops.prop.shape
+        self.prop = ops.prop
+        self.grid = ops.grid
+        self.n0 = ops.grid.n_modes // 2
+        self.tol = tol
+        self.max_iter = max_iter
+        self._taken: dict[bytes, _Map] = {}
+
+    def each(self, f: Callable, *rows):
+        """f of each row's scalars: one field's value, or a tuple with a value per row."""
+        return f(*rows) if self.lone else tuple(map(f, *rows))
+
+    def column(self, f: Callable, *rows):
+        """f of each row's scalars, shaped to scale whole rows: a scalar or a (B, 1) column."""
+        return f(*rows) if self.lone else np.array(list(map(f, *rows)))[:, None]
+
+    def zero_modes(self, c: np.ndarray):
+        """The zero-mode coefficient of c, or of each row, as numpy scalars."""
+        return c[self.n0] if self.lone else c[:, self.n0]
+
+    def add_to_zero_modes(self, out: np.ndarray, values) -> None:
+        """Add values (from :meth:`each`) to the zero mode of out, row by row."""
+        if self.lone:
+            out[self.n0] += values
+        else:
+            out[:, self.n0] += values
+
+    def take(self, keep: np.ndarray) -> "_Map":
+        """This map for the rows ``keep`` (a boolean mask) of its stack, built once per mask."""
+        key = keep.tobytes()
+        taken = self._taken.get(key)
+        if taken is None:
+            # a batch meets the same few masks step after step; the bound
+            # only caps what an unusual one could pile up
+            if len(self._taken) >= 16:
+                self._taken.clear()
+            eps = tuple(e for e, k in zip(self.eps, keep) if k)
+            tau = tuple(t for t, k in zip(self.tau, keep) if k)
+            taken = self._taken[key] = self._like(eps, tau, self.stacked.take(keep))
+        return taken
+
+    def last_row(self) -> Callable[[np.ndarray], tuple[np.ndarray, list[int]]]:
+        """The step of a (1, N) stack of this map's first row, taken as a lone field's.
+
+        A lone field's scalars need no per-row glue; the bits are the same.
+        """
+        lone = self._like(self.eps[:1], self.tau[:1], self.stacked.take(0))
+
+        def step(c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+            u, iters = lone(c[0])
+            return u[None], iters
+        return step
+
+    def _like(self, eps: tuple, tau: tuple, ops: OperatorSymbols) -> "_Map":
+        return type(self)(eps, tau, ops, self.tol, self.max_iter)
+
+    def new_stage(self, n_factors: int, products: tuple[tuple[int, ...], ...]) -> _Stage:
+        """A stage with buffers for this map's rows."""
+        return _Stage(n_factors, products, self.shape, self.grid)
+
+
+def _prepared(kind: type, cfg, ops: OperatorSymbols):
+    """The ``kind`` map of cfg's eps and solver settings on the symbols ops.
+
+    Built at a trajectory's first step and kept on its symbols, one per
+    kind, so the later steps reuse it.
+    """
+    key = (cfg.eps, cfg.fp_tol, cfg.fp_max_iter)
+    slot = ops._maps.get(kind)
+    if slot is None or slot[0] != key:
+        built = kind((cfg.eps,), (cfg.tau,), ops, cfg.fp_tol, cfg.fp_max_iter)
+        slot = ops._maps[kind] = (key, built)
+    return slot[1]
+
+
+def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Picard iteration u <- step.apply(u, explicit) of every row of guess (or of one field).
+
+    A row stops at the first iterate whose H^1-weighted change is within
+    step.tol and leaves the stack; the others go on with the map narrowed
+    to them, so each row's iterates and count are those of a lone solve.
+    Returns the solutions and the count of each row; a row that diverges or
+    stalls raises FixedPointError with its row.
+    """
+    weights = sobolev_weights(step.grid, 1.0)
+    rows = None if step.lone else np.arange(len(guess))  # row of guess of each live row
+    solution = iters = None
     u = guess
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            u_next = apply(u, *args)
-            residual = [math.sqrt(x) for x in _sums((weights * np.abs(u_next - u)) ** 2)]
-            done = [res <= tol for res in residual]
-            if solution is None and all(done):
-                return u_next, [it] * n_rows
-            for res, ok, row in zip(residual, done, live):
-                if not (ok or math.isfinite(res)):
-                    raise FixedPointError(res, it, row)
-            if any(done):
+        for it in range(1, step.max_iter + 1):
+            u_next = step.apply(u, explicit)
+            change = np.abs(u_next - u)
+            change *= weights
+            np.square(change, out=change)
+            # np.sqrt is correctly rounded, as math.sqrt is
+            residual = np.sqrt(change.sum(axis=-1))
+            worst = residual if rows is None else residual.max()  # nan if any row's is
+            if worst <= step.tol:
                 if solution is None:
-                    solution = np.empty_like(guess)
-                keep = np.logical_not(done)
-                finished = [row for ok, row in zip(done, live) if ok]
-                solution[finished] = u_next[~keep]
-                for row in finished:
-                    iters[row] = it
-                if not keep.any():
-                    return solution, iters
-                live, residual = _narrow(live, keep), _narrow(tuple(residual), keep)
-                args = tuple(_narrow(arg, keep) for arg in args)
-                u_next = u_next[keep]
+                    return u_next, [it] * (1 if rows is None else len(rows))
+                solution[rows] = u_next
+                iters[rows] = it
+                return solution, iters.tolist()
+            if not math.isfinite(worst):
+                first = int(np.argmin(np.isfinite(residual)))
+                raise FixedPointError(float(np.ravel(residual)[first]), it,
+                                      0 if rows is None else int(rows[first]))
+            if rows is not None:
+                done = residual <= step.tol
+                if done.any():
+                    if solution is None:
+                        solution = np.empty_like(guess)
+                        iters = np.zeros(len(guess), dtype=int)
+                    solution[rows[done]] = u_next[done]
+                    iters[rows[done]] = it
+                    keep = ~done
+                    rows, explicit, u_next = rows[keep], explicit[keep], u_next[keep]
+                    step = step.take(keep)
             u = u_next
-    raise FixedPointError(residual[0], max_iter, live[0])
+    raise FixedPointError(float(np.ravel(residual)[0]), step.max_iter,
+                          0 if rows is None else int(rows[0]))
+
+
+# ---------------------------------------------------------------------------
+# the maps of eps w^2 and of eps |w|^2
+#
+# Each explicit first-order map is a product stage of the spectrum c and a
+# core that assembles the step from both.  The implicit map's explicit half
+# shares that stage, P c and the zero modes with the first-order predictor.
+# ---------------------------------------------------------------------------
+
+class _SquareMap(_Map):
+    """li1 and sli2 for eps w^2."""
+
+    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols,
+                 tol: float, max_iter: int) -> None:
+        super().__init__(eps, tau, ops, tol, max_iter)
+        e, t = self.eps, self.tau
+        self.ie_t = self.each(lambda e, t: 1j * e * t, e, t)
+        self.two_ie_t = self.each(lambda e, t: 2j * e * t, e, t)
+        self.half_ie_t = self.each(lambda e, t: 0.5j * e * t, e, t)
+        self.half_e = self.column(lambda e: e / 2.0, e)
+        self.quarter_e = self.column(lambda e: e / 4.0, e)
+        self.inv_dx, self.prop_conj = ops.inv_dx, ops.prop_conj
+        self._stage = self.new_stage(2, _SQUARES)
+
+    def _first(self, c: np.ndarray):
+        """P c, the zero modes of c and (P dx^-1 c)^2 - P (dx^-1 c)^2."""
+        prop_d, d = self._stage.rows
+        np.multiply(self.inv_dx, c, out=d)
+        np.multiply(self.prop, d, out=prop_d)
+        sq_prop, sq_plain = self._stage()
+        return self.prop * c, self.zero_modes(c), sq_prop - self.prop * sq_plain
+
+    def _li1(self, prop_c: np.ndarray, w0, bracket: np.ndarray) -> np.ndarray:
+        out = self.column(lambda a, z: 1.0 - a * z, self.two_ie_t, w0) * prop_c
+        self.add_to_zero_modes(out, self.each(lambda a, z: a * z * z, self.ie_t, w0))
+        out += self.half_e * bracket
+        return out
+
+    def li1(self, c: np.ndarray) -> np.ndarray:
+        return self._li1(*self._first(c))
+
+    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        prop_c, w0, bracket = self._first(c)
+        explicit = self.column(lambda a, z: 1.0 - a * z, self.ie_t, w0) * prop_c
+        self.add_to_zero_modes(explicit, self.each(lambda h, z: h * z * z, self.half_ie_t, w0))
+        explicit += self.quarter_e * bracket
+        return _picard(self, explicit, self._li1(prop_c, w0, bracket))
+
+    def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
+        """One Picard map of sli2: the explicit half plus the terms of u."""
+        u0 = self.zero_modes(u)
+        out = explicit - self.column(lambda a, z: a * z, self.ie_t, u0) * u
+        self.add_to_zero_modes(out, self.each(lambda h, z: h * z * z, self.half_ie_t, u0))
+        du, prop_conj_du = self._stage.rows
+        np.multiply(self.inv_dx, u, out=du)
+        np.multiply(self.prop_conj, du, out=prop_conj_du)
+        sq, sq_back = self._stage()
+        out += self.quarter_e * (sq - self.prop * sq_back)
+        return out
+
+
+def _masses(c: np.ndarray):
+    """The squared L^2 norm of c, or of each row as a list, as Python floats."""
+    abs_sq = np.abs(c)
+    np.square(abs_sq, out=abs_sq)
+    return abs_sq.sum(axis=-1).tolist()
+
+
+class _ModSquareMap(_Map):
+    """li1 and sli2 for eps |w|^2."""
+
+    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols,
+                 tol: float, max_iter: int) -> None:
+        super().__init__(eps, tau, ops, tol, max_iter)
+        e, t = self.eps, self.tau
+        self.ie_t = self.each(lambda e, t: 1j * e * t, e, t)
+        self.minus_ie_t = self.each(lambda e, t: -1j * e * t, e, t)
+        self.half_ie_t = self.each(lambda e, t: 0.5j * e * t, e, t)
+        self.minus_half_ie_t = self.each(lambda e, t: -0.5j * e * t, e, t)
+        self.half_e_dx = self.column(lambda e: e / 2.0, e) * ops.inv_dx
+        self.quarter_e_dx = self.column(lambda e: e / 4.0, e) * ops.inv_dx
+        self.inv_dx, self.prop_conj = ops.inv_dx, ops.prop_conj
+        self._stage = self.new_stage(4, _PAIRS)
+
+    def _first(self, c: np.ndarray):
+        """P c, the zero modes and masses of c, and the bracket t1 - P t2.
+
+        t1 = (P c)(P* dx^-1 conj c) and t2 = c (dx^-1 conj c).  P c is a row
+        of the stage's factors, valid until the stage runs again.
+        """
+        prop_c, prop_conj_dcc, plain, dcc = self._stage.rows
+        np.multiply(self.inv_dx, conjugate_coeffs(c, out=dcc), out=dcc)
+        np.multiply(self.prop, c, out=prop_c)
+        np.multiply(self.prop_conj, dcc, out=prop_conj_dcc)
+        plain[...] = c
+        t1, t2 = self._stage()
+        return prop_c, self.zero_modes(c), _masses(c), t1 - self.prop * t2
+
+    def _li1(self, prop_c: np.ndarray, w0, mass, bracket: np.ndarray) -> np.ndarray:
+        out = self.column(lambda a, z: 1.0 - a * np.conj(z), self.ie_t, w0) * prop_c
+        self.add_to_zero_modes(out, self.each(
+            lambda a, z, m: a * (m - abs(z) ** 2), self.minus_ie_t, w0, mass))
+        out += self.half_e_dx * bracket
+        return out
+
+    def li1(self, c: np.ndarray) -> np.ndarray:
+        return self._li1(*self._first(c))
+
+    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        prop_c, w0, mass, bracket = self._first(c)
+        explicit = self.column(lambda h, z: 1.0 - h * np.conj(z), self.half_ie_t, w0) * prop_c
+        self.add_to_zero_modes(explicit, self.each(
+            lambda h, z, m: h * (m - abs(z) ** 2), self.minus_half_ie_t, w0, mass))
+        explicit += self.quarter_e_dx * bracket
+        return _picard(self, explicit, self._li1(prop_c, w0, mass, bracket))
+
+    def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
+        """One Picard map of sli2 for |w|^2: the explicit half plus the terms of u."""
+        u0 = self.zero_modes(u)
+        out = explicit - self.column(lambda h, z: h * np.conj(z), self.half_ie_t, u0) * u
+        self.add_to_zero_modes(out, self.each(
+            lambda h, z, m: h * (m - abs(z) ** 2), self.minus_half_ie_t, u0, _masses(u)))
+        plain, dcu, prop_conj_u, prop_dcu = self._stage.rows
+        plain[...] = u
+        np.multiply(self.inv_dx, conjugate_coeffs(u, out=dcu), out=dcu)
+        np.multiply(self.prop_conj, u, out=prop_conj_u)
+        np.multiply(self.prop, dcu, out=prop_dcu)
+        t1, t2 = self._stage()
+        out += self.quarter_e_dx * (t1 - self.prop * t2)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # explicit first-order maps
-#
-# Each map is a product stage of the spectrum c and a core that assembles the
-# step from both; an implicit map's explicit half hands its stage to the core.
 # ---------------------------------------------------------------------------
-
-def _li1_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
-    """(P dx^-1 w)^2 and (dx^-1 w)^2."""
-    d = ops.inv_dx * c
-    return _grid_products([ops.prop * d, d], _SQUARES, ops.grid)
-
-
-def _li1_core(c: np.ndarray, stage: np.ndarray, eps: tuple, tau: tuple,
-              ops: OperatorSymbols) -> np.ndarray:
-    n0 = ops.grid.n_modes // 2
-    w0 = _zero_modes(c, n0)
-    sq_prop, sq_plain = stage
-    out = _column([1.0 - 2j * e * t * z for e, t, z in zip(eps, tau, w0)]) * (ops.prop * c)
-    _add_to_zero_modes(out, n0, [1j * e * t * z * z for e, t, z in zip(eps, tau, w0)])
-    out += _column([e / 2.0 for e in eps]) * (sq_prop - ops.prop * sq_plain)
-    return out
-
 
 def li1_step(w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols) -> SpectralField:
     """Explicit first-order step for the w^2 nonlinearity.
@@ -274,31 +469,7 @@ def li1_step(w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols) -> S
     and squares formed pointwise on the grid.
     """
     _check(w, cfg, ops, QuadNonlinearity.SQUARE)
-    c = w.coeffs
-    return SpectralField(w.grid, _li1_core(c, _li1_stage(c, ops), (cfg.eps,), (cfg.tau,), ops))
-
-
-def _li1_conj_stage(c: np.ndarray, ops: OperatorSymbols) -> np.ndarray:
-    """(P w)(P* dx^-1 conj w) and w (dx^-1 conj w)."""
-    dcc = ops.inv_dx * conjugate_coeffs(c)
-    return _grid_products(
-        [ops.prop * c, np.conj(ops.prop) * dcc, c, dcc], _PAIRS, ops.grid
-    )
-
-
-def _li1_conj_core(c: np.ndarray, stage: np.ndarray, eps: tuple, tau: tuple,
-                   ops: OperatorSymbols) -> np.ndarray:
-    n0 = ops.grid.n_modes // 2
-    w0 = _zero_modes(c, n0)
-    mass = _sums(np.abs(c) ** 2)
-    t1, t2 = stage
-    out = _column([1.0 - 1j * e * t * np.conj(z) for e, t, z in zip(eps, tau, w0)]) \
-        * (ops.prop * c)
-    _add_to_zero_modes(
-        out, n0, [-1j * e * t * (m - abs(z) ** 2) for e, t, z, m in zip(eps, tau, w0, mass)]
-    )
-    out += _column([e / 2.0 for e in eps]) * ops.inv_dx * (t1 - ops.prop * t2)
-    return out
+    return SpectralField(w.grid, _prepared(_SquareMap, cfg, ops).li1(w.coeffs))
 
 
 def li1_conj_step(
@@ -314,9 +485,7 @@ def li1_conj_step(
     the step reduces to the forward-Euler update of i v' = eps |v|^2.
     """
     _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    c = w.coeffs
-    stage = _li1_conj_stage(c, ops)
-    return SpectralField(w.grid, _li1_conj_core(c, stage, (cfg.eps,), (cfg.tau,), ops))
+    return SpectralField(w.grid, _prepared(_ModSquareMap, cfg, ops).li1(w.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -325,35 +494,8 @@ def li1_conj_step(
 
 def _sli2_rows(c: np.ndarray, eps: tuple, tau: tuple, ops: OperatorSymbols,
                tol: float, max_iter: int) -> tuple[np.ndarray, list[int]]:
-    """sli2 on each row of the stack c; the solutions and Picard counts."""
-    n0 = ops.grid.n_modes // 2
-    w0 = _zero_modes(c, n0)
-
-    # explicit half of the update, assembled once
-    stage = _li1_stage(c, ops)
-    sq_prop, sq_plain = stage
-    explicit = _column([1.0 - 1j * e * t * z for e, t, z in zip(eps, tau, w0)]) \
-        * (ops.prop * c)
-    _add_to_zero_modes(explicit, n0, [0.5j * e * t * z * z for e, t, z in zip(eps, tau, w0)])
-    explicit += _column([e / 4.0 for e in eps]) * (sq_prop - ops.prop * sq_plain)
-
-    # the map's per-row factors i eps tau and i eps tau / 2, formed once
-    ie_t = tuple(1j * e * t for e, t in zip(eps, tau))
-    half = tuple(0.5j * e * t for e, t in zip(eps, tau))
-    quarter = _column([e / 4.0 for e in eps])
-
-    def apply(u, ie_t, half, quarter, ops, explicit):
-        u0 = _zero_modes(u, n0)
-        out = explicit - _column([a * z for a, z in zip(ie_t, u0)]) * u
-        _add_to_zero_modes(out, n0, [h * z * z for h, z in zip(half, u0)])
-        du = ops.inv_dx * u
-        sq, sq_back = _grid_products([du, np.conj(ops.prop) * du], _SQUARES, ops.grid)
-        out += quarter * (sq - ops.prop * sq_back)
-        return out
-
-    guess = _li1_core(c, stage, eps, tau, ops)
-    args = (ie_t, half, quarter, ops, explicit)
-    return _picard(apply, guess, args, ops.grid, tol, max_iter)
+    """sli2 on each row of the stack c; the solutions and Picard counts (prepared per call)."""
+    return _SquareMap(eps, tau, ops, tol, max_iter)(c)
 
 
 def sli2_step_info(
@@ -372,50 +514,14 @@ def sli2_step_info(
     with -tau returns the input to within the iteration tolerance.
     """
     _check(w, cfg, ops, QuadNonlinearity.SQUARE)
-    u, [iters] = _sli2_rows(w.coeffs, (cfg.eps,), (cfg.tau,), ops,
-                            cfg.fp_tol, cfg.fp_max_iter)
+    u, [iters] = _prepared(_SquareMap, cfg, ops)(w.coeffs)
     return SpectralField(w.grid, u), iters
 
 
 def _sli2_conj_rows(c: np.ndarray, eps: tuple, tau: tuple, ops: OperatorSymbols,
                     tol: float, max_iter: int) -> tuple[np.ndarray, list[int]]:
     """sli2 for |w|^2 on each row of the stack c; the solutions and Picard counts."""
-    n0 = ops.grid.n_modes // 2
-    w0 = _zero_modes(c, n0)
-    mass = _sums(np.abs(c) ** 2)
-
-    stage = _li1_conj_stage(c, ops)
-    t1, t2 = stage
-    explicit = _column([1.0 - 0.5j * e * t * np.conj(z) for e, t, z in zip(eps, tau, w0)]) \
-        * (ops.prop * c)
-    _add_to_zero_modes(
-        explicit, n0,
-        [-0.5j * e * t * (m - abs(z) ** 2) for e, t, z, m in zip(eps, tau, w0, mass)],
-    )
-    explicit += _column([e / 4.0 for e in eps]) * ops.inv_dx * (t1 - ops.prop * t2)
-
-    # the map's per-row factors +-i eps tau / 2, formed once
-    half = tuple(0.5j * e * t for e, t in zip(eps, tau))
-    minus_half = tuple(-0.5j * e * t for e, t in zip(eps, tau))
-    quarter = _column([e / 4.0 for e in eps])
-
-    def apply(u, half, minus_half, quarter, ops, explicit):
-        u0 = _zero_modes(u, n0)
-        mass_u = _sums(np.abs(u) ** 2)
-        out = explicit - _column([h * np.conj(z) for h, z in zip(half, u0)]) * u
-        _add_to_zero_modes(
-            out, n0, [h * (m - abs(z) ** 2) for h, z, m in zip(minus_half, u0, mass_u)]
-        )
-        dcu = ops.inv_dx * conjugate_coeffs(u)
-        t1, t2 = _grid_products(
-            [u, dcu, np.conj(ops.prop) * u, ops.prop * dcu], _PAIRS, ops.grid
-        )
-        out += quarter * ops.inv_dx * (t1 - ops.prop * t2)
-        return out
-
-    guess = _li1_conj_core(c, stage, eps, tau, ops)
-    args = (half, minus_half, quarter, ops, explicit)
-    return _picard(apply, guess, args, ops.grid, tol, max_iter)
+    return _ModSquareMap(eps, tau, ops, tol, max_iter)(c)
 
 
 def sli2_conj_step_info(
@@ -429,6 +535,5 @@ def sli2_conj_step_info(
     fixed-point contract as :func:`sli2_step_info`.
     """
     _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    u, [iters] = _sli2_conj_rows(w.coeffs, (cfg.eps,), (cfg.tau,), ops,
-                                 cfg.fp_tol, cfg.fp_max_iter)
+    u, [iters] = _prepared(_ModSquareMap, cfg, ops)(w.coeffs)
     return SpectralField(w.grid, u), iters

@@ -14,8 +14,8 @@ exp(-i t l^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -75,6 +75,14 @@ class TorusGrid:
         return s
 
     @cached_property
+    def _grid_phase_complex(self) -> np.ndarray:
+        # the same phase as complex128: numpy has no complex-times-float loop,
+        # so a product with the float phase casts it on every call
+        s = self._grid_phase.astype(np.complex128)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
     def _half_roll(self) -> np.ndarray:
         # take-index of fftshift and of ifftshift, which coincide for even N
         n = self.n_modes
@@ -112,23 +120,41 @@ def coeffs_from_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     one call; each row comes out bit for bit as it would alone.
     """
     spectrum = np.fft.fft(values).take(grid._half_roll, axis=-1)
-    return grid._grid_phase * spectrum / grid.n_modes
+    np.multiply(grid._grid_phase_complex, spectrum, out=spectrum)
+    spectrum /= grid.n_modes
+    return spectrum
 
 
-def values_from_coeffs(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Grid samples of the trigonometric interpolant (array level, last axis)."""
-    shifted = (coeffs * grid._grid_phase).take(grid._half_roll, axis=-1)
-    return np.fft.ifft(shifted) * grid.n_modes
+def values_from_coeffs(coeffs: np.ndarray, grid: TorusGrid,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Grid samples of the trigonometric interpolant (array level, last axis).
+
+    ``out``, a complex array of the shape of ``coeffs``, receives the samples
+    when given.
+    """
+    shifted = (coeffs * grid._grid_phase_complex).take(grid._half_roll, axis=-1)
+    values = np.fft.ifft(shifted, out=shifted if out is None else out)
+    values *= grid.n_modes
+    return values
 
 
-def conjugate_coeffs(coeffs: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _negated_modes(n: int) -> np.ndarray:
+    # take-index of the modes -l in ascending order; -N/2 maps to itself
+    idx = -np.arange(n) % n
+    idx.setflags(write=False)
+    return idx
+
+
+def conjugate_coeffs(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Spectrum of the complex conjugate field: conj(f)_hat[l] = conj(f_hat[-l]).
 
     The l = -N/2 row maps to itself (N/2 and -N/2 coincide on the grid), which
     is exactly what pointwise conjugation in physical space produces.  Acts
-    on the last axis of a ``(..., N)`` stack.
+    on the last axis of a ``(..., N)`` stack; ``out`` receives the result
+    when given.
     """
-    return np.conj(np.concatenate((coeffs[..., :1], coeffs[..., :0:-1]), axis=-1))
+    return np.conjugate(coeffs.take(_negated_modes(coeffs.shape[-1]), axis=-1), out=out)
 
 
 @dataclass(frozen=True)
@@ -327,6 +353,7 @@ class OperatorSymbols:
     """Per-mode multipliers for a fixed time step tau.
 
     prop             exp(-i tau l^2)        — symbol of exp(i tau dxx)
+    prop_conj        exp(+i tau l^2)        — conj(prop), symbol of exp(-i tau dxx)
     prop_half        exp(-i tau l^2 / 2)    — symbol of exp(i (tau/2) dxx)
     inv_dx           1/(i l), 0 at l = 0    — regularized antiderivative
     phi1_2           phi1(2 i tau l^2)      — symbol of phi1(-2 i tau dxx)
@@ -336,20 +363,25 @@ class OperatorSymbols:
 
     :meth:`stack` puts the symbols of several steps into one instance whose
     arrays have a row per step, for the rows cores of the symmetric maps.
+    ``_maps`` keeps the step maps prepared on one step's symbols (see
+    ``quadratic._prepared``).
     """
 
     tau: float
     grid: TorusGrid
     prop: np.ndarray
+    prop_conj: np.ndarray
     prop_half: np.ndarray
     inv_dx: np.ndarray
     phi1_2: np.ndarray
     phi1_1: np.ndarray
     phi1_1c: np.ndarray
     one_minus_phi1_2: np.ndarray
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     _ARRAYS: ClassVar[tuple[str, ...]] = (
-        "prop", "prop_half", "inv_dx", "phi1_2", "phi1_1", "phi1_1c", "one_minus_phi1_2",
+        "prop", "prop_conj", "prop_half", "inv_dx", "phi1_2", "phi1_1", "phi1_1c",
+        "one_minus_phi1_2",
     )
 
     @classmethod
@@ -361,6 +393,7 @@ class OperatorSymbols:
         phi1_1c = phi1(-1j * tau * lsq)
         arrays = dict(
             prop=prop,
+            prop_conj=np.conj(prop),
             prop_half=np.exp(-0.5j * tau * lsq),
             inv_dx=grid._inv_ik.copy(),
             phi1_2=phi1_2,
@@ -386,9 +419,13 @@ class OperatorSymbols:
         )
 
     def take(self, rows) -> "OperatorSymbols":
-        """The rows ``rows`` (a slice or a boolean mask) of stacked symbols."""
+        """The rows ``rows`` (a slice or a boolean mask) of stacked symbols.
+
+        An int ``rows`` gives that row as the symbols of its one step.
+        """
+        tau = np.asarray(self.tau)[rows].tolist()
         return type(self)(
-            tau=tuple(np.asarray(self.tau)[rows].tolist()),
+            tau=tuple(tau) if isinstance(tau, list) else tau,
             grid=self.grid,
             **{name: getattr(self, name)[rows] for name in self._ARRAYS},
         )

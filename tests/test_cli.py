@@ -119,7 +119,8 @@ def test_config_file_list_values(tmp_path):
     (["simulate"], {"jobs": 3}, "unknown key 'jobs' for simulate"),
     (["sweep-eps"], {"t_final": 5}, "unknown key 't_final' for sweep-eps"),
     (["sweep-tau"], {"tau-list": [0.1, 0.05, 0.025, 0.0125]}, "unknown key 'tau-list'"),
-], ids=["float", "int", "other-subcommand", "sweep-key", "flag-spelling"])
+    (["simulate"], {"out": None}, "key 'out' is null"),
+], ids=["float", "int", "other-subcommand", "sweep-key", "flag-spelling", "null"])
 def test_config_values_are_usage_errors(tmp_path, capsys, argv, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -180,6 +181,23 @@ def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv,
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_eps_rejects_eps(tmp_path, capsys, monkeypatch, source):
+    # a sweep's cells take their eps from --eps-list; an --eps would do nothing
+    monkeypatch.setattr(harness, "run_trajectory", None)
+    argv = _EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--out", str(tmp_path / "out.csv")]
+    if source == "flag":
+        argv += ["--eps", "0.9"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 0.9}))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "sweep-eps takes eps from --eps-list" in capsys.readouterr().err
 
 
 _SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

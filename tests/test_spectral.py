@@ -159,6 +159,24 @@ def test_transform_pair_equals_fftshift_formula_bit_for_bit(n):
         assert np.array_equal(back[row], want_back)
 
 
+@pytest.mark.parametrize("n", [4, 6, 16, 128, 1024])
+def test_cached_grid_arrays_are_exact(n):
+    grid = TorusGrid(n)
+    # the complex phase is the float phase cast, so products with it keep their bits
+    assert grid._grid_phase_complex.dtype == np.complex128
+    assert grid._grid_phase_complex.tobytes() == grid._grid_phase.astype(np.complex128).tobytes()
+    assert not grid._grid_phase_complex.flags.writeable
+    rng = np.random.default_rng(700 + n)
+    stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    flipped = np.conj(np.concatenate((stack[..., :1], stack[..., :0:-1]), axis=-1))
+    assert conjugate_coeffs(stack).tobytes() == flipped.tobytes()
+    out = np.empty_like(stack)
+    assert conjugate_coeffs(stack, out=out) is out
+    assert out.tobytes() == flipped.tobytes()
+    assert values_from_coeffs(stack, grid, out=out) is out
+    assert out.tobytes() == values_from_coeffs(stack, grid).tobytes()
+
+
 @pytest.mark.parametrize("n", [6, 16, 128])
 def test_batched_products_equal_one_at_a_time(n):
     rng = np.random.default_rng(900 + n)
@@ -465,6 +483,22 @@ class TestOperatorSymbols:
         assert ops.phi1_1[n0] == 1.0 + 0j
         assert ops.phi1_1c[n0] == 1.0 + 0j
         assert ops.one_minus_phi1_2[n0] == 0.0 + 0j
+
+    def test_conjugate_propagator_is_exact_after_build_stack_and_take(self):
+        grid = TorusGrid(16)
+        built = [OperatorSymbols.build(grid, tau) for tau in (0.3, -0.05, 1.7)]
+        stacked = OperatorSymbols.stack(built)
+        for ops in built + [stacked, stacked.take(slice(2)),
+                            stacked.take(np.array([True, False, True])), stacked.take(1)]:
+            assert ops.prop_conj.tobytes() == np.conj(ops.prop).tobytes()
+
+    def test_take_of_one_row_gives_that_steps_symbols(self):
+        grid = TorusGrid(16)
+        built = [OperatorSymbols.build(grid, tau) for tau in (0.3, -0.05)]
+        row = OperatorSymbols.stack(built).take(1)
+        assert row.tau == -0.05
+        for name in OperatorSymbols._ARRAYS:
+            assert getattr(row, name).tobytes() == getattr(built[1], name).tobytes()
 
     def test_half_step_propagator(self):
         grid = TorusGrid(16)
