@@ -130,7 +130,17 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 class _NonresonantMap(_Map):
-    """os18, nrli1 and nrsli2, with nrsli2's choice of g/h multipliers."""
+    """os18, nrli1 and nrsli2, with nrsli2's choice of g/h multipliers.
+
+    Calling the map solves nrsli2's two-endpoint relation by Picard
+    iteration.  Composing the half-step maps (forward half step, then an
+    inverted backward half step) produces resonance corrections whose g/h
+    multipliers carry the *signed half* arguments: 1 - phi1(+- i tau m^2)
+    for the n / n+1 endpoints.  ``gh_half_step=False`` keeps the full-step
+    multiplier 1 - phi1(2 i tau m^2) on both endpoints instead; that variant
+    is retained because it is the naive transcription, and the time-reversal
+    test shows it is not symmetric (see tests).
+    """
 
     def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols, tol: float,
                  max_iter: int, gh_half_step: bool = True) -> None:
@@ -242,41 +252,6 @@ def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -
 # ---------------------------------------------------------------------------
 # implicit symmetric second-order map
 # ---------------------------------------------------------------------------
-
-def _nrsli2_rows(
-    c: np.ndarray,
-    eps: tuple,
-    tau: tuple,
-    ops: OperatorSymbols,
-    tol: float,
-    max_iter: int,
-    gh_half_step: bool = True,
-) -> tuple[np.ndarray, list[int]]:
-    """Fixed-point solve of the two-endpoint non-resonant relation, row by row.
-
-    Returns the solutions of the rows of the stack c and their Picard counts.
-    Composing the half-step maps (forward half step, then an inverted
-    backward half step) produces resonance corrections whose g/h multipliers
-    carry the *signed half* arguments: 1 - phi1(+- i tau m^2) for the n / n+1
-    endpoints.  ``gh_half_step=False`` keeps the full-step multiplier
-    1 - phi1(2 i tau m^2) on both endpoints instead; that variant is retained
-    because it is the naive transcription, and the time-reversal test shows
-    it is not symmetric (see tests).
-    """
-    return _NonresonantMap(eps, tau, ops, tol, max_iter, gh_half_step)(c)
-
-
-def _nrsli2_step_impl(
-    w: SpectralField,
-    cfg: CubicSchemeConfig,
-    ops: OperatorSymbols,
-    gh_half_step: bool,
-) -> tuple[SpectralField, int]:
-    """One-row call of :func:`_nrsli2_rows`, with its g/h multiplier choice."""
-    u, [iters] = _nrsli2_rows(w.coeffs, (cfg.eps,), (cfg.tau,), ops,
-                              cfg.fp_tol, cfg.fp_max_iter, gh_half_step)
-    return SpectralField(w.grid, u), iters
-
 
 def nrsli2_step_info(
     w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols

@@ -657,6 +657,32 @@ def _cell_name(params: SimParams) -> str:
     return f"cell (scheme {params.scheme}, eps {params.eps:g}, tau {params.tau:g})"
 
 
+def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
+            gap: float, ref_tau: float, wall: float) -> SweepRecord:
+    """The record of params' trajectory at time t against a reference with this gap.
+
+    It is reliable only when the error is at least ten times the gap
+    between the fine and the finer reference (a nan error or gap never is).
+    """
+    return SweepRecord(
+        equation=params.equation,
+        scheme=params.scheme,
+        eps=params.eps,
+        tau=params.tau,
+        theta=params.theta,
+        seed=params.seed,
+        n_modes=params.n_modes,
+        t_final=t,
+        error_norm_r=params.error_norm_r,
+        error=error,
+        ref_tau=ref_tau,
+        wall_seconds=wall,
+        fp_iter_max=traj.fp_iter_max,
+        fp_iter_mean=traj.fp_iter_mean,
+        reliable=not (error < 10.0 * gap),
+    )
+
+
 def _run_single_point(
     base: SimParams,
     eps: float,
@@ -684,24 +710,7 @@ def _run_single_point(
     if on_final is not None:
         on_final(traj.state)
     gap = _norm_diff(pair.fine.state, pair.finer.state, base.error_norm_r)
-    record = SweepRecord(
-        equation=base.equation,
-        scheme=base.scheme,
-        eps=eps,
-        tau=tau,
-        theta=base.theta,
-        seed=base.seed,
-        n_modes=base.n_modes,
-        t_final=traj.t_actual,
-        error_norm_r=base.error_norm_r,
-        error=error,
-        ref_tau=pair.ref_tau,
-        wall_seconds=wall,
-        fp_iter_max=traj.fp_iter_max,
-        fp_iter_mean=traj.fp_iter_mean,
-        reliable=not (error < 10.0 * gap),
-    )
-    return record, gap
+    return _record(params, traj, traj.t_actual, error, gap, pair.ref_tau, wall), gap
 
 
 def _point_worker(payload) -> tuple[SweepRecord, float]:
@@ -832,25 +841,7 @@ def error_vs_time(
         traj.snapshots, errors, pair.fine.snapshots, pair.finer.snapshots
     ):
         gap = _norm_diff(f_k, g_k, base.error_norm_r)
-        records.append(
-            SweepRecord(
-                equation=base.equation,
-                scheme=base.scheme,
-                eps=base.eps,
-                tau=base.tau,
-                theta=base.theta,
-                seed=base.seed,
-                n_modes=base.n_modes,
-                t_final=t_k,
-                error_norm_r=base.error_norm_r,
-                error=error,
-                ref_tau=pair.ref_tau,
-                wall_seconds=wall,
-                fp_iter_max=traj.fp_iter_max,
-                fp_iter_mean=traj.fp_iter_mean,
-                reliable=not (error < 10.0 * gap),
-            )
-        )
+        records.append(_record(base, traj, t_k, error, gap, pair.ref_tau, wall))
     return records
 
 
@@ -879,6 +870,7 @@ def fit_order(
 # CSV output
 # ---------------------------------------------------------------------------
 
+# the CSV's columns in order; a SweepRecord field enters the CSV only by being listed here
 CSV_COLUMNS = [
     "equation",
     "scheme",
@@ -897,8 +889,30 @@ CSV_COLUMNS = [
 ]
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+# (format, parse) of each column not written as repr(float) and read as float
+_CSV_RULES = {
+    "equation": (lambda equation: equation.value, Equation),
+    "scheme": (str, str),
+    "seed": (str, int),
+    "n_modes": (str, int),
+    "fp_iter_max": (str, int),
+}
+_CSV_FLOAT = (lambda x: repr(float(x)), float)
+_CSV_OPTIONAL = ("fp_iter_max", "fp_iter_mean")  # empty when None
+
+
+def _csv_cell(record: SweepRecord, column: str) -> str:
+    value = getattr(record, column)
+    if value is None and column in _CSV_OPTIONAL:
+        return ""
+    return _CSV_RULES.get(column, _CSV_FLOAT)[0](value)
+
+
+def _csv_value(row: dict, column: str):
+    text = row[column]
+    if not text and column in _CSV_OPTIONAL:
+        return None
+    return _CSV_RULES.get(column, _CSV_FLOAT)[1](text)
 
 
 def write_records_csv(path: str, records: Sequence[SweepRecord]) -> None:
@@ -910,24 +924,7 @@ def write_records_csv(path: str, records: Sequence[SweepRecord]) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in records:
-                writer.writerow(
-                    [
-                        r.equation.value,
-                        r.scheme,
-                        _fmt_float(r.eps),
-                        _fmt_float(r.tau),
-                        _fmt_float(r.theta),
-                        str(r.seed),
-                        str(r.n_modes),
-                        _fmt_float(r.t_final),
-                        _fmt_float(r.error_norm_r),
-                        _fmt_float(r.error),
-                        _fmt_float(r.ref_tau),
-                        _fmt_float(r.wall_seconds),
-                        "" if r.fp_iter_max is None else str(r.fp_iter_max),
-                        "" if r.fp_iter_mean is None else _fmt_float(r.fp_iter_mean),
-                    ]
-                )
+                writer.writerow([_csv_cell(r, column) for column in CSV_COLUMNS])
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -942,24 +939,6 @@ def read_records_csv(path: str) -> list[SweepRecord]:
         if reader.fieldnames != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
-            records.append(
-                SweepRecord(
-                    equation=Equation(row["equation"]),
-                    scheme=row["scheme"],
-                    eps=float(row["eps"]),
-                    tau=float(row["tau"]),
-                    theta=float(row["theta"]),
-                    seed=int(row["seed"]),
-                    n_modes=int(row["n_modes"]),
-                    t_final=float(row["t_final"]),
-                    error_norm_r=float(row["error_norm_r"]),
-                    error=float(row["error"]),
-                    ref_tau=float(row["ref_tau"]),
-                    wall_seconds=float(row["wall_seconds"]),
-                    fp_iter_max=int(row["fp_iter_max"]) if row["fp_iter_max"] else None,
-                    fp_iter_mean=(
-                        float(row["fp_iter_mean"]) if row["fp_iter_mean"] else None
-                    ),
-                )
-            )
+            records.append(SweepRecord(**{column: _csv_value(row, column)
+                                          for column in CSV_COLUMNS}))
     return records

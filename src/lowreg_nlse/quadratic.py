@@ -140,8 +140,11 @@ class _Stage:
     """A product stage whose factor, sample and product stacks are reused from call to call.
 
     The caller writes the spectra of the factors into ``rows``, the rows of
-    an (F, ..., N) stack.  A call returns the spectra of ``products`` in a
-    new (P, ..., N) array, as :func:`_grid_products` does.
+    an (F, ..., N) stack.  ``products`` holds one tuple of factor indices per
+    product: ``(i, j, k)`` is (f_i * f_j) * f_k, multiplied left to right on
+    the grid.  A call costs one inverse transform of the stacked factors and
+    one forward transform of the stacked products, and returns the spectra
+    of the products in a new (P, ..., N) array, row r for product r.
     """
 
     def __init__(self, n_factors: int, products: tuple[tuple[int, ...], ...],
@@ -162,25 +165,6 @@ class _Stage:
             for vals in more:
                 row *= vals
         return coeffs_from_values(self._products, self.grid)
-
-
-def _grid_products(
-    factors: list[np.ndarray],
-    products: tuple[tuple[int, ...], ...],
-    grid: TorusGrid,
-) -> np.ndarray:
-    """Spectra of pointwise products of fields given by their spectra.
-
-    ``products`` holds one tuple of indices into ``factors`` per product:
-    ``(i, j, k)`` is (f_i * f_j) * f_k, multiplied left to right on the grid.
-    The whole stage costs one inverse transform of the stacked factors and
-    one forward transform of the stacked products; row r of the result is
-    the spectrum of product r.  Factors may be ``(N,)`` spectra or
-    ``(B, N)`` stacks; each product then has their shape.
-    """
-    stage = _Stage(len(factors), products, np.shape(factors[0]), grid)
-    stage.factors[...] = factors
-    return stage()
 
 
 class _Map:
@@ -492,12 +476,6 @@ def li1_conj_step(
 # implicit symmetric second-order maps
 # ---------------------------------------------------------------------------
 
-def _sli2_rows(c: np.ndarray, eps: tuple, tau: tuple, ops: OperatorSymbols,
-               tol: float, max_iter: int) -> tuple[np.ndarray, list[int]]:
-    """sli2 on each row of the stack c; the solutions and Picard counts (prepared per call)."""
-    return _SquareMap(eps, tau, ops, tol, max_iter)(c)
-
-
 def sli2_step_info(
     w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols
 ) -> tuple[SpectralField, int]:
@@ -516,12 +494,6 @@ def sli2_step_info(
     _check(w, cfg, ops, QuadNonlinearity.SQUARE)
     u, [iters] = _prepared(_SquareMap, cfg, ops)(w.coeffs)
     return SpectralField(w.grid, u), iters
-
-
-def _sli2_conj_rows(c: np.ndarray, eps: tuple, tau: tuple, ops: OperatorSymbols,
-                    tol: float, max_iter: int) -> tuple[np.ndarray, list[int]]:
-    """sli2 for |w|^2 on each row of the stack c; the solutions and Picard counts."""
-    return _ModSquareMap(eps, tau, ops, tol, max_iter)(c)
 
 
 def sli2_conj_step_info(

@@ -21,7 +21,7 @@ from .cubic import (
     CubicScheme,
     CubicSchemeConfig,
     ResonanceWeights,
-    _nrsli2_rows,
+    _NonresonantMap,
     nrli1_step,
     nrsli2_step_info,
     os18_step,
@@ -41,8 +41,8 @@ from .oracles import (
 from .quadratic import (
     QuadNonlinearity,
     QuadSchemeConfig,
-    _sli2_conj_rows,
-    _sli2_rows,
+    _ModSquareMap,
+    _SquareMap,
     li1_conj_step,
     li1_step,
     sli2_conj_step_info,
@@ -229,16 +229,16 @@ def _check_batched_maps() -> str:
     stacked = OperatorSymbols.stack(ops)
     eps = tuple(e for e, _, _ in rows)
     maps = [
-        ("sli2", sli2_step_info, _sli2_rows,
+        ("sli2", sli2_step_info, _SquareMap,
          lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.SQUARE)),
-        ("sli2_conj", sli2_conj_step_info, _sli2_conj_rows,
+        ("sli2_conj", sli2_conj_step_info, _ModSquareMap,
          lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.MODULUS_SQUARE)),
-        ("nrsli2", nrsli2_step_info, _nrsli2_rows,
+        ("nrsli2", nrsli2_step_info, _NonresonantMap,
          lambda e, t: CubicSchemeConfig(e, t, CubicScheme.NRSLI2)),
     ]
-    for name, step, rows_core, config in maps:
-        out, iters = rows_core(np.stack([w.coeffs for w in fields]), eps, stacked.tau,
-                               stacked, 1e-12, 100)
+    for name, step, prepared, config in maps:
+        c = np.stack([w.coeffs for w in fields])
+        out, iters = prepared(eps, stacked.tau, stacked, 1e-12, 100)(c)
         for r, (w, o) in enumerate(zip(fields, ops)):
             lone, lone_iters = step(w, config(eps[r], o.tau), o)
             if out[r].tobytes() != lone.coeffs.tobytes() or iters[r] != lone_iters:

@@ -362,7 +362,7 @@ class OperatorSymbols:
     one_minus_phi1_2 1 - phi1(2 i tau l^2)
 
     :meth:`stack` puts the symbols of several steps into one instance whose
-    arrays have a row per step, for the rows cores of the symmetric maps.
+    arrays have a row per step, for the step maps prepared on a stack.
     ``_maps`` keeps the step maps prepared on one step's symbols (see
     ``quadratic._prepared``).
     """

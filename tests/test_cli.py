@@ -1,6 +1,4 @@
 """Command-line interface tests: parsing, precedence, outputs, exit codes."""
-import argparse
-import importlib.util
 import json
 import subprocess
 import sys
@@ -200,19 +198,18 @@ def test_sweep_eps_rejects_eps(tmp_path, capsys, monkeypatch, source):
     assert "sweep-eps takes eps from --eps-list" in capsys.readouterr().err
 
 
-_SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+_PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.json"))
 
 
-@pytest.mark.parametrize("script", _SCRIPTS, ids=[p.stem for p in _SCRIPTS])
-def test_script_presets_parse(script):
-    # every preset's argv is a valid command line; nothing runs
-    spec = importlib.util.spec_from_file_location(script.stem, script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for equation in module.PRESETS:
-        args = argparse.Namespace(equation=equation, scheme=None, schemes=None, theta=5.0,
-                                  seed=267, jobs=2, out="preset.csv")
-        parse_args(module.build_argv(args))
+@pytest.mark.parametrize("preset", _PRESETS, ids=[p.stem for p in _PRESETS])
+def test_presets_parse(preset):
+    # each preset is a valid config for the subcommand its file name starts
+    # with; a quad preset serves both quadratic equations; nothing runs
+    subcommand, family = preset.stem.split(".")
+    argv = [subcommand, "--config", str(preset)]
+    parse_args(argv)
+    if family == "quad":
+        parse_args(argv + ["--equation", "quad-modsq"])
 
 
 def test_simulate_rejects_scheme_list(tmp_path, capsys):

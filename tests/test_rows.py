@@ -1,4 +1,4 @@
-"""Rows cores of the symmetric maps: a (B, N) stack against one-row calls.
+"""Prepared symmetric maps: a (B, N) stack against one-row calls.
 
 Each row of a stack carries its own eps, step and symbols; its result and
 Picard count must be those of the public step on that row alone, bit for
@@ -7,25 +7,25 @@ bit, also while other rows of the stack converge earlier or later.
 import numpy as np
 import pytest
 
-from lowreg_nlse.cubic import CubicScheme, CubicSchemeConfig, _nrsli2_rows, nrsli2_step_info
+from lowreg_nlse.cubic import CubicScheme, CubicSchemeConfig, _NonresonantMap, nrsli2_step_info
 from lowreg_nlse.quadratic import (
     FixedPointError,
     QuadNonlinearity,
     QuadSchemeConfig,
-    _sli2_conj_rows,
-    _sli2_rows,
+    _ModSquareMap,
+    _SquareMap,
     sli2_conj_step_info,
     sli2_step_info,
 )
 from lowreg_nlse.spectral import OperatorSymbols, TorusGrid, random_initial_data
 
-# public step, its rows core, and the config of one row
+# public step, its map class, and the config of one row
 _MAPS = {
-    "sli2": (sli2_step_info, _sli2_rows,
+    "sli2": (sli2_step_info, _SquareMap,
              lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.SQUARE)),
-    "sli2_conj": (sli2_conj_step_info, _sli2_conj_rows,
+    "sli2_conj": (sli2_conj_step_info, _ModSquareMap,
                   lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.MODULUS_SQUARE)),
-    "nrsli2": (nrsli2_step_info, _nrsli2_rows,
+    "nrsli2": (nrsli2_step_info, _NonresonantMap,
                lambda e, t: CubicSchemeConfig(e, t, CubicScheme.NRSLI2)),
 }
 
@@ -44,12 +44,12 @@ def _stack(n_modes):
 @pytest.mark.parametrize("n_modes", [6, 16, 128])
 @pytest.mark.parametrize("name", list(_MAPS))
 def test_mixed_stack_equals_one_row_calls(name, n_modes):
-    step, rows_core, config = _MAPS[name]
+    step, prepared, config = _MAPS[name]
     grid, fields, ops = _stack(n_modes)
     eps = tuple(e for e, _, _, _ in _ROWS)
     stacked = OperatorSymbols.stack(ops)
     c = np.stack([w.coeffs for w in fields])
-    out, iters = rows_core(c, eps, stacked.tau, stacked, 1e-12, 100)
+    out, iters = prepared(eps, stacked.tau, stacked, 1e-12, 100)(c)
     # the rows converge at different counts, so rows leave the stack early
     assert len(set(iters)) > 1
     for r, (w, o) in enumerate(zip(fields, ops)):
@@ -60,14 +60,14 @@ def test_mixed_stack_equals_one_row_calls(name, n_modes):
 
 @pytest.mark.parametrize("name", list(_MAPS))
 def test_stalled_row_is_named(name):
-    _, rows_core, _ = _MAPS[name]
+    _, prepared, _ = _MAPS[name]
     grid, fields, ops = _stack(16)
     c = np.stack([w.coeffs for w in fields])
     c[3] *= 200.0  # row 3 leaves the contraction regime
     stacked = OperatorSymbols.stack(ops)
     eps = tuple(e for e, _, _, _ in _ROWS)
     with pytest.raises(FixedPointError) as info:
-        rows_core(c, eps, stacked.tau, stacked, 1e-12, 100)
+        prepared(eps, stacked.tau, stacked, 1e-12, 100)(c)
     assert info.value.row == 3
 
 

@@ -30,7 +30,7 @@ from lowreg_nlse.spectral import (
     _SERIES_CUTOFF,
     _SplitMix64,
 )
-from lowreg_nlse.quadratic import _grid_products
+from lowreg_nlse.quadratic import _Stage
 
 
 def _random_field(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -183,7 +183,9 @@ def test_batched_products_equal_one_at_a_time(n):
     grid = TorusGrid(n)
     factors = [_random_field(grid, rng).coeffs for _ in range(3)]
     products = ((0, 0), (1, 2), (0, 0, 2), (2, 1, 0))
-    batched = _grid_products(factors, products, grid)
+    stage = _Stage(len(factors), products, (n,), grid)
+    stage.factors[...] = factors
+    batched = stage()
     assert batched.shape == (len(products), n)
     for row, indices in zip(batched, products):
         first, *rest = [values_from_coeffs(factors[i], grid) for i in indices]
