@@ -33,13 +33,16 @@ from .harness import (
     Equation,
     SimParams,
     SweepRecord,
+    _cell_refs,
     _check_error_vs_time,
     _check_eps_sweep,
     _check_ref_tau,
     _check_tau_sweep,
     _horizon,
+    _references,
     _run_single_point,
     error_vs_time,
+    make_initial_data,
     shared_references,
     sweep_eps,
     sweep_tau,
@@ -267,14 +270,13 @@ def run(config: argparse.Namespace) -> int:
     try:
         if config.subcommand == "simulate":
             params = _base_params(config, config.scheme)
-            finals = []
-            record, _ = _run_single_point(
-                params, params.eps, params.tau, params.t_final,
-                _check_ref_tau(config.tau, config.ref_tau), on_final=finals.append,
-            )
+            w0 = make_initial_data(params)
+            fine, finer = _cell_refs(params, w0, _check_ref_tau(config.tau, config.ref_tau))
+            [pair] = _references().pairs([(fine, finer)])
+            [record], _, final = _run_single_point(params, w0, pair, fine.sample_times)
             if config.snapshot_out:
                 with open(config.snapshot_out, "w") as fh:
-                    fh.write(field_to_text(finals[0]))
+                    fh.write(field_to_text(final))
                 print(f"wrote final field to {config.snapshot_out}")
             print(
                 f"{params.scheme} at tau {params.tau:g}: H^{params.error_norm_r:g} "

@@ -142,9 +142,9 @@ class _NonresonantMap(_Map):
     test shows it is not symmetric (see tests).
     """
 
-    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols, tol: float,
-                 max_iter: int, gh_half_step: bool = True) -> None:
-        super().__init__(eps, tau, ops, tol, max_iter)
+    def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int,
+                 gh_half_step: bool = True) -> None:
+        super().__init__(eps, ops, tol, max_iter)
         self.gh_half_step = gh_half_step
         e, t = self.eps, self.tau
         q = self.each(lambda e: e * e, e)
@@ -164,8 +164,8 @@ class _NonresonantMap(_Map):
         self._one = self.new_stage(2, ((0, 0, 1),))
         self._two = self.new_stage(3, ((0, 0, 1), (0, 0, 2)))
 
-    def _like(self, eps: tuple, tau: tuple, ops: OperatorSymbols) -> "_NonresonantMap":
-        return type(self)(eps, tau, ops, self.tol, self.max_iter, self.gh_half_step)
+    def _like(self, eps: tuple, ops: OperatorSymbols) -> "_NonresonantMap":
+        return type(self)(eps, ops, self.tol, self.max_iter, self.gh_half_step)
 
     @staticmethod
     def _filtered(stage, c: np.ndarray, symbols: tuple) -> np.ndarray:

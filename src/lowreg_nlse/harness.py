@@ -112,14 +112,14 @@ _STEPPERS: dict[tuple[Equation, str], tuple[str, Enum]] = {
     (Equation.CUBIC, "strang"): ("strang_step", CubicScheme.STRANG),
 }
 
-# prepared maps of the symmetric scheme each equation's references step with
-# (_reference_params picks the scheme): built from (eps, tau, ops, tol,
-# max_iter) for the rows of a (B, N) stack, row r with eps[r] and tau[r], a
-# call takes c to (c, Picard counts)
-_REFERENCE_MAPS = {
-    Equation.QUAD_SQUARE: _SquareMap,
-    Equation.QUAD_MODSQ: _ModSquareMap,
-    Equation.CUBIC: _NonresonantMap,
+# equation -> (symmetric scheme its references step with, prepared map of
+# that scheme).  The map is built from (eps, ops, tol, max_iter) for the rows
+# of a (B, N) stack, row r with eps[r] and the step of its symbols; a call
+# takes c to (c, Picard counts)
+_REFERENCES = {
+    Equation.QUAD_SQUARE: ("sli2", _SquareMap),
+    Equation.QUAD_MODSQ: ("sli2", _ModSquareMap),
+    Equation.CUBIC: ("nrsli2", _NonresonantMap),
 }
 
 
@@ -255,6 +255,12 @@ def _horizon_steps(params: SimParams) -> tuple[int, float]:
     return n_steps, n_steps * params.tau
 
 
+def _sample_steps(params: SimParams, times: Sequence[float]) -> list[int]:
+    """The step nearest each time, clamped to the trajectory's steps."""
+    n_steps, _ = _horizon_steps(params)
+    return [min(max(int(round(t / params.tau)), 0), n_steps) for t in times]
+
+
 def _build_stepper(
     params: SimParams,
 ) -> tuple[TorusGrid, Callable[[SpectralField], tuple[SpectralField, int | None]]]:
@@ -285,8 +291,7 @@ class _Track:
         self.where = where
         self.n_steps, self.t_actual = _horizon_steps(params)
         self.snap_at: dict[int, int] = {}
-        for t in sample_times:
-            k = min(max(int(round(t / params.tau)), 0), self.n_steps)
+        for k in _sample_steps(params, sample_times):
             self.snap_at[k] = self.snap_at.get(k, 0) + 1
         self.state: SpectralField | np.ndarray = w0
         self.sup_h1 = sobolev_norm(w0, 1.0)
@@ -306,7 +311,9 @@ class _Track:
             self.iters.append(it)
         self.sup_h1 = max(self.sup_h1, h1)
         if k in self.snap_at:
-            self.snapshots.extend([(k * self.tau, self._field())] * self.snap_at[k])
+            # one field for the snapshots and, at the last step, the result
+            self.state = self._field()
+            self.snapshots.extend([(k * self.tau, self.state)] * self.snap_at[k])
 
     def failure(self, k: int, exc: FixedPointError) -> SolverFailure:
         return SolverFailure(k, k * self.tau, exc, self.where)
@@ -354,7 +361,7 @@ def run_trajectory(
 # ---------------------------------------------------------------------------
 
 def _reference_params(params: SimParams, ref_tau: float, t_final: float) -> SimParams:
-    scheme = "nrsli2" if params.equation is Equation.CUBIC else "sli2"
+    scheme, _ = _REFERENCES[params.equation]
     return replace(params, scheme=scheme, tau=ref_tau, t_final=t_final)
 
 
@@ -405,7 +412,7 @@ def _pair_refs(
     w0: SpectralField,
     step: float,
     t_final: float,
-    sample_times: Sequence[float] = (),
+    sample_times: Sequence[float],
 ) -> tuple[_Reference, _Reference]:
     """The fine (step) and finer (step/2) halves of one reference pair."""
     times = tuple(sample_times)
@@ -450,9 +457,8 @@ def _run_rows(
     tracks = [_Track(p, rows[r][1], rows[r][2], _reference_name(p))
               for p, r in zip(params, order)]
     ops = OperatorSymbols.stack([OperatorSymbols.build(grid, p.tau) for p in params])
-    full = _REFERENCE_MAPS[first.equation](
-        tuple(p.eps for p in params), ops.tau, ops, first.fp_tol, first.fp_max_iter
-    )
+    _, prepared = _REFERENCES[first.equation]
+    full = prepared(tuple(p.eps for p in params), ops, first.fp_tol, first.fp_max_iter)
     step = full if len(rows) > 1 else full.last_row()
     c = np.stack([rows[r][1].coeffs for r in order])
     live = len(rows)
@@ -648,9 +654,9 @@ def _horizon(equation: Equation, T: float, eps: float) -> float:
 
 
 def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float):
-    """Reference pair of a sweep cell: ref_tau snapped to the cell's horizon."""
+    """Reference pair of a sweep cell: ref_tau snapped to the cell's horizon, sampled there."""
     _, t_actual = _horizon_steps(params)
-    return _pair_refs(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual)
+    return _pair_refs(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual, (t_actual,))
 
 
 def _cell_name(params: SimParams) -> str:
@@ -684,71 +690,66 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
 
 
 def _run_single_point(
-    base: SimParams,
-    eps: float,
-    tau: float,
-    t_final: float,
-    ref_tau: float,
-    pair: _ReferencePair | None = None,
-    on_final: Callable[[SpectralField], None] | None = None,
-) -> tuple[SweepRecord, float]:
-    """One sweep cell: trajectory against its reference pair, record + gap.
+    params: SimParams,
+    w0: SpectralField,
+    pair: _ReferencePair,
+    sample_times: Sequence[float],
+) -> tuple[list[SweepRecord], list[float], SpectralField]:
+    """params' trajectory from w0 against its reference pair at each sample time.
 
-    Without ``pair`` the cell builds its own.  ``on_final``, if given, is
-    handed the trajectory's final field.  ``wall_seconds`` times the cell's
-    trajectory and error evaluation, never the reference.
+    The pair must have been asked for the same times.  Returns a record and
+    the gap of the pair per sample time, and the trajectory's final field.
+    ``wall_seconds`` times the trajectory and its errors, never the reference.
     """
-    params = replace(base, eps=eps, tau=tau, t_final=t_final)
-    w0 = make_initial_data(params)
-    if pair is None:
-        [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
+    r = params.error_norm_r
     started = time.perf_counter()
     with _naming_failures(_cell_name(params)):
-        traj = run_trajectory(params, w0)
-    error = _norm_diff(traj.state, pair.fine.state, base.error_norm_r)
+        traj = run_trajectory(params, w0, sample_times)
+    errors = [_norm_diff(w, f, r) for (_, w), (_, f) in zip(traj.snapshots, pair.fine.snapshots)]
     wall = time.perf_counter() - started
-    if on_final is not None:
-        on_final(traj.state)
-    gap = _norm_diff(pair.fine.state, pair.finer.state, base.error_norm_r)
-    return _record(params, traj, traj.t_actual, error, gap, pair.ref_tau, wall), gap
+    gaps = [_norm_diff(f, g, r)
+            for (_, f), (_, g) in zip(pair.fine.snapshots, pair.finer.snapshots)]
+    records = [_record(params, traj, t, error, gap, pair.ref_tau, wall)
+               for (t, _), error, gap in zip(traj.snapshots, errors, gaps)]
+    return records, gaps, traj.state
 
 
 def _point_worker(payload) -> tuple[SweepRecord, float]:
-    base, eps, tau, t_final, ref_tau, pair = payload
-    return _run_single_point(base, eps, tau, t_final, ref_tau, pair)
+    """A sweep cell in a pool worker: its record and gap at the horizon."""
+    [record], [gap], _ = _run_single_point(*payload)
+    return record, gap
 
 
 def _run_points(
     base: SimParams,
-    cells: list[tuple[float, float, float]],
+    cells: Sequence[SimParams],
     ref_tau: float,
     jobs: int | None,
 ) -> tuple[list[SweepRecord], list[float]]:
-    """Run the cells against reference pairs taken from the shared store.
+    """Run the cells, each at its horizon, against reference pairs from the shared store.
 
-    The missing reference trajectories are built first, in lockstep batches
-    (one batch, or with jobs > 1 up to ``jobs`` of them); then the cells run,
-    each handed its pair.  With jobs > 1 both phases share one pool of at
-    most ``jobs`` workers.
+    Every cell starts from base's initial data.  The missing reference
+    trajectories are built first, in lockstep batches (one batch, or with
+    jobs > 1 up to ``jobs`` of them); then the cells run, each handed its
+    pair.  With jobs > 1 both phases share one pool of at most ``jobs``
+    workers.
     """
-    params = [replace(base, eps=eps, tau=tau, t_final=tf) for eps, tau, tf in cells]
-    requests = [_cell_refs(p, make_initial_data(p), ref_tau) for p in params]
+    w0 = make_initial_data(base)
+    requests = [_cell_refs(p, w0, ref_tau) for p in cells]
     store = _references()
     if jobs is not None and jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pairs = store.pairs(requests, pool.map, jobs)
-            payloads = [
-                (base, eps, tau, tf, ref_tau, pair)
-                for (eps, tau, tf), pair in zip(cells, pairs)
-            ]
-            costs = [_horizon_steps(p)[0] for p in params]
+            payloads = [(p, w0, pair, fine.sample_times)
+                        for p, pair, (fine, _) in zip(cells, pairs, requests)]
+            costs = [_horizon_steps(p)[0] for p in cells]
             outcomes = _longest_first(pool.map, _point_worker, payloads, costs)
     else:
         pairs = store.pairs(requests)
-        outcomes = [
-            _run_single_point(base, eps, tau, tf, ref_tau, pair)
-            for (eps, tau, tf), pair in zip(cells, pairs)
-        ]
+        outcomes = []
+        for p, pair, (fine, _) in zip(cells, pairs, requests):
+            [record], [gap], _ = _run_single_point(p, w0, pair, fine.sample_times)
+            outcomes.append((record, gap))
     records = [rec for rec, _ in outcomes]
     gaps = [gap for _, gap in outcomes]
     return records, gaps
@@ -768,7 +769,7 @@ def sweep_tau(
     """
     taus = [float(t) for t in tau_list]
     ref_tau = _check_tau_sweep(taus, ref_tau)
-    cells = [(base.eps, tau, base.t_final) for tau in taus]
+    cells = [replace(base, tau=tau) for tau in taus]
     records, gaps = _run_points(base, cells, ref_tau, jobs)
 
     coarse_idx = max(range(len(records)), key=lambda i: records[i].tau)
@@ -798,7 +799,7 @@ def sweep_eps(
     eps_values = [float(e) for e in eps_list]
     ref_tau = _check_eps_sweep(eps_values, base.tau, ref_tau)
 
-    cells = [(e, base.tau, _horizon(base.equation, T, e)) for e in eps_values]
+    cells = [replace(base, eps=e, t_final=_horizon(base.equation, T, e)) for e in eps_values]
     records, _ = _run_points(base, cells, ref_tau, jobs)
     fit = fit_order([(r.eps, r.error) for r in records], abscissa="eps")
     return records, fit
@@ -816,32 +817,12 @@ def error_vs_time(
     """
     times = [float(t) for t in sample_times]
     ref_tau = _check_error_vs_time(times, base.tau, base.t_final, ref_tau)
-
+    _, t_actual = _horizon_steps(base)
+    snapped = [k * base.tau for k in _sample_steps(base, times)]
     w0 = make_initial_data(base)
-    started = time.perf_counter()
-    with _naming_failures(_cell_name(base)):
-        traj = run_trajectory(base, w0, sample_times=times)
-    traj_seconds = time.perf_counter() - started
-    snapped = [t for t, _ in traj.snapshots]
-
-    m = max(10, int(round(base.tau / ref_tau)))
-    [pair] = _references().pairs(
-        [_pair_refs(base, w0, base.tau / m, traj.t_actual, snapped)]
-    )
-
-    started = time.perf_counter()
-    errors = [
-        _norm_diff(w_k, f_k, base.error_norm_r)
-        for (_, w_k), (_, f_k) in zip(traj.snapshots, pair.fine.snapshots)
-    ]
-    wall = traj_seconds + time.perf_counter() - started
-
-    records = []
-    for (t_k, _), error, (_, f_k), (_, g_k) in zip(
-        traj.snapshots, errors, pair.fine.snapshots, pair.finer.snapshots
-    ):
-        gap = _norm_diff(f_k, g_k, base.error_norm_r)
-        records.append(_record(base, traj, t_k, error, gap, pair.ref_tau, wall))
+    step = base.tau / int(round(base.tau / ref_tau))
+    [pair] = _references().pairs([_pair_refs(base, w0, step, t_actual, snapped)])
+    records, _, _ = _run_single_point(base, w0, pair, snapped)
     return records
 
 

@@ -171,19 +171,19 @@ class _Map:
     """The maps of one nonlinearity, prepared for fixed rows and Picard settings.
 
     Built once per trajectory (:func:`_prepared`) or per lockstep batch;
-    ``eps`` and ``tau`` are tuples with an entry per row.  Calling the map
-    takes the symmetric step of c and returns the solutions with the Picard
-    count of each row; its explicit first-order maps are methods.  A map
+    ``eps`` is a tuple with an entry per row, and each row steps by the
+    ``tau`` of its symbols.  Calling the map takes the symmetric step of c
+    and returns the solutions with the Picard count of each row; its
+    explicit first-order maps are methods.  A map
     holds the symbol arrays it uses, and a stack's map its symbols too, to
     narrow them; one field's map, kept on its symbols, holds no reference
     back to them.
     """
 
-    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols,
-                 tol: float, max_iter: int) -> None:
+    def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
         self.lone = ops.prop.ndim == 1
         # one field's eps and step as scalars, a stack's as tuples
-        self.eps, self.tau = (eps[0], tau[0]) if self.lone else (tuple(eps), tuple(tau))
+        self.eps, self.tau = eps[0] if self.lone else tuple(eps), ops.tau
         self.stacked = None if self.lone else ops
         self.shape = ops.prop.shape
         self.prop = ops.prop
@@ -222,8 +222,7 @@ class _Map:
             if len(self._taken) >= 16:
                 self._taken.clear()
             eps = tuple(e for e, k in zip(self.eps, keep) if k)
-            tau = tuple(t for t, k in zip(self.tau, keep) if k)
-            taken = self._taken[key] = self._like(eps, tau, self.stacked.take(keep))
+            taken = self._taken[key] = self._like(eps, self.stacked.take(keep))
         return taken
 
     def last_row(self) -> Callable[[np.ndarray], tuple[np.ndarray, list[int]]]:
@@ -231,15 +230,15 @@ class _Map:
 
         A lone field's scalars need no per-row glue; the bits are the same.
         """
-        lone = self._like(self.eps[:1], self.tau[:1], self.stacked.take(0))
+        lone = self._like(self.eps[:1], self.stacked.take(0))
 
         def step(c: np.ndarray) -> tuple[np.ndarray, list[int]]:
             u, iters = lone(c[0])
             return u[None], iters
         return step
 
-    def _like(self, eps: tuple, tau: tuple, ops: OperatorSymbols) -> "_Map":
-        return type(self)(eps, tau, ops, self.tol, self.max_iter)
+    def _like(self, eps: tuple, ops: OperatorSymbols) -> "_Map":
+        return type(self)(eps, ops, self.tol, self.max_iter)
 
     def new_stage(self, n_factors: int, products: tuple[tuple[int, ...], ...]) -> _Stage:
         """A stage with buffers for this map's rows."""
@@ -255,7 +254,7 @@ def _prepared(kind: type, cfg, ops: OperatorSymbols):
     key = (cfg.eps, cfg.fp_tol, cfg.fp_max_iter)
     slot = ops._maps.get(kind)
     if slot is None or slot[0] != key:
-        built = kind((cfg.eps,), (cfg.tau,), ops, cfg.fp_tol, cfg.fp_max_iter)
+        built = kind((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter)
         slot = ops._maps[kind] = (key, built)
     return slot[1]
 
@@ -319,9 +318,8 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
 class _SquareMap(_Map):
     """li1 and sli2 for eps w^2."""
 
-    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols,
-                 tol: float, max_iter: int) -> None:
-        super().__init__(eps, tau, ops, tol, max_iter)
+    def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
+        super().__init__(eps, ops, tol, max_iter)
         e, t = self.eps, self.tau
         self.ie_t = self.each(lambda e, t: 1j * e * t, e, t)
         self.two_ie_t = self.each(lambda e, t: 2j * e * t, e, t)
@@ -378,9 +376,8 @@ def _masses(c: np.ndarray):
 class _ModSquareMap(_Map):
     """li1 and sli2 for eps |w|^2."""
 
-    def __init__(self, eps: tuple, tau: tuple, ops: OperatorSymbols,
-                 tol: float, max_iter: int) -> None:
-        super().__init__(eps, tau, ops, tol, max_iter)
+    def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
+        super().__init__(eps, ops, tol, max_iter)
         e, t = self.eps, self.tau
         self.ie_t = self.each(lambda e, t: 1j * e * t, e, t)
         self.minus_ie_t = self.each(lambda e, t: -1j * e * t, e, t)

@@ -238,7 +238,7 @@ def _check_batched_maps() -> str:
     ]
     for name, step, prepared, config in maps:
         c = np.stack([w.coeffs for w in fields])
-        out, iters = prepared(eps, stacked.tau, stacked, 1e-12, 100)(c)
+        out, iters = prepared(eps, stacked, 1e-12, 100)(c)
         for r, (w, o) in enumerate(zip(fields, ops)):
             lone, lone_iters = step(w, config(eps[r], o.tau), o)
             if out[r].tobytes() != lone.coeffs.tobytes() or iters[r] != lone_iters:

@@ -212,6 +212,13 @@ def test_presets_parse(preset):
         parse_args(argv + ["--equation", "quad-modsq"])
 
 
+def test_presets_write_distinct_outputs():
+    # presets run one after another must not overwrite each other's CSV
+    outs = [json.loads(preset.read_text())["out"] for preset in _PRESETS]
+    assert len(outs) == 6
+    assert len(set(outs)) == len(outs)
+
+
 def test_simulate_rejects_scheme_list(tmp_path, capsys):
     with pytest.raises(SystemExit):
         parse_args(_simulate_args(tmp_path, scheme="li1,sli2"))
@@ -304,6 +311,17 @@ def test_error_vs_time_rows(tmp_path):
     rows = read_records_csv(str(out))
     assert [r.t_final for r in rows] == [0.0, 0.4, 1.0]
     assert rows[0].error == 0.0
+    # two times that snap to one step: a row each, the pair sampled there twice
+    code = main(
+        ["error-vs-time", "--equation", "quad-square", "--scheme", "li1,sli2",
+         "--eps", "0.5", "--tau", "0.1", "--sample-times", "0.41,0.44",
+         "--T", "0.5", "--theta", "2", "--modes", "16",
+         "--ref-tau", "1e-2", "--out", str(out)]
+    )
+    assert code == 0
+    rows = read_records_csv(str(out))
+    assert [(r.scheme, r.t_final) for r in rows] == [("li1", 0.4)] * 2 + [("sli2", 0.4)] * 2
+    assert rows[0].error == rows[1].error and rows[2].error == rows[3].error
 
 
 @pytest.fixture
@@ -389,6 +407,18 @@ def test_error_vs_time_schemes_share_one_pair(tmp_path, reference_builds):
     rows = read_records_csv(str(out))
     assert [r.scheme for r in rows] == ["li1"] * 3 + ["sli2"] * 3
     assert len({r.ref_tau for r in rows}) == 1
+
+
+def test_error_vs_time_names_a_reference_stall_first(tmp_path, capsys):
+    # the pair is requested before the scheme steps, as in the sweeps, so a
+    # reference that stalls is named although the cell would stall too
+    code = main(
+        ["error-vs-time", "--equation", "quad-modsq", "--scheme", "sli2",
+         "--eps", "0.5", "--tau", "0.05", "--T", "0.2", "--sample-times", "0.1,0.2",
+         "--modes", "16", "--fp-max-iter", "1", "--out", str(tmp_path / "stall.csv")]
+    )
+    assert code == 1
+    assert "in the reference trajectory (step 0.00025, eps 0.5)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fp_max_iter, failing_time", [

@@ -295,7 +295,7 @@ def test_full_step_gh_variant_is_not_symmetric():
     cfg_b = _cfg(eps, -tau, CubicScheme.NRSLI2)
 
     def full_step_gh(v, cfg, ops):
-        u, _ = _NonresonantMap((cfg.eps,), (cfg.tau,), ops, cfg.fp_tol, cfg.fp_max_iter,
+        u, _ = _NonresonantMap((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter,
                                gh_half_step=False)(v.coeffs)
         return SpectralField(grid, u)
 

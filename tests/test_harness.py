@@ -18,7 +18,7 @@ from lowreg_nlse.harness import (
     SimParams,
     SolverFailure,
     SweepRecord,
-    _run_single_point,
+    _run_points,
     error_vs_time,
     fit_order,
     make_initial_data,
@@ -38,6 +38,7 @@ from lowreg_nlse.cubic import (
     os18_step,
     strang_step,
 )
+from lowreg_nlse.oracles import riccati_zero_mode_square
 from lowreg_nlse.quadratic import (
     FixedPointError,
     QuadNonlinearity,
@@ -331,7 +332,7 @@ def test_reference_zero_mode_matches_riccati():
     coeffs[4] = v0
     w0 = SpectralField(grid, coeffs)
     ref = reference_solution(p, w0, ref_tau=1e-4)
-    exact = v0 / (1.0 + 1j * p.eps * 1.0 * v0)
+    exact = riccati_zero_mode_square(v0, p.eps, 1.0)
     assert abs(ref.coeffs[4] - exact) < 1e-8
     assert np.max(np.abs(np.delete(ref.coeffs, 4))) == 0.0
 
@@ -522,7 +523,7 @@ def test_unresolvable_point_is_flagged():
     # gap ~ 0.19*C*tau^2.  The public sweeps reject such a ref_tau outright;
     # the dominance flag is the second line of defense and must trip.
     base = _quad("sli2", tau=0.1, t_final=0.5)
-    record, gap = _run_single_point(base, base.eps, base.tau, base.t_final, 0.05)
+    [record], [gap] = _run_points(base, [base], 0.05, None)
     assert record.error < 10.0 * gap
     assert not record.reliable
 

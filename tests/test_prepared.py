@@ -55,7 +55,7 @@ def test_map_entry_points_return_fresh_arrays(kind, entry, rows):
     else:
         c, ops = np.stack(fields), OperatorSymbols.stack(
             [OperatorSymbols.build(grid, tau) for tau in taus])
-    prepared = kind((0.5, 0.3)[:rows], taus, ops, 1e-12, 100)
+    prepared = kind((0.5, 0.3)[:rows], ops, 1e-12, 100)
     states = []
     for _ in range(4):
         out = getattr(prepared, entry)(c)

@@ -49,7 +49,7 @@ def test_mixed_stack_equals_one_row_calls(name, n_modes):
     eps = tuple(e for e, _, _, _ in _ROWS)
     stacked = OperatorSymbols.stack(ops)
     c = np.stack([w.coeffs for w in fields])
-    out, iters = prepared(eps, stacked.tau, stacked, 1e-12, 100)(c)
+    out, iters = prepared(eps, stacked, 1e-12, 100)(c)
     # the rows converge at different counts, so rows leave the stack early
     assert len(set(iters)) > 1
     for r, (w, o) in enumerate(zip(fields, ops)):
@@ -67,7 +67,7 @@ def test_stalled_row_is_named(name):
     stacked = OperatorSymbols.stack(ops)
     eps = tuple(e for e, _, _, _ in _ROWS)
     with pytest.raises(FixedPointError) as info:
-        prepared(eps, stacked.tau, stacked, 1e-12, 100)(c)
+        prepared(eps, stacked, 1e-12, 100)(c)
     assert info.value.row == 3
 
 
