@@ -17,13 +17,17 @@ takes a raw ``--t-final``.  Exit status: 0 when every record is reliable,
 1 on solver/IO failure or unreliable records, 2 on usage errors, which
 include a config key or value the subcommand's flags do not take (a null
 value too), ``--eps`` on ``sweep-eps`` (its eps come from ``--eps-list``),
-every value :class:`~lowreg_nlse.harness.SimParams` rejects (named by its
-flag) and every check a run makes of its own lists and reference step.
+``--jobs`` below 1, every value :class:`~lowreg_nlse.harness.SimParams`
+rejects (named by its flag) and every check a run makes of its own lists
+and reference step.  So a nan or infinite step, horizon, ``--T``, list
+entry or ``--ref-tau`` is a usage error, and so is a nan ``--theta``,
+``--error-norm-r`` or ``--fp-tol``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -58,6 +62,9 @@ _FLAGS = {
     "t_final": "--t-final", "n_modes": "--modes", "theta": "--theta", "seed": "--seed",
     "error_norm_r": "--error-norm-r", "fp_tol": "--fp-tol", "fp_max_iter": "--fp-max-iter",
 }
+# the flag of each argument that may begin an error of a run's own checks
+_CHECKED_FLAGS = {"tau_list": "--tau-list", "sample_times": "--sample-times",
+                  "ref_tau": "--ref-tau"}
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -192,8 +199,10 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
     for name in ("tau_list", "eps_list", "sample_times"):
         if getattr(config, name, None) == []:
             parser.error(f"--{name.replace('_', '-')} must not be empty")
-    if sub != "simulate" and config.T <= 0:
-        parser.error(f"--T must be positive, got {config.T}")
+    if sub != "simulate" and not 0 < config.T < math.inf:
+        parser.error(f"--T must be positive and finite, got {config.T}")
+    if getattr(config, "jobs", None) is not None and config.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {config.jobs}")
     if sub == "sweep-eps":
         config.eps = config.eps_list[0]
     try:
@@ -208,7 +217,8 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
             _check_error_vs_time(config.sample_times, config.tau, bases[0].t_final,
                                  config.ref_tau)
     except ValueError as exc:
-        parser.error(str(exc))
+        flag = _CHECKED_FLAGS.get(str(exc).split()[0])
+        parser.error(f"{flag}: {exc}" if flag else str(exc))
 
 
 def _base_params(config: argparse.Namespace, scheme: str) -> SimParams:

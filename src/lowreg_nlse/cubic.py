@@ -24,7 +24,6 @@ import numpy as np
 from .spectral import (
     OperatorSymbols,
     SpectralField,
-    TorusGrid,
     coeffs_from_values,
     conjugate_coeffs,
     values_from_coeffs,
@@ -41,7 +40,6 @@ from .quadratic import (
 __all__ = [
     "CubicScheme",
     "CubicSchemeConfig",
-    "ResonanceWeights",
     "g_zero_mode",
     "h_field",
     "nrli1_step",
@@ -67,34 +65,6 @@ class CubicSchemeConfig(_StepConfig):
     scheme: CubicScheme = CubicScheme.NRLI1
     fp_tol: float = 1e-12
     fp_max_iter: int = 100
-
-
-@dataclass(frozen=True)
-class ResonanceWeights:
-    """Resonance structure of the cubic interaction at step size tau.
-
-    A quadruple (l; l1, l2, l3) with l = -l1 + l2 + l3 is resonant exactly
-    when (l - l2)(l - l3) = 0, i.e. one of the unconjugated indices repeats
-    the conjugated one; the phase defect factors as
-    l^2 + l1^2 - l2^2 - l3^2 = 2 (l - l2)(l - l3).  ``h_multiplier`` is the
-    diagonal weight 1 - phi1(2 i l^2 tau) used by the de-duplication term.
-    """
-
-    grid: TorusGrid
-    tau: float
-    h_multiplier: np.ndarray
-
-    @classmethod
-    def build(cls, ops: OperatorSymbols) -> "ResonanceWeights":
-        return cls(grid=ops.grid, tau=ops.tau, h_multiplier=ops.one_minus_phi1_2)
-
-    @staticmethod
-    def phase_defect(l: int, l1: int, l2: int, l3: int) -> int:
-        return l * l + l1 * l1 - l2 * l2 - l3 * l3
-
-    @staticmethod
-    def is_resonant(l: int, l2: int, l3: int) -> bool:
-        return l == l2 or l == l3
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ trajectory it would be alone.
 from __future__ import annotations
 
 import csv
+import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -152,15 +152,15 @@ class SimParams:
                 f"scheme {self.scheme!r} not available for {self.equation.value}"
                 f" (choose from {', '.join(valid)})"
             )
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive for trajectory runs")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite for trajectory runs")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be nonnegative and finite")
         _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
         TorusGrid(self.n_modes)
-        if self.theta < 0.0:
+        if not self.theta >= 0.0:
             raise ValueError("theta must be nonnegative")
-        if self.error_norm_r < 0.0:
+        if not self.error_norm_r >= 0.0:
             raise ValueError("error_norm_r must be nonnegative")
 
 
@@ -602,9 +602,11 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None) -> float:
-    """Reject fewer than 4 step sizes, a nonpositive one or a bad ref_tau for min(taus)."""
+    """Reject fewer than 4 step sizes, a nonfinite or nonpositive one or a bad ref_tau."""
     if len(taus) < 4:
         raise ValueError("tau sweep needs at least 4 step sizes")
+    if not all(map(math.isfinite, taus)):
+        raise ValueError("tau_list entries must be finite")
     if any(t <= 0 for t in taus):
         raise ValueError("step sizes must be positive")
     return _check_ref_tau(min(taus), ref_tau)
@@ -623,7 +625,9 @@ def _check_eps_sweep(eps_values: Sequence[float], tau: float, ref_tau: float | N
 
 def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
                         ref_tau: float | None) -> float:
-    """Reject sample times out of order, negative or past t_final, or ref_tau > tau/10."""
+    """Reject nonfinite, unordered, negative or past-t_final times, or a bad ref_tau."""
+    if not all(map(math.isfinite, times)):
+        raise ValueError("sample_times entries must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample times must be strictly increasing")
     if any(t < 0 for t in times):
@@ -637,7 +641,7 @@ def _check_ref_tau(tau: float, ref_tau: float | None) -> float:
     """ref_tau, or by default tau/100; reject a nonpositive one or one above tau/10."""
     if ref_tau is None:
         ref_tau = tau / 100.0
-    if ref_tau <= 0.0:
+    if not ref_tau > 0.0:
         raise ValueError("ref_tau must be positive")
     if ref_tau > tau / 10.0:
         raise ValueError("ref_tau must be at most tau/10")
@@ -685,7 +689,7 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
         wall_seconds=wall,
         fp_iter_max=traj.fp_iter_max,
         fp_iter_mean=traj.fp_iter_mean,
-        reliable=not (error < 10.0 * gap),
+        reliable=error >= 10.0 * gap,
     )
 
 
@@ -898,8 +902,11 @@ def _csv_value(row: dict, column: str):
 
 def write_records_csv(path: str, records: Sequence[SweepRecord]) -> None:
     """Write records atomically (temp file + rename); floats round-trip exactly."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
+    # a fresh name in the target directory, created under the process umask
+    # (mkstemp's files are 0600 whatever the umask)
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            f"tmp{os.urandom(8).hex()}.csv.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -29,7 +29,7 @@ from .spectral import (
     TorusGrid,
     coeffs_from_values,
     conjugate_coeffs,
-    sobolev_weights,
+    sobolev_norms,
     values_from_coeffs,
 )
 
@@ -53,7 +53,7 @@ def _check_settings(eps: float, fp_tol: float, fp_max_iter: int) -> None:
     """Reject an eps outside (0, 1], a nonpositive tolerance or no iterations."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if fp_tol <= 0.0:
+    if not fp_tol > 0.0:
         raise ValueError("fp_tol must be positive")
     if fp_max_iter < 1:
         raise ValueError("fp_max_iter must be at least 1")
@@ -268,18 +268,13 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
     Returns the solutions and the count of each row; a row that diverges or
     stalls raises FixedPointError with its row.
     """
-    weights = sobolev_weights(step.grid, 1.0)
     rows = None if step.lone else np.arange(len(guess))  # row of guess of each live row
     solution = iters = None
     u = guess
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, step.max_iter + 1):
             u_next = step.apply(u, explicit)
-            change = np.abs(u_next - u)
-            change *= weights
-            np.square(change, out=change)
-            # np.sqrt is correctly rounded, as math.sqrt is
-            residual = np.sqrt(change.sum(axis=-1))
+            residual = sobolev_norms(u_next - u, step.grid, 1.0)
             worst = residual if rows is None else residual.max()  # nan if any row's is
             if worst <= step.tol:
                 if solution is None:

@@ -20,7 +20,6 @@ import numpy as np
 from .cubic import (
     CubicScheme,
     CubicSchemeConfig,
-    ResonanceWeights,
     _NonresonantMap,
     nrli1_step,
     nrsli2_step_info,
@@ -169,23 +168,6 @@ def _check_zero_mode_reductions() -> str:
     return f"worst mismatch {worst:.1e}"
 
 
-def _check_resonance_classification() -> str:
-    count = 0
-    for l1 in range(-6, 7):
-        for l2 in range(-6, 7):
-            for l3 in range(-6, 7):
-                l = -l1 + l2 + l3
-                defect = ResonanceWeights.phase_defect(l, l1, l2, l3)
-                resonant = ResonanceWeights.is_resonant(l, l2, l3)
-                if (defect == 0) != resonant:
-                    raise AssertionError(
-                        f"classification disagrees with the phase defect at "
-                        f"(l1, l2, l3) = ({l1}, {l2}, {l3})"
-                    )
-                count += 1
-    return f"{count} interaction triples"
-
-
 def _check_phi1_identity() -> str:
     rng = np.random.default_rng(12)
     zs = rng.uniform(-30, 30, 40) + 1j * rng.uniform(-30, 30, 40)
@@ -279,7 +261,6 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("cubic convolution oracle (N=8,12,16)", _check_cubic_oracle),
     ("time-reversal symmetry of two-endpoint maps", _check_symmetry),
     ("constant-data zero-mode reductions", _check_zero_mode_reductions),
-    ("resonance classification vs phase defect", _check_resonance_classification),
     ("phi1 against expm1 decomposition", _check_phi1_identity),
     ("stacked transforms match row-by-row, bit for bit", _check_stacked_transforms),
     ("batched symmetric maps match one-row calls bit for bit", _check_batched_maps),

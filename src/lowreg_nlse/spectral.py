@@ -13,7 +13,6 @@ exp(-i t l^2).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar, Sequence
@@ -27,15 +26,11 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "free_propagate",
-    "antiderivative",
-    "apply_phi1_laplacian",
-    "conjugate_field",
     "sobolev_norm",
     "phi1",
     "random_initial_data",
     "field_to_text",
     "field_from_text",
-    "truncate_two_thirds",
 ]
 
 
@@ -106,12 +101,6 @@ class TorusGrid:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def _two_thirds_keep(self) -> np.ndarray:
-        keep = np.abs(self.wavenumbers) <= self.n_modes // 3
-        keep.setflags(write=False)
-        return keep
-
 
 def coeffs_from_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """DFT of grid samples to ascending-l coefficients (array level).
@@ -174,10 +163,6 @@ class SpectralField:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    def values(self) -> np.ndarray:
-        """Samples at the collocation points (new array)."""
-        return values_from_coeffs(self.coeffs, self.grid)
-
 
 def forward_transform(values: np.ndarray, grid: TorusGrid) -> SpectralField:
     """Transform N complex samples at the collocation points to a SpectralField."""
@@ -191,23 +176,13 @@ def forward_transform(values: np.ndarray, grid: TorusGrid) -> SpectralField:
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Samples f(x_j) = sum_l f_hat[l] exp(i l x_j); inverse of forward_transform."""
-    return field.values()
+    return values_from_coeffs(field.coeffs, field.grid)
 
 
 def free_propagate(field: SpectralField, t: float) -> SpectralField:
     """Apply exp(i t dxx): multiply mode l by exp(-i t l^2)."""
     k = field.grid.wavenumbers
     return SpectralField(field.grid, field.coeffs * np.exp(-1j * t * (k * k)))
-
-
-def antiderivative(field: SpectralField) -> SpectralField:
-    """Regularized antiderivative: divide mode l by (i l), zero the mean mode."""
-    return SpectralField(field.grid, field.coeffs * field.grid._inv_ik)
-
-
-def conjugate_field(field: SpectralField) -> SpectralField:
-    """The pointwise complex conjugate of the field (computed spectrally)."""
-    return SpectralField(field.grid, conjugate_coeffs(field.coeffs))
 
 
 _SERIES_CUTOFF = 1e-6
@@ -241,12 +216,6 @@ def phi1(z):
     return out
 
 
-def apply_phi1_laplacian(field: SpectralField, a: complex) -> SpectralField:
-    """Apply phi1(a * dxx): multiply mode l by phi1(-a l^2)."""
-    k = field.grid.wavenumbers
-    return SpectralField(field.grid, field.coeffs * phi1(-a * (k * k).astype(np.float64)))
-
-
 def sobolev_weights(grid: TorusGrid, r: float) -> np.ndarray:
     """The H^r weights (1 + |l|)^r in ascending l order.
 
@@ -257,22 +226,24 @@ def sobolev_weights(grid: TorusGrid, r: float) -> np.ndarray:
     return (1.0 + np.abs(grid.wavenumbers)) ** float(r)
 
 
-def sobolev_norm(field: SpectralField, r: float) -> float:
-    """H^r norm: sqrt(sum_l (1+|l|)^{2r} |f_hat[l]|^2).  r = 0 is the L2/Parseval norm."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    w = sobolev_weights(field.grid, r)
-    c = field.coeffs
-    return math.sqrt(float(((w * np.abs(c)) ** 2).sum()))
-
-
 def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, r: float) -> np.ndarray:
-    """H^r norm of each row of a ``(B, N)`` coefficient stack.
+    """H^r norm sqrt(sum_l (1+|l|)^{2r} |f_hat[l]|^2) along the last axis.
 
-    Row for row the same arithmetic as :func:`sobolev_norm`, so each entry
-    equals the norm of that row's field bit for bit.
+    One coefficient row gives a scalar and a ``(B, N)`` stack one norm per
+    row, each bit for bit the norm of that row alone.
     """
-    return np.sqrt(((sobolev_weights(grid, r) * np.abs(coeffs)) ** 2).sum(axis=-1))
+    a = np.abs(coeffs)
+    a *= sobolev_weights(grid, r)
+    np.square(a, out=a)
+    # np.sqrt is correctly rounded, as math.sqrt is
+    return np.sqrt(a.sum(axis=-1))
+
+
+def sobolev_norm(field: SpectralField, r: float) -> float:
+    """H^r norm of a field; r = 0 is the L2/Parseval norm."""
+    if not r >= 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    return float(sobolev_norms(field.coeffs, field.grid, r))
 
 
 _U64 = (1 << 64) - 1
@@ -303,7 +274,7 @@ def random_initial_data(grid: TorusGrid, theta: float, seed: int) -> SpectralFie
     ascending l, real part before imaginary part, from a splitmix64 generator
     seeded with ``seed`` — bit-identical across runs and platforms.
     """
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     rng = _SplitMix64(seed)
     k = grid.wavenumbers
@@ -341,11 +312,6 @@ def field_from_text(text: str) -> SpectralField:
             )
         coeffs[i] = complex(float(re_str), float(im_str))
     return SpectralField(grid, coeffs)
-
-
-def truncate_two_thirds(field: SpectralField) -> SpectralField:
-    """2/3-rule dealiasing filter: zero all modes with |l| > N/3 (diagnostic)."""
-    return SpectralField(field.grid, np.where(field.grid._two_thirds_keep, field.coeffs, 0.0))
 
 
 @dataclass(frozen=True)

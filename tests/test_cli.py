@@ -134,7 +134,11 @@ def test_config_values_are_usage_errors(tmp_path, capsys, argv, cfg, message):
     ("--error-norm-r", "-1", "error_norm_r must be nonnegative"),
     ("--scheme", "os18", "scheme 'os18' not available for quad-square"),
     ("--modes", "5", "--modes: n_modes must be an even integer >= 4"),
-], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme", "modes"])
+    ("--fp-tol", "nan", "--fp-tol: fp_tol must be positive"),
+    ("--theta", "nan", "--theta: theta must be nonnegative"),
+    ("--error-norm-r", "nan", "--error-norm-r: error_norm_r must be nonnegative"),
+], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme", "modes", "fp-tol-nan", "theta-nan",
+        "error-norm-r-nan"])
 @pytest.mark.parametrize("subcommand", ["simulate", "sweep-tau"])
 def test_bad_run_settings_are_usage_errors(tmp_path, capsys, subcommand, flag, value, message):
     if subcommand == "simulate":
@@ -170,8 +174,22 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
     (_ERROR_VS_TIME + ["--sample-times", "0.5,0.2"], "sample times must be strictly increasing"),
     (_SIMULATE + ["--ref-tau", "0.1"], "ref_tau must be at most tau/10"),
     (_SIMULATE + ["--ref-tau", "0"], "ref_tau must be positive"),
+    (_SIMULATE + ["--tau", "nan"], "--tau: tau must be positive and finite"),
+    (_SIMULATE + ["--tau", "inf"], "--tau: tau must be positive and finite"),
+    (_SIMULATE + ["--ref-tau", "nan"], "--ref-tau: ref_tau must be positive"),
+    (_SIMULATE + ["--t-final", "inf"], "--t-final: t_final must be nonnegative and finite"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,nan,0.025,0.0125"],
+     "--tau-list: tau_list entries must be finite"),
+    (_ERROR_VS_TIME + ["--sample-times", "0.1,nan"],
+     "--sample-times: sample_times entries must be finite"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--T", "nan"], "--T must be positive and finite"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--T", "inf"],
+     "--T must be positive and finite"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--jobs", "-4"], "--jobs must be at least 1"),
 ], ids=["eps-range", "eps-order", "eps-count", "tau-sign", "tau-count", "ref-tau",
-        "sample-order", "simulate-ref-tau", "simulate-ref-tau-zero"])
+        "sample-order", "simulate-ref-tau", "simulate-ref-tau-zero", "tau-nan", "tau-inf",
+        "ref-tau-nan", "t-final-inf", "tau-list-nan", "sample-times-nan", "T-nan", "T-inf",
+        "jobs-negative"])
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     # the sweep's own check, run at parse time: exit 2 before any trajectory
     monkeypatch.setattr(harness, "run_trajectory", None)

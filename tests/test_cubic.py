@@ -6,7 +6,6 @@ import pytest
 from lowreg_nlse.cubic import (
     CubicScheme,
     CubicSchemeConfig,
-    ResonanceWeights,
     _NonresonantMap,
     g_zero_mode,
     h_field,
@@ -88,22 +87,12 @@ def test_resonance_identity_exhaustive():
         for l2 in rng:
             for l3 in rng:
                 l = -l1 + l2 + l3
-                defect = ResonanceWeights.phase_defect(l, l1, l2, l3)
+                defect = l * l + l1 * l1 - l2 * l2 - l3 * l3
                 assert defect == 2 * (l - l2) * (l - l3)
                 # resonant <=> one unconjugated index equals the conjugated one
                 assert (defect == 0) == (l2 == l1 or l3 == l1) or (l - l2) * (
                     l - l3
                 ) != 0
-
-
-def test_resonance_weights_build():
-    grid = TorusGrid(16)
-    ops = OperatorSymbols.build(grid, 0.2)
-    rw = ResonanceWeights.build(ops)
-    assert rw.tau == 0.2
-    np.testing.assert_array_equal(rw.h_multiplier, ops.one_minus_phi1_2)
-    assert rw.is_resonant(3, 3, 7) and rw.is_resonant(5, 2, 5)
-    assert not rw.is_resonant(4, 2, 5)
 
 
 # ---------------------------------------------------------------------------

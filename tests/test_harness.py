@@ -128,6 +128,14 @@ def test_bad_numeric_params_rejected(kw):
         _quad(**kw)
 
 
+@pytest.mark.parametrize("error, gap", [(math.nan, 0.0), (math.nan, math.nan), (1.0, math.nan)])
+def test_record_with_nan_error_or_gap_is_unreliable(error, gap):
+    p = _quad(t_final=0.0)
+    traj = run_trajectory(p, make_initial_data(p))
+    record = harness._record(p, traj, 0.0, error, gap, 1e-3, 0.0)
+    assert record.reliable is False
+
+
 def test_params_pickle_round_trip():
     p = _cubic(scheme="nrsli2")
     assert pickle.loads(pickle.dumps(p)) == p
@@ -678,6 +686,16 @@ def test_csv_overwrite_is_atomic_replace(tmp_path):
     assert read_records_csv(str(path))[0].scheme == "sli2"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_csv_mode_follows_the_umask(tmp_path):
+    # as any file open() creates there, not mkstemp's 0600
+    path = tmp_path / "records.csv"
+    write_records_csv(str(path), _sample_records())
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w"):
+        pass
+    assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_csv_rejects_foreign_header(tmp_path):

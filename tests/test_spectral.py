@@ -1,21 +1,21 @@
 """Tests for the spectral core: transforms, symbols, norms, random data, serialization."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lowreg_nlse
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
     TorusGrid,
-    antiderivative,
-    apply_phi1_laplacian,
     coeffs_from_values,
     conjugate_coeffs,
-    conjugate_field,
     field_from_text,
     field_to_text,
     forward_transform,
@@ -24,8 +24,8 @@ from lowreg_nlse.spectral import (
     phi1,
     random_initial_data,
     sobolev_norm,
+    sobolev_norms,
     sobolev_weights,
-    truncate_two_thirds,
     values_from_coeffs,
     _SERIES_CUTOFF,
     _SplitMix64,
@@ -210,8 +210,8 @@ def test_conjugate_field_matches_grid_conjugation():
     grid = TorusGrid(32)
     f = _random_field(grid, rng)
     direct = forward_transform(np.conj(inverse_transform(f)), grid)
-    flipped = conjugate_field(f)
-    np.testing.assert_allclose(flipped.coeffs, direct.coeffs, atol=1e-13)
+    flipped = conjugate_coeffs(f.coeffs)
+    np.testing.assert_allclose(flipped, direct.coeffs, atol=1e-13)
     # and the index-flip route is exactly an involution
     twice = conjugate_coeffs(conjugate_coeffs(f.coeffs))
     np.testing.assert_array_equal(twice, f.coeffs)
@@ -260,23 +260,27 @@ def test_free_propagate_group_property(s, t, seed):
 
 
 # ---------------------------------------------------------------------------
-# antiderivative
+# antiderivative symbol inv_dx
 # ---------------------------------------------------------------------------
+
+def _inv_dx(grid: TorusGrid) -> np.ndarray:
+    return OperatorSymbols.build(grid, 0.1).inv_dx
+
 
 def test_antiderivative_kills_constants():
     grid = TorusGrid(8)
     coeffs = np.zeros(8, dtype=complex)
     coeffs[grid.n_modes // 2] = 5.0
-    out = antiderivative(SpectralField(grid, coeffs))
-    assert np.all(out.coeffs == 0)
+    out = coeffs * _inv_dx(grid)
+    assert np.all(out == 0)
 
 
 def test_antiderivative_single_mode():
     # e^{ix} -> -i e^{ix}
     grid = TorusGrid(8)
     coeffs = (grid.wavenumbers == 1).astype(complex)
-    out = antiderivative(SpectralField(grid, coeffs))
-    assert out.coeffs[grid.n_modes // 2 + 1] == pytest.approx(-1j, abs=1e-15)
+    out = coeffs * _inv_dx(grid)
+    assert out[grid.n_modes // 2 + 1] == pytest.approx(-1j, abs=1e-15)
 
 
 def test_antiderivative_inverts_derivative_on_zero_mean():
@@ -287,10 +291,10 @@ def test_antiderivative_inverts_derivative_on_zero_mean():
     c[grid.n_modes // 2] = 0.0  # zero-mean subspace
     f = SpectralField(grid, c)
     derived = SpectralField(grid, 1j * grid.wavenumbers * f.coeffs)
-    back = antiderivative(derived)
-    np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
+    back = derived.coeffs * _inv_dx(grid)
+    np.testing.assert_allclose(back, f.coeffs, atol=1e-13)
     # both annihilate the zero mode
-    assert antiderivative(derived).coeffs[grid.n_modes // 2] == 0
+    assert back[grid.n_modes // 2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +353,6 @@ class TestPhi1:
         assert abs(out[1] - phi1(0.8j)) == 0.0
 
 
-def test_apply_phi1_laplacian_zero_scale_is_identity():
-    rng = np.random.default_rng(43)
-    f = _random_field(TorusGrid(16), rng)
-    g = apply_phi1_laplacian(f, 0.0)
-    np.testing.assert_array_equal(g.coeffs, f.coeffs)
-
-
-def test_apply_phi1_laplacian_leaves_zero_mode():
-    grid = TorusGrid(8)
-    coeffs = np.zeros(8, dtype=complex)
-    coeffs[grid.n_modes // 2] = 3.0 - 1.0j
-    g = apply_phi1_laplacian(SpectralField(grid, coeffs), -2j * 0.1)
-    np.testing.assert_array_equal(g.coeffs, coeffs)
-
-
-def test_apply_phi1_laplacian_mode_two():
-    # a = -2i tau with tau = 0.1 at l = 2: multiplier phi1(2i * 0.1 * 4) = phi1(0.8i)
-    grid = TorusGrid(8)
-    tau = 0.1
-    coeffs = (grid.wavenumbers == 2).astype(complex)
-    g = apply_phi1_laplacian(SpectralField(grid, coeffs), -2j * tau)
-    want = 0.8966951136244035 + 0.37911661331604324j
-    assert abs(g.coeffs[grid.n_modes // 2 + 2] - want) < 1e-15
-
-
 # ---------------------------------------------------------------------------
 # Sobolev norm
 # ---------------------------------------------------------------------------
@@ -400,6 +379,10 @@ def test_sobolev_norm_with_cached_h1_weights_equals_direct_formula(n):
     assert sobolev_norm(f, 1.0) == direct
     assert sobolev_weights(grid, 1) is sobolev_weights(grid, 1.0)
     assert np.array_equal(sobolev_weights(grid, 1.0), weights)
+    # a (B, N) stack: each row's norm is that row's direct formula, bit for bit
+    stack = np.stack([random_initial_data(grid, 1.0, n + b).coeffs for b in range(3)])
+    rows = [math.sqrt(float(np.sum((weights * np.abs(c)) ** 2))) for c in stack]
+    assert sobolev_norms(stack, grid, 1.0).tolist() == rows
 
 
 def test_sobolev_norm_rejects_negative_order():
@@ -576,13 +559,16 @@ def test_field_text_round_trip_property(seed, theta):
 
 
 # ---------------------------------------------------------------------------
-# 2/3-rule filter
+# public names
 # ---------------------------------------------------------------------------
 
-def test_truncate_two_thirds():
-    grid = TorusGrid(16)
-    f = SpectralField(grid, np.ones(16, dtype=complex))
-    g = truncate_two_thirds(f)
-    kept = np.abs(grid.wavenumbers) <= grid.n_modes // 3
-    np.testing.assert_array_equal(g.coeffs[kept], 1.0)
-    np.testing.assert_array_equal(g.coeffs[~kept], 0.0)
+def test_every_exported_name_resolves():
+    # the package's __all__ and that of each of its modules
+    names = ["lowreg_nlse"] + [f"lowreg_nlse.{m.name}"
+                               for m in pkgutil.iter_modules(lowreg_nlse.__path__)]
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert missing == []
