@@ -62,9 +62,9 @@ _FLAGS = {
     "t_final": "--t-final", "n_modes": "--modes", "theta": "--theta", "seed": "--seed",
     "error_norm_r": "--error-norm-r", "fp_tol": "--fp-tol", "fp_max_iter": "--fp-max-iter",
 }
-# the flag of each argument that may begin an error of a run's own checks
-_CHECKED_FLAGS = {"tau_list": "--tau-list", "sample_times": "--sample-times",
-                  "ref_tau": "--ref-tau"}
+# the flag of each argument that begins an error of a run's own checks
+_CHECKED_FLAGS = {"tau_list": "--tau-list", "eps_list": "--eps-list",
+                  "sample_times": "--sample-times", "ref_tau": "--ref-tau"}
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -217,15 +217,16 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
             _check_error_vs_time(config.sample_times, config.tau, bases[0].t_final,
                                  config.ref_tau)
     except ValueError as exc:
-        flag = _CHECKED_FLAGS.get(str(exc).split()[0])
+        flag = _CHECKED_FLAGS.get(str(exc).split()[0].rstrip(":"))
         parser.error(f"{flag}: {exc}" if flag else str(exc))
 
 
 def _base_params(config: argparse.Namespace, scheme: str) -> SimParams:
     """One scheme's SimParams, from the flags, at the command's horizon.
 
-    A rejected value raises ValueError naming its flag.  A sweep replaces eps
-    and tau cell by cell, sweep-eps the horizon too.
+    A rejected value raises ValueError naming its flag; sweep-eps takes its
+    eps from --eps-list.  A sweep replaces eps and tau cell by cell,
+    sweep-eps the horizon too.
     """
     sub = config.subcommand
     try:
@@ -243,7 +244,8 @@ def _base_params(config: argparse.Namespace, scheme: str) -> SimParams:
             fp_max_iter=config.fp_max_iter,
         )
     except ValueError as exc:
-        flag = _FLAGS.get(str(exc).split()[0])
+        field = str(exc).split()[0]
+        flag = "--eps-list" if (sub, field) == ("sweep-eps", "eps") else _FLAGS.get(field)
         raise ValueError(f"{flag}: {exc}" if flag else str(exc)) from None
     if sub == "simulate":
         return params
@@ -281,9 +283,9 @@ def run(config: argparse.Namespace) -> int:
         if config.subcommand == "simulate":
             params = _base_params(config, config.scheme)
             w0 = make_initial_data(params)
-            fine, finer = _cell_refs(params, w0, _check_ref_tau(config.tau, config.ref_tau))
-            [pair] = _references().pairs([(fine, finer)])
-            [record], _, final = _run_single_point(params, w0, pair, fine.sample_times)
+            ref_tau = _check_ref_tau(config.tau, config.ref_tau)
+            [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
+            [record], _, final = _run_single_point(params, w0, pair)
             if config.snapshot_out:
                 with open(config.snapshot_out, "w") as fh:
                     fh.write(field_to_text(final))

@@ -29,7 +29,6 @@ from .spectral import (
     values_from_coeffs,
 )
 from .quadratic import (
-    FixedPointError,
     _Map,
     _StepConfig,
     _check,

@@ -365,17 +365,6 @@ def _reference_params(params: SimParams, ref_tau: float, t_final: float) -> SimP
     return replace(params, scheme=scheme, tau=ref_tau, t_final=t_final)
 
 
-def _snap_to_horizon(t_actual: float, ref_tau: float) -> float:
-    """Step nearest ref_tau that divides t_actual into an integer step count.
-
-    A zero horizon takes no step, so ref_tau comes back unchanged.
-    """
-    if t_actual == 0.0:
-        return ref_tau
-    n = max(1, int(round(t_actual / ref_tau)))
-    return t_actual / n
-
-
 @dataclass(frozen=True, eq=False)
 class _Reference:
     """One reference trajectory: the symmetric scheme from w0 at step up to t_final.
@@ -407,28 +396,14 @@ class _Reference:
         )
 
 
-def _pair_refs(
-    params: SimParams,
-    w0: SpectralField,
-    step: float,
-    t_final: float,
-    sample_times: Sequence[float],
-) -> tuple[_Reference, _Reference]:
-    """The fine (step) and finer (step/2) halves of one reference pair."""
-    times = tuple(sample_times)
-    return (
-        _Reference(params, w0, step, t_final, times),
-        _Reference(params, w0, step / 2.0, t_final, times),
-    )
-
-
 @dataclass(frozen=True)
 class _ReferencePair:
-    """Fine (``ref_tau``) and finer (``ref_tau/2``) trajectories of one pair."""
+    """Fine (``ref_tau``) and finer (``ref_tau/2``) trajectories, both at ``sample_times``."""
 
     fine: TrajectoryResult
     finer: TrajectoryResult
     ref_tau: float
+    sample_times: tuple[float, ...]
 
 
 def _reference_name(params: SimParams) -> str:
@@ -508,46 +483,39 @@ class _ReferenceStore:
     ) -> list[tuple[float, TrajectoryResult]]:
         """(step, trajectory) of each of refs, building the missing ones via mapper.
 
-        The missing ones are grouped by equation, N, fp_tol and fp_max_iter.
-        A group's trajectories, longest first, are dealt round-robin into
-        min(batches, size) batches; each batch is one mapper task and
-        advances in lockstep.
+        refs are the references of one command: they share equation, N,
+        fp_tol and fp_max_iter.  The missing trajectories, longest first, are
+        dealt round-robin into min(batches, count) lots, so the lots too come
+        longest first; each lot is one mapper task and advances in lockstep.
         """
         todo: dict[tuple, _Reference] = {}
         for ref in refs:
             if ref.key not in self._built:
                 todo.setdefault(ref.key, ref)
-        groups: dict[tuple, list[_Reference]] = {}
-        for ref in sorted(todo.values(), key=lambda r: r.n_steps, reverse=True):
-            p = ref.params
-            groups.setdefault((p.equation, p.n_modes, p.fp_tol, p.fp_max_iter), []).append(ref)
-        lots = [
-            group[i::n]
-            for group in groups.values()
-            for n in [min(batches, len(group))]
-            for i in range(n)
-        ]
+        missing = sorted(todo.values(), key=lambda r: r.n_steps, reverse=True)
+        n = min(batches, len(missing))
+        lots = [missing[i::n] for i in range(n)]
         tasks = [
             [(_reference_params(r.params, r.step, r.t_final), r.w0, r.sample_times)
              for r in lot]
             for lot in lots
         ]
-        results = _longest_first(
-            mapper, _run_rows, tasks, [lot[0].n_steps for lot in lots]
-        )
-        for lot, trajectories in zip(lots, results):
+        for lot, trajectories in zip(lots, mapper(_run_rows, tasks)):
             for ref, result in zip(lot, trajectories):
                 self._built[ref.key] = (ref.step, result)
         return [self._built[ref.key] for ref in refs]
 
     def pairs(
-        self, requests: Sequence[tuple[_Reference, _Reference]], mapper=map,
-        batches: int = 1,
+        self, fines: Sequence[_Reference], mapper=map, batches: int = 1
     ) -> list[_ReferencePair]:
-        built = self.build([ref for pair in requests for ref in pair], mapper, batches)
+        """The pair of each fine reference: it and its finer half at half its step."""
+        built = self.build(
+            [ref for fine in fines for ref in (fine, replace(fine, step=fine.step / 2.0))],
+            mapper, batches,
+        )
         return [
-            _ReferencePair(fine, finer, step)
-            for (step, fine), (_, finer) in zip(built[0::2], built[1::2])
+            _ReferencePair(fine, finer, step, ref.sample_times)
+            for ref, (step, fine), (_, finer) in zip(fines, built[0::2], built[1::2])
         ]
 
 
@@ -584,9 +552,7 @@ def reference_solution(
     exactly.
     """
     _check_ref_tau(params.tau, ref_tau)
-    _, t_actual = _horizon_steps(params)
-    ref = _Reference(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual)
-    [(_, traj)] = _ReferenceStore().build([ref])
+    [(_, traj)] = _ReferenceStore().build([_cell_refs(params, w0, ref_tau)])
     return traj.state
 
 
@@ -598,28 +564,29 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # sweep arguments
 #
 # Each sweep and the CLI (at parse time) run the same check of its lists;
-# each returns the reference step, ref_tau or its default.
+# each returns the reference step, ref_tau or its default.  Every message
+# begins with the argument it rejects.
 # ---------------------------------------------------------------------------
 
 def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None) -> float:
     """Reject fewer than 4 step sizes, a nonfinite or nonpositive one or a bad ref_tau."""
     if len(taus) < 4:
-        raise ValueError("tau sweep needs at least 4 step sizes")
+        raise ValueError("tau_list: tau sweep needs at least 4 step sizes")
     if not all(map(math.isfinite, taus)):
         raise ValueError("tau_list entries must be finite")
     if any(t <= 0 for t in taus):
-        raise ValueError("step sizes must be positive")
+        raise ValueError("tau_list: step sizes must be positive")
     return _check_ref_tau(min(taus), ref_tau)
 
 
 def _check_eps_sweep(eps_values: Sequence[float], tau: float, ref_tau: float | None) -> float:
     """Reject fewer than 3 eps, one outside (0, 1], a non-decreasing list or ref_tau > tau/10."""
     if len(eps_values) < 3:
-        raise ValueError("eps sweep needs at least 3 values")
+        raise ValueError("eps_list: eps sweep needs at least 3 values")
     if any(not 0.0 < e <= 1.0 for e in eps_values):
-        raise ValueError("eps values must lie in (0, 1]")
+        raise ValueError("eps_list: eps values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("eps values must be strictly decreasing")
+        raise ValueError("eps_list: eps values must be strictly decreasing")
     return _check_ref_tau(tau, ref_tau)
 
 
@@ -629,11 +596,11 @@ def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
     if not all(map(math.isfinite, times)):
         raise ValueError("sample_times entries must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must be strictly increasing")
+        raise ValueError("sample_times: sample times must be strictly increasing")
     if any(t < 0 for t in times):
-        raise ValueError("sample times must be nonnegative")
+        raise ValueError("sample_times: sample times must be nonnegative")
     if times and times[-1] > t_final + tau / 2.0:
-        raise ValueError("sample times must not exceed t_final")
+        raise ValueError("sample_times: sample times must not exceed t_final")
     return _check_ref_tau(tau, ref_tau)
 
 
@@ -657,10 +624,16 @@ def _horizon(equation: Equation, T: float, eps: float) -> float:
     return T / (eps * eps) if equation is Equation.CUBIC else T / eps
 
 
-def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float):
-    """Reference pair of a sweep cell: ref_tau snapped to the cell's horizon, sampled there."""
+def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float) -> _Reference:
+    """Fine reference of a cell, sampled at its horizon.
+
+    Its step is the one nearest ref_tau that divides the horizon into a whole
+    number of steps; a zero horizon takes no step and keeps ref_tau.
+    """
     _, t_actual = _horizon_steps(params)
-    return _pair_refs(params, w0, _snap_to_horizon(t_actual, ref_tau), t_actual, (t_actual,))
+    if t_actual > 0.0:
+        ref_tau = t_actual / max(1, int(round(t_actual / ref_tau)))
+    return _Reference(params, w0, ref_tau, t_actual, (t_actual,))
 
 
 def _cell_name(params: SimParams) -> str:
@@ -697,18 +670,17 @@ def _run_single_point(
     params: SimParams,
     w0: SpectralField,
     pair: _ReferencePair,
-    sample_times: Sequence[float],
 ) -> tuple[list[SweepRecord], list[float], SpectralField]:
-    """params' trajectory from w0 against its reference pair at each sample time.
+    """params' trajectory from w0 against its reference pair at the pair's sample times.
 
-    The pair must have been asked for the same times.  Returns a record and
-    the gap of the pair per sample time, and the trajectory's final field.
-    ``wall_seconds`` times the trajectory and its errors, never the reference.
+    Returns a record and the gap of the pair per sample time, and the
+    trajectory's final field.  ``wall_seconds`` times the trajectory and its
+    errors, never the reference.
     """
     r = params.error_norm_r
     started = time.perf_counter()
     with _naming_failures(_cell_name(params)):
-        traj = run_trajectory(params, w0, sample_times)
+        traj = run_trajectory(params, w0, pair.sample_times)
     errors = [_norm_diff(w, f, r) for (_, w), (_, f) in zip(traj.snapshots, pair.fine.snapshots)]
     wall = time.perf_counter() - started
     gaps = [_norm_diff(f, g, r)
@@ -739,20 +711,18 @@ def _run_points(
     workers.
     """
     w0 = make_initial_data(base)
-    requests = [_cell_refs(p, w0, ref_tau) for p in cells]
+    fines = [_cell_refs(p, w0, ref_tau) for p in cells]
     store = _references()
     if jobs is not None and jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = store.pairs(requests, pool.map, jobs)
-            payloads = [(p, w0, pair, fine.sample_times)
-                        for p, pair, (fine, _) in zip(cells, pairs, requests)]
+            pairs = store.pairs(fines, pool.map, jobs)
+            payloads = [(p, w0, pair) for p, pair in zip(cells, pairs)]
             costs = [_horizon_steps(p)[0] for p in cells]
             outcomes = _longest_first(pool.map, _point_worker, payloads, costs)
     else:
-        pairs = store.pairs(requests)
         outcomes = []
-        for p, pair, (fine, _) in zip(cells, pairs, requests):
-            [record], [gap], _ = _run_single_point(p, w0, pair, fine.sample_times)
+        for p, pair in zip(cells, store.pairs(fines)):
+            [record], [gap], _ = _run_single_point(p, w0, pair)
             outcomes.append((record, gap))
     records = [rec for rec, _ in outcomes]
     gaps = [gap for _, gap in outcomes]
@@ -822,11 +792,11 @@ def error_vs_time(
     times = [float(t) for t in sample_times]
     ref_tau = _check_error_vs_time(times, base.tau, base.t_final, ref_tau)
     _, t_actual = _horizon_steps(base)
-    snapped = [k * base.tau for k in _sample_steps(base, times)]
+    snapped = tuple(k * base.tau for k in _sample_steps(base, times))
     w0 = make_initial_data(base)
     step = base.tau / int(round(base.tau / ref_tau))
-    [pair] = _references().pairs([_pair_refs(base, w0, step, t_actual, snapped)])
-    records, _, _ = _run_single_point(base, w0, pair, snapped)
+    [pair] = _references().pairs([_Reference(base, w0, step, t_actual, snapped)])
+    records, _, _ = _run_single_point(base, w0, pair)
     return records
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
-    TorusGrid,
     coeffs_from_values,
     phi1,
     values_from_coeffs,
@@ -149,11 +148,12 @@ def euler_zero_mode_cubic(v: complex, eps: float, tau: float) -> complex:
     return v - 1j * eps * eps * tau * abs(v) ** 2 * v
 
 
-def _picard_scalar(f, v0: complex, tol: float = 1e-15, max_iter: int = 200) -> complex:
+def _picard_scalar(f, v0: complex) -> complex:
+    """Fixed point of f from v0: steps within 1e-15, at most 200 iterations."""
     x = v0
-    for _ in range(max_iter):
+    for _ in range(200):
         x_new = f(x)
-        if abs(x_new - x) <= tol:
+        if abs(x_new - x) <= 1e-15:
             return x_new
         x = x_new
     raise RuntimeError("scalar fixed point did not converge")

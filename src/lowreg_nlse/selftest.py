@@ -23,7 +23,6 @@ from .cubic import (
     _NonresonantMap,
     nrli1_step,
     nrsli2_step_info,
-    os18_step,
     strang_step,
 )
 from .harness import Equation, SweepRecord, read_records_csv, write_records_csv

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -118,10 +119,16 @@ def test_config_file_list_values(tmp_path):
     (["sweep-eps"], {"t_final": 5}, "unknown key 't_final' for sweep-eps"),
     (["sweep-tau"], {"tau-list": [0.1, 0.05, 0.025, 0.0125]}, "unknown key 'tau-list'"),
     (["simulate"], {"out": None}, "key 'out' is null"),
-], ids=["float", "int", "other-subcommand", "sweep-key", "flag-spelling", "null"])
+    (["simulate"], None, "--config: cannot read"),
+    (["simulate"], "{'tau': 0.1}", "is not valid JSON"),
+    (["simulate"], [0.1, 0.05], "must hold a JSON object"),
+], ids=["float", "int", "other-subcommand", "sweep-key", "flag-spelling", "null", "missing-file",
+        "invalid-json", "json-array"])
 def test_config_values_are_usage_errors(tmp_path, capsys, argv, cfg, message):
+    # cfg is written as JSON, a str as the file's raw text; None leaves no file
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    if cfg is not None:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     with pytest.raises(SystemExit) as info:
         parse_args(argv + ["--config", str(path)])
     assert info.value.code == 2
@@ -186,10 +193,27 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
     (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--T", "inf"],
      "--T must be positive and finite"),
     (_EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--jobs", "-4"], "--jobs must be at least 1"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,nan,0.2"],
+     "--eps-list: eps_list: eps values must lie in (0, 1]"),
+    (_EPS_SWEEP + ["--eps-list", "0.5,0.2"], "--eps-list: eps_list: eps sweep needs at least 3"),
+    (_EPS_SWEEP + ["--eps-list", "1.5,0.5,0.2"], "--eps-list: eps must lie in (0, 1]"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025"],
+     "--tau-list: tau_list: tau sweep needs at least 4 step sizes"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.05,-0.025,0.0125"],
+     "--tau-list: tau_list: step sizes must be positive"),
+    (_ERROR_VS_TIME + ["--sample-times", "0.5,0.2"],
+     "--sample-times: sample_times: sample times must be strictly increasing"),
+    (_ERROR_VS_TIME + ["--sample-times", "0.1,5"],
+     "--sample-times: sample_times: sample times must not exceed t_final"),
+    (_TAU_SWEEP + ["--tau-list", ","], "--tau-list must not be empty"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--scheme", ","],
+     "--scheme must not be empty"),
 ], ids=["eps-range", "eps-order", "eps-count", "tau-sign", "tau-count", "ref-tau",
         "sample-order", "simulate-ref-tau", "simulate-ref-tau-zero", "tau-nan", "tau-inf",
         "ref-tau-nan", "t-final-inf", "tau-list-nan", "sample-times-nan", "T-nan", "T-inf",
-        "jobs-negative"])
+        "jobs-negative", "eps-list-nan-flag", "eps-count-flag", "eps-first-flag",
+        "tau-count-flag", "tau-sign-flag", "sample-order-flag", "sample-past-t-final-flag",
+        "tau-list-empty", "scheme-empty"])
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     # the sweep's own check, run at parse time: exit 2 before any trajectory
     monkeypatch.setattr(harness, "run_trajectory", None)
@@ -315,6 +339,26 @@ def test_sweep_eps_multi_scheme_blocks(tmp_path, capsys):
     assert [r.scheme for r in rows] == ["nrli1"] * 3 + ["os18"] * 3
     assert all(r.equation is Equation.CUBIC for r in rows)
     assert "nrli1: slope" in capsys.readouterr().out
+
+
+def test_sweep_tau_writes_the_library_sweep(tmp_path):
+    taus = [0.2, 0.1, 0.05, 0.025]
+    argv = ["sweep-tau", "--equation", "quad-square", "--scheme", "li1,sli2", "--eps", "0.5",
+            "--tau-list", ",".join(map(str, taus)), "--T", "0.5", "--theta", "2",
+            "--modes", "16", "--ref-tau", "2.5e-3"]
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        rows[jobs] = _rows_without_wall_clock(out)
+    # the horizon T/eps = 1; a header and four rows per scheme
+    base = harness.SimParams(Equation.QUAD_SQUARE, "li1", eps=0.5, tau=0.2, t_final=1.0,
+                             n_modes=16, theta=2.0)
+    records = [rec for scheme in ("li1", "sli2")
+               for rec in harness.sweep_tau(replace(base, scheme=scheme), taus, 2.5e-3)[0]]
+    harness.write_records_csv(str(tmp_path / "lib.csv"), records)
+    assert len(rows["1"]) == 9
+    assert rows["1"] == rows["2"] == _rows_without_wall_clock(tmp_path / "lib.csv")
 
 
 def test_error_vs_time_rows(tmp_path):

@@ -400,7 +400,8 @@ def test_batched_references_equal_lone_trajectories(monkeypatch, equation, batch
     for eps, t_final, step, times in [(0.5, 0.5, 0.01, (0.0, 0.2, 0.2)), (0.3, 0.8, 0.02, ()),
                                       (0.8, 0.3, 0.005, (0.1, 0.3)), (0.6, 0.0, 0.01, (0.0,))]:
         p = replace(base, eps=eps, t_final=t_final)
-        refs.extend(harness._pair_refs(p, make_initial_data(p), step, t_final, times))
+        fine = harness._Reference(p, make_initial_data(p), step, t_final, times)
+        refs.extend([fine, replace(fine, step=step / 2.0)])
     store = harness._ReferenceStore()
     built = store.build(refs, batches=batches)
     # the two halves of the zero-horizon pair take no step and share a key
@@ -495,6 +496,26 @@ def test_sweep_is_deterministic_and_parallel_agrees(sli2_tau_sweep):
                 b.fp_iter_mean,
             )
     assert fit.slope == fit2.slope == fit3.slope
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_sweep_tau_gate_is_ten_percent_of_the_coarsest_error(monkeypatch, above):
+    # stand-in cell runs, listed finest first: errors tau^2 and a gap at the
+    # coarsest step of exactly 10% of its error, or the next float above;
+    # the finer cells' gaps exceed their errors and do not count
+    taus = _TAUS[::-1]
+    records = [replace(_sample_records()[0], tau=tau, error=tau * tau) for tau in taus]
+    limit = 0.1 * records[-1].error
+    gaps = [1.0, 1.0, 1.0, np.nextafter(limit, 1.0) if above else limit]
+    monkeypatch.setattr(harness, "_run_points", lambda *args: (records, gaps))
+    base = _quad("sli2", tau=_TAUS[0], t_final=1.0)
+    if above:
+        with pytest.raises(RuntimeError, match="refine ref_tau"):
+            sweep_tau(base, taus, ref_tau=2.5e-3)
+    else:
+        got, fit = sweep_tau(base, taus, ref_tau=2.5e-3)
+        assert got == records
+        assert fit.slope == pytest.approx(2.0)
 
 
 def test_reference_pairs_are_shared_only_within_a_store(monkeypatch):
@@ -686,6 +707,17 @@ def test_csv_overwrite_is_atomic_replace(tmp_path):
     assert read_records_csv(str(path))[0].scheme == "sli2"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_csv_failed_write_leaves_the_directory_as_it_was(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("stale")
+    good, other = _sample_records()
+    # the header and the first row are written before the second fails
+    with pytest.raises(ValueError):
+        write_records_csv(str(path), [good, replace(other, eps="not a number")])
+    assert path.read_text() == "stale"
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
 def test_csv_mode_follows_the_umask(tmp_path):

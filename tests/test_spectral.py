@@ -1,8 +1,10 @@
 """Tests for the spectral core: transforms, symbols, norms, random data, serialization."""
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,3 +574,21 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a module-level import must be read, listed in __all__ or named by a
+    # string constant (harness._STEPPERS names its steppers)
+    unused = []
+    for path in sorted(Path(lowreg_nlse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in read | strings]
+    assert unused == []
