@@ -21,7 +21,8 @@ value too), ``--eps`` on ``sweep-eps`` (its eps come from ``--eps-list``),
 rejects (named by its flag) and every check a run makes of its own lists
 and reference step.  So a nan or infinite step, horizon, ``--T``, list
 entry or ``--ref-tau`` is a usage error, and so is a nan ``--theta``,
-``--error-norm-r`` or ``--fp-tol``.
+``--error-norm-r`` or ``--fp-tol``, or an ``--eps`` or ``--eps-list`` entry
+so small that T/eps^k is not finite.
 """
 from __future__ import annotations
 
@@ -55,16 +56,15 @@ from .harness import (
 from .selftest import run_selftest
 from .spectral import field_to_text
 
-# the flag that sets each SimParams field; a SimParams error begins with the
-# name of the field it rejects
+# the flag that sets each SimParams field and each argument of a run's own
+# checks; an error of either begins with the name of the value it rejects
 _FLAGS = {
     "equation": "--equation", "scheme": "--scheme", "eps": "--eps", "tau": "--tau",
     "t_final": "--t-final", "n_modes": "--modes", "theta": "--theta", "seed": "--seed",
     "error_norm_r": "--error-norm-r", "fp_tol": "--fp-tol", "fp_max_iter": "--fp-max-iter",
+    "tau_list": "--tau-list", "eps_list": "--eps-list", "sample_times": "--sample-times",
+    "ref_tau": "--ref-tau",
 }
-# the flag of each argument that begins an error of a run's own checks
-_CHECKED_FLAGS = {"tau_list": "--tau-list", "eps_list": "--eps-list",
-                  "sample_times": "--sample-times", "ref_tau": "--ref-tau"}
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -212,41 +212,36 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
         if sub == "simulate":
             _check_ref_tau(config.tau, config.ref_tau)
         elif sub == "sweep-eps":
-            _check_eps_sweep(config.eps_list, config.tau, config.ref_tau)
+            _check_eps_sweep(bases[0], config.eps_list, config.T, config.ref_tau)
         elif sub == "error-vs-time":
             _check_error_vs_time(config.sample_times, config.tau, bases[0].t_final,
                                  config.ref_tau)
     except ValueError as exc:
-        flag = _CHECKED_FLAGS.get(str(exc).split()[0].rstrip(":"))
+        # sweep-eps takes its eps from --eps-list
+        name = str(exc).split()[0].rstrip(":")
+        flag = "--eps-list" if (sub, name) == ("sweep-eps", "eps") else _FLAGS.get(name)
         parser.error(f"{flag}: {exc}" if flag else str(exc))
 
 
 def _base_params(config: argparse.Namespace, scheme: str) -> SimParams:
     """One scheme's SimParams, from the flags, at the command's horizon.
 
-    A rejected value raises ValueError naming its flag; sweep-eps takes its
-    eps from --eps-list.  A sweep replaces eps and tau cell by cell,
-    sweep-eps the horizon too.
+    A sweep replaces eps and tau cell by cell, sweep-eps the horizon too.
     """
     sub = config.subcommand
-    try:
-        params = SimParams(
-            equation=Equation(config.equation),
-            scheme=scheme,
-            eps=config.eps,
-            tau=max(config.tau_list) if sub == "sweep-tau" else config.tau,
-            t_final=config.t_final if sub == "simulate" else 0.0,
-            n_modes=config.modes,
-            theta=config.theta,
-            seed=config.seed,
-            error_norm_r=config.error_norm_r,
-            fp_tol=config.fp_tol,
-            fp_max_iter=config.fp_max_iter,
-        )
-    except ValueError as exc:
-        field = str(exc).split()[0]
-        flag = "--eps-list" if (sub, field) == ("sweep-eps", "eps") else _FLAGS.get(field)
-        raise ValueError(f"{flag}: {exc}" if flag else str(exc)) from None
+    params = SimParams(
+        equation=Equation(config.equation),
+        scheme=scheme,
+        eps=config.eps,
+        tau=max(config.tau_list) if sub == "sweep-tau" else config.tau,
+        t_final=config.t_final if sub == "simulate" else 0.0,
+        n_modes=config.modes,
+        theta=config.theta,
+        seed=config.seed,
+        error_norm_r=config.error_norm_r,
+        fp_tol=config.fp_tol,
+        fp_max_iter=config.fp_max_iter,
+    )
     if sub == "simulate":
         return params
     return replace(params, t_final=_horizon(params.equation, config.T, params.eps))

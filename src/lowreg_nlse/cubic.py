@@ -24,6 +24,7 @@ import numpy as np
 from .spectral import (
     OperatorSymbols,
     SpectralField,
+    _check_grid,
     coeffs_from_values,
     conjugate_coeffs,
     values_from_coeffs,
@@ -77,15 +78,13 @@ def g_zero_mode(u: SpectralField, ops: OperatorSymbols) -> complex:
     exactly the diagonal pairs, and the wrap-around pair of the grid product
     is the diagonal Nyquist cell, already counted.
     """
-    if u.grid != ops.grid:
-        raise ValueError("field and operator symbols live on different grids")
+    _check_grid(u, ops.grid)
     return complex(np.sum(ops.one_minus_phi1_2 * np.abs(u.coeffs) ** 2))
 
 
 def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
     """Diagonal cubic resonance correction: h_l = (1 - phi1(2 i l^2 tau)) |u_l|^2 u_l."""
-    if u.grid != ops.grid:
-        raise ValueError("field and operator symbols live on different grids")
+    _check_grid(u, ops.grid)
     c = u.coeffs
     return SpectralField(u.grid, ops.one_minus_phi1_2 * (np.abs(c) ** 2) * c)
 

@@ -65,6 +65,8 @@ from .spectral import (
     OperatorSymbols,
     SpectralField,
     TorusGrid,
+    _check_grid,
+    _check_nonnegative,
     random_initial_data,
     sobolev_norm,
     sobolev_norms,
@@ -158,10 +160,8 @@ class SimParams:
             raise ValueError("t_final must be nonnegative and finite")
         _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
         TorusGrid(self.n_modes)
-        if not self.theta >= 0.0:
-            raise ValueError("theta must be nonnegative")
-        if not self.error_norm_r >= 0.0:
-            raise ValueError("error_norm_r must be nonnegative")
+        _check_nonnegative("theta", self.theta)
+        _check_nonnegative("error_norm_r", self.error_norm_r)
 
 
 @dataclass(frozen=True)
@@ -232,15 +232,6 @@ class SolverFailure(RuntimeError):
         return type(self), (self.step_index, self.t, self.inner, self.where)
 
 
-@contextmanager
-def _naming_failures(where: str) -> Iterator[None]:
-    """Re-raise a SolverFailure from the block with ``where`` naming its trajectory."""
-    try:
-        yield
-    except SolverFailure as exc:
-        raise SolverFailure(exc.step_index, exc.t, exc.inner, where) from exc.inner
-
-
 # ---------------------------------------------------------------------------
 # stepping machinery
 # ---------------------------------------------------------------------------
@@ -277,18 +268,16 @@ def _build_stepper(
 
 
 class _Track:
-    """Bookkeeping of one trajectory: its snapshots, sup_h1, Picard counts and failure.
+    """Bookkeeping of one trajectory: its snapshots, sup_h1 and Picard counts.
 
     :func:`run_trajectory` keeps one; the lockstep reference runner keeps one
-    per row, whose states are rows of its stack.  ``where`` names the
-    trajectory in its failure.
+    per row, whose states are rows of its stack.
     """
 
     def __init__(self, params: SimParams, w0: SpectralField,
-                 sample_times: Sequence[float], where: str = "") -> None:
+                 sample_times: Sequence[float]) -> None:
         self.grid = w0.grid
         self.tau = params.tau
-        self.where = where
         self.n_steps, self.t_actual = _horizon_steps(params)
         self.snap_at: dict[int, int] = {}
         for k in _sample_steps(params, sample_times):
@@ -315,9 +304,6 @@ class _Track:
             self.state = self._field()
             self.snapshots.extend([(k * self.tau, self.state)] * self.snap_at[k])
 
-    def failure(self, k: int, exc: FixedPointError) -> SolverFailure:
-        return SolverFailure(k, k * self.tau, exc, self.where)
-
     def result(self) -> TrajectoryResult:
         iters = self.iters
         return TrajectoryResult(
@@ -343,15 +329,14 @@ def run_trajectory(
     as :class:`SolverFailure` annotated with the step index.
     """
     grid, step = _build_stepper(params)
-    if w0.grid != grid:
-        raise ValueError("w0 does not live on the configured grid")
+    _check_grid(w0, grid)
     track = _Track(params, w0, sample_times)
     w = w0
     for k in range(1, track.n_steps + 1):
         try:
             w, it = step(w)
         except FixedPointError as exc:
-            raise track.failure(k, exc) from exc
+            raise SolverFailure(k, k * params.tau, exc) from exc
         track.record(k, w, it, sobolev_norm(w, 1.0))
     return track.result()
 
@@ -429,8 +414,7 @@ def _run_rows(
     params = [rows[r][0] for r in order]
     first = params[0]
     grid = TorusGrid(first.n_modes)
-    tracks = [_Track(p, rows[r][1], rows[r][2], _reference_name(p))
-              for p, r in zip(params, order)]
+    tracks = [_Track(p, rows[r][1], rows[r][2]) for p, r in zip(params, order)]
     ops = OperatorSymbols.stack([OperatorSymbols.build(grid, p.tau) for p in params])
     _, prepared = _REFERENCES[first.equation]
     full = prepared(tuple(p.eps for p in params), ops, first.fp_tol, first.fp_max_iter)
@@ -446,7 +430,8 @@ def _run_rows(
         try:
             c, iters = step(c)
         except FixedPointError as exc:
-            raise tracks[exc.row].failure(k, exc) from exc
+            p = params[exc.row]
+            raise SolverFailure(k, k * p.tau, exc, _reference_name(p)) from exc
         for track, row, it, h1 in zip(tracks, c, iters, sobolev_norms(c, grid, 1.0).tolist()):
             track.record(k, row, it, h1)
     results: list = [None] * len(rows)
@@ -579,15 +564,18 @@ def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None) -> float:
     return _check_ref_tau(min(taus), ref_tau)
 
 
-def _check_eps_sweep(eps_values: Sequence[float], tau: float, ref_tau: float | None) -> float:
-    """Reject fewer than 3 eps, one outside (0, 1], a non-decreasing list or ref_tau > tau/10."""
+def _check_eps_sweep(base: SimParams, eps_values: Sequence[float], T: float,
+                     ref_tau: float | None) -> float:
+    """Reject under 3 eps, one outside (0, 1], a non-decreasing list, a bad horizon or ref_tau."""
     if len(eps_values) < 3:
         raise ValueError("eps_list: eps sweep needs at least 3 values")
     if any(not 0.0 < e <= 1.0 for e in eps_values):
         raise ValueError("eps_list: eps values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps_list: eps values must be strictly decreasing")
-    return _check_ref_tau(tau, ref_tau)
+    for e in eps_values:
+        _horizon(base.equation, T, e)
+    return _check_ref_tau(base.tau, ref_tau)
 
 
 def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
@@ -620,8 +608,13 @@ def _check_ref_tau(tau: float, ref_tau: float | None) -> float:
 # ---------------------------------------------------------------------------
 
 def _horizon(equation: Equation, T: float, eps: float) -> float:
-    """The long-time horizon T/eps (quadratic) or T/eps^2 (cubic)."""
-    return T / (eps * eps) if equation is Equation.CUBIC else T / eps
+    """The horizon T/eps (quadratic) or T/eps^2 (cubic); reject one not positive and finite."""
+    scale, name = (eps * eps, "T/eps^2") if equation is Equation.CUBIC else (eps, "T/eps")
+    horizon = T / scale if scale else math.inf
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"eps {eps} with T {T} gives a horizon {name} "
+                         "that is not positive and finite")
+    return horizon
 
 
 def _cell_refs(params: SimParams, w0: SpectralField, ref_tau: float) -> _Reference:
@@ -679,8 +672,10 @@ def _run_single_point(
     """
     r = params.error_norm_r
     started = time.perf_counter()
-    with _naming_failures(_cell_name(params)):
+    try:
         traj = run_trajectory(params, w0, pair.sample_times)
+    except SolverFailure as exc:
+        raise SolverFailure(exc.step_index, exc.t, exc.inner, _cell_name(params)) from exc.inner
     errors = [_norm_diff(w, f, r) for (_, w), (_, f) in zip(traj.snapshots, pair.fine.snapshots)]
     wall = time.perf_counter() - started
     gaps = [_norm_diff(f, g, r)
@@ -771,7 +766,7 @@ def sweep_eps(
     smallest-eps errors legitimately approach the reference's own resolution.
     """
     eps_values = [float(e) for e in eps_list]
-    ref_tau = _check_eps_sweep(eps_values, base.tau, ref_tau)
+    ref_tau = _check_eps_sweep(base, eps_values, T, ref_tau)
 
     cells = [replace(base, eps=e, t_final=_horizon(base.equation, T, e)) for e in eps_values]
     records, _ = _run_points(base, cells, ref_tau, jobs)

@@ -27,6 +27,7 @@ from .spectral import (
     OperatorSymbols,
     SpectralField,
     TorusGrid,
+    _check_grid,
     coeffs_from_values,
     conjugate_coeffs,
     sobolev_norms,
@@ -106,8 +107,7 @@ class FixedPointError(RuntimeError):
 
 def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
     """Reject a field, config and symbols that do not fit each other or ``want``."""
-    if w.grid != ops.grid:
-        raise ValueError("field and operator symbols live on different grids")
+    _check_grid(w, ops.grid)
     if cfg.tau != ops.tau:
         raise ValueError(f"config tau {cfg.tau} does not match symbols tau {ops.tau}")
     have = cfg.nonlinearity if isinstance(want, QuadNonlinearity) else cfg.scheme

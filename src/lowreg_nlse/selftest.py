@@ -25,7 +25,7 @@ from .cubic import (
     nrsli2_step_info,
     strang_step,
 )
-from .harness import Equation, SweepRecord, read_records_csv, write_records_csv
+from .harness import Equation, SweepRecord, _norm_diff, read_records_csv, write_records_csv
 from .oracles import (
     band_limit,
     cubic_nrli1_oracle_step,
@@ -55,17 +55,12 @@ from .spectral import (
     field_to_text,
     phi1,
     random_initial_data,
-    sobolev_norm,
     values_from_coeffs,
 )
 
 __all__ = ["run_selftest", "CheckResult"]
 
 CheckResult = tuple[str, bool, str]
-
-
-def _h1_diff(a: SpectralField, b: SpectralField) -> float:
-    return sobolev_norm(SpectralField(a.grid, a.coeffs - b.coeffs), 1.0)
 
 
 def _constant_field(grid: TorusGrid, value: complex) -> SpectralField:
@@ -84,10 +79,10 @@ def _check_quadratic_oracles() -> str:
         cfg_cj = QuadSchemeConfig(eps, tau, QuadNonlinearity.MODULUS_SQUARE)
         for seed in range(5):
             w = band_limit(random_initial_data(grid, 1.0, seed), k)
-            worst = max(worst, _h1_diff(li1_step(w, cfg_sq, ops),
-                                        quad_square_oracle_step(w, eps, tau)))
-            worst = max(worst, _h1_diff(li1_conj_step(w, cfg_cj, ops),
-                                        quad_conj_oracle_step(w, eps, tau)))
+            worst = max(worst, _norm_diff(li1_step(w, cfg_sq, ops),
+                                          quad_square_oracle_step(w, eps, tau), 1.0))
+            worst = max(worst, _norm_diff(li1_conj_step(w, cfg_cj, ops),
+                                          quad_conj_oracle_step(w, eps, tau), 1.0))
     if worst > 1e-10:
         raise AssertionError(f"worst H1 gap {worst:.3e} exceeds 1e-10")
     return f"worst H1 gap {worst:.1e}"
@@ -102,8 +97,8 @@ def _check_cubic_oracle() -> str:
         cfg = CubicSchemeConfig(eps, tau, CubicScheme.NRLI1)
         for seed in range(3):
             w = random_initial_data(grid, 1.0, seed)
-            worst = max(worst, _h1_diff(nrli1_step(w, cfg, ops),
-                                        cubic_nrli1_oracle_step(w, eps, tau)))
+            worst = max(worst, _norm_diff(nrli1_step(w, cfg, ops),
+                                          cubic_nrli1_oracle_step(w, eps, tau), 1.0))
     if worst > 1e-10:
         raise AssertionError(f"worst H1 gap {worst:.3e} exceeds 1e-10")
     return f"worst H1 gap {worst:.1e}"
@@ -112,7 +107,7 @@ def _check_cubic_oracle() -> str:
 def _round_trip_residual(step: Callable, cfg_fwd, cfg_bwd, ops_fwd, ops_bwd, w) -> float:
     # step returns (field, Picard count), as the implicit maps do
     forward, _ = step(w, cfg_fwd, ops_fwd)
-    return _h1_diff(step(forward, cfg_bwd, ops_bwd)[0], w)
+    return _norm_diff(step(forward, cfg_bwd, ops_bwd)[0], w, 1.0)
 
 
 def _check_symmetry() -> str:

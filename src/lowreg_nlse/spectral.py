@@ -164,6 +164,18 @@ class SpectralField:
         object.__setattr__(self, "coeffs", arr)
 
 
+def _check_grid(field: SpectralField, grid: TorusGrid) -> None:
+    """Reject a field that is not on ``grid``."""
+    if field.grid != grid:
+        raise ValueError(f"field on a grid of {field.grid.n_modes} modes, expected {grid.n_modes}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    """Reject a negative or nan ``value``; the message begins with ``name``."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def forward_transform(values: np.ndarray, grid: TorusGrid) -> SpectralField:
     """Transform N complex samples at the collocation points to a SpectralField."""
     values = np.asarray(values, dtype=np.complex128)
@@ -241,8 +253,7 @@ def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, r: float) -> np.ndarray:
 
 def sobolev_norm(field: SpectralField, r: float) -> float:
     """H^r norm of a field; r = 0 is the L2/Parseval norm."""
-    if not r >= 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    _check_nonnegative("r", r)
     return float(sobolev_norms(field.coeffs, field.grid, r))
 
 
@@ -274,8 +285,7 @@ def random_initial_data(grid: TorusGrid, theta: float, seed: int) -> SpectralFie
     ascending l, real part before imaginary part, from a splitmix64 generator
     seeded with ``seed`` — bit-identical across runs and platforms.
     """
-    if not theta >= 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    _check_nonnegative("theta", theta)
     rng = _SplitMix64(seed)
     k = grid.wavenumbers
     bracket = np.where(k == 0, 1.0, np.abs(k)).astype(np.float64)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lowreg_nlse import harness
+from lowreg_nlse import harness, selftest
 from lowreg_nlse.cli import _finish, main, parse_args
 from lowreg_nlse.harness import CSV_COLUMNS, Equation, SweepRecord, read_records_csv
 from lowreg_nlse.spectral import field_from_text, field_to_text
@@ -208,12 +208,25 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
     (_TAU_SWEEP + ["--tau-list", ","], "--tau-list must not be empty"),
     (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--scheme", ","],
      "--scheme must not be empty"),
+    (["sweep-eps", "--equation", "cubic", "--scheme", "nrli1", "--tau", "0.05",
+      "--eps-list", "0.5,0.3,1e-170", "--T", "1", "--modes", "16"],
+     "--eps-list: eps 1e-170 with T 1.0 gives a horizon T/eps^2 that is not positive"),
+    (["sweep-tau", "--equation", "cubic", "--scheme", "nrli1", "--eps", "1e-200",
+      "--tau-list", "0.1,0.05,0.025,0.0125", "--T", "1", "--modes", "16"],
+     "--eps: eps 1e-200 with T 1.0 gives a horizon T/eps^2 that is not positive"),
+    (["sweep-tau", "--equation", "quad-square", "--scheme", "li1", "--eps", "5e-324",
+      "--tau-list", "0.1,0.05,0.025,0.0125", "--T", "1", "--modes", "16"],
+     "--eps: eps 5e-324 with T 1.0 gives a horizon T/eps that is not positive"),
+    (["error-vs-time", "--equation", "cubic", "--scheme", "nrli1", "--eps", "1e-160",
+      "--tau", "0.05", "--T", "1", "--sample-times", "0.1", "--modes", "16"],
+     "--eps: eps 1e-160 with T 1.0 gives a horizon T/eps^2 that is not positive"),
 ], ids=["eps-range", "eps-order", "eps-count", "tau-sign", "tau-count", "ref-tau",
         "sample-order", "simulate-ref-tau", "simulate-ref-tau-zero", "tau-nan", "tau-inf",
         "ref-tau-nan", "t-final-inf", "tau-list-nan", "sample-times-nan", "T-nan", "T-inf",
         "jobs-negative", "eps-list-nan-flag", "eps-count-flag", "eps-first-flag",
         "tau-count-flag", "tau-sign-flag", "sample-order-flag", "sample-past-t-final-flag",
-        "tau-list-empty", "scheme-empty"])
+        "tau-list-empty", "scheme-empty", "eps-list-underflow", "sweep-tau-eps-underflow",
+        "sweep-tau-horizon-overflow", "error-vs-time-horizon-overflow"])
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     # the sweep's own check, run at parse time: exit 2 before any trajectory
     monkeypatch.setattr(harness, "run_trajectory", None)
@@ -553,3 +566,22 @@ def test_selftest_subcommand_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out and "FAIL" not in out
+
+
+def test_selftest_reports_failing_checks(monkeypatch, capsys):
+    # a failed assertion and any other error both come back as a failed
+    # check, never as a crash, and the subcommand exits 1
+    def wrong():
+        raise AssertionError("worst H1 gap 1.0e-03 exceeds 1e-10")
+
+    def broken():
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(selftest, "_CHECKS", [("wrong", wrong), ("broken", broken)])
+    assert selftest.run_selftest() == [
+        ("wrong", False, "AssertionError: worst H1 gap 1.0e-03 exceeds 1e-10"),
+        ("broken", False, "ZeroDivisionError: float division by zero"),
+    ]
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  wrong" in out and "FAIL  broken" in out and "0/2 checks passed" in out

@@ -123,6 +123,14 @@ class TestAuxiliaryFunctions:
         assert abs(h.coeffs[8 + l] - want * a) < 1e-14
         assert np.max(np.abs(np.delete(h.coeffs, 8 + l))) == 0.0
 
+    def test_reject_a_field_on_another_grid(self):
+        ops = OperatorSymbols.build(TorusGrid(16), 0.1)
+        u = random_initial_data(TorusGrid(8), 1.0, 0)
+        with pytest.raises(ValueError, match="grid"):
+            g_zero_mode(u, ops)
+        with pytest.raises(ValueError, match="grid"):
+            h_field(u, ops)
+
     def test_g_matches_grid_product_route(self):
         # mode-sum equals: conjugate on the grid, filter, multiply by u, mean
         grid = TorusGrid(32)

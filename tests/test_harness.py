@@ -567,6 +567,15 @@ def test_sweep_eps_validation():
         sweep_eps(base, [2.0, 0.5, 0.25], T=0.2)
 
 
+def test_sweep_eps_rejects_an_eps_without_a_finite_horizon(monkeypatch):
+    # 1e-170 squared underflows to 0, so T/eps^2 has no value; the sweep's
+    # check rejects it before any reference or cell runs
+    monkeypatch.setattr(harness, "_run_points", None)
+    base = _cubic("nrli1", tau=0.05)
+    with pytest.raises(ValueError, match="eps 1e-170 with T 1.0 gives a horizon T/eps"):
+        sweep_eps(base, [0.5, 0.3, 1e-170], 1.0)
+
+
 def test_sweep_eps_quadratic_horizon_law():
     base = _quad("li1", tau=0.05)
     records, fit = sweep_eps(base, [0.5, 0.4, 0.25], T=0.2, ref_tau=5e-4)

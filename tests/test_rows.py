@@ -71,6 +71,32 @@ def test_stalled_row_is_named(name):
     assert info.value.row == 3
 
 
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_take_keeps_at_most_16_masks(name):
+    # a batch meets few masks; past 16 distinct ones the cache starts over,
+    # and a mask taken again steps as a map built fresh for its rows
+    _, prepared, _ = _MAPS[name]
+    grid, fields, ops = _stack(16)
+    eps = tuple(e for e, _, _, _ in _ROWS)
+    full = prepared(eps, OperatorSymbols.stack(ops), 1e-12, 100)
+    masks = [np.array([(m >> r) & 1 for r in range(len(_ROWS))], dtype=bool)
+             for m in range(1, 21)]
+    taken = []
+    for keep in masks:
+        taken.append(full.take(keep))
+        assert len(full._taken) <= 16
+    keep = masks[10]  # rows 0, 1 and 3, dropped when the cache started over
+    again = full.take(keep)
+    assert again is not taken[10]
+    fresh = prepared(tuple(e for e, k in zip(eps, keep) if k),
+                     OperatorSymbols.stack([o for o, k in zip(ops, keep) if k]), 1e-12, 100)
+    c = np.stack([w.coeffs for w, k in zip(fields, keep) if k])
+    out, iters = again(c)
+    want, want_iters = fresh(c)
+    assert out.tobytes() == want.tobytes()
+    assert iters == want_iters
+
+
 def test_stack_and_take_keep_each_rows_symbols():
     grid = TorusGrid(8)
     ops = [OperatorSymbols.build(grid, tau) for tau in (0.1, -0.05, 0.2)]
