@@ -22,7 +22,9 @@ rejects (named by its flag) and every check a run makes of its own lists
 and reference step.  So a nan or infinite step, horizon, ``--T``, list
 entry or ``--ref-tau`` is a usage error, and so is a nan ``--theta``,
 ``--error-norm-r`` or ``--fp-tol``, or an ``--eps`` or ``--eps-list`` entry
-so small that T/eps^k is not finite.
+so small that T/eps^k is not finite.  So is a horizon that a cell's step,
+or the finer reference's step ref_tau/2, reaches only in more than
+``harness._MAX_STEPS`` steps.
 """
 from __future__ import annotations
 
@@ -64,6 +66,13 @@ _FLAGS = {
     "error_norm_r": "--error-norm-r", "fp_tol": "--fp-tol", "fp_max_iter": "--fp-max-iter",
     "tau_list": "--tau-list", "eps_list": "--eps-list", "sample_times": "--sample-times",
     "ref_tau": "--ref-tau",
+}
+
+# where a subcommand sets a value by another flag: sweep-eps takes eps from
+# --eps-list, and the long-time subcommands take t_final = T/eps^k from --T
+_SUBCOMMAND_FLAGS = {
+    ("sweep-eps", "eps"): "--eps-list",
+    **{(sub, "t_final"): "--T" for sub in ("sweep-tau", "sweep-eps", "error-vs-time")},
 }
 
 
@@ -207,19 +216,19 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
         config.eps = config.eps_list[0]
     try:
         if sub == "sweep-tau":  # first: the SimParams below take their tau from the list
-            _check_tau_sweep(config.tau_list, config.ref_tau)
+            _check_tau_sweep(config.tau_list, config.ref_tau,
+                             _horizon(Equation(config.equation), config.T, config.eps))
         bases = [_base_params(config, scheme) for scheme in _schemes(config)]
         if sub == "simulate":
-            _check_ref_tau(config.tau, config.ref_tau)
+            _check_ref_tau(config.tau, config.ref_tau, config.t_final)
         elif sub == "sweep-eps":
             _check_eps_sweep(bases[0], config.eps_list, config.T, config.ref_tau)
         elif sub == "error-vs-time":
             _check_error_vs_time(config.sample_times, config.tau, bases[0].t_final,
                                  config.ref_tau)
     except ValueError as exc:
-        # sweep-eps takes its eps from --eps-list
         name = str(exc).split()[0].rstrip(":")
-        flag = "--eps-list" if (sub, name) == ("sweep-eps", "eps") else _FLAGS.get(name)
+        flag = _SUBCOMMAND_FLAGS.get((sub, name), _FLAGS.get(name))
         parser.error(f"{flag}: {exc}" if flag else str(exc))
 
 
@@ -278,7 +287,7 @@ def run(config: argparse.Namespace) -> int:
         if config.subcommand == "simulate":
             params = _base_params(config, config.scheme)
             w0 = make_initial_data(params)
-            ref_tau = _check_ref_tau(config.tau, config.ref_tau)
+            ref_tau = _check_ref_tau(config.tau, config.ref_tau, config.t_final)
             [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
             [record], _, final = _run_single_point(params, w0, pair)
             if config.snapshot_out:

@@ -125,6 +125,17 @@ _REFERENCES = {
 }
 
 
+# no trajectory takes more steps; the finest canonical reference takes under 10^6
+_MAX_STEPS = 10**9
+
+
+def _check_steps(name: str, t_final: float, step: float) -> None:
+    """Reject reaching t_final in more than _MAX_STEPS steps; the message begins with ``name``."""
+    if t_final / step > _MAX_STEPS:
+        raise ValueError(f"{name}: t = {t_final:g} in steps of {step:g} takes more than "
+                         f"{_MAX_STEPS:.0e} steps")
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Full description of one simulation run.
@@ -132,7 +143,8 @@ class SimParams:
     ``scheme`` is one of li1/sli2 for the quadratic equations (the conjugate
     variants are selected by the equation kind) and nrli1/nrsli2/os18/strang
     for the cubic one.  The runner snaps the step count to
-    round(t_final / tau) and reports the horizon actually reached.
+    round(t_final / tau), at most ``_MAX_STEPS``, and reports the horizon
+    actually reached.
     """
 
     equation: Equation
@@ -158,6 +170,7 @@ class SimParams:
             raise ValueError("tau must be positive and finite for trajectory runs")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError("t_final must be nonnegative and finite")
+        _check_steps("t_final", self.t_final, self.tau)
         _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
         TorusGrid(self.n_modes)
         _check_nonnegative("theta", self.theta)
@@ -536,7 +549,7 @@ def reference_solution(
     of ten; it is then snapped to divide the (step-count-snapped) horizon
     exactly.
     """
-    _check_ref_tau(params.tau, ref_tau)
+    _check_ref_tau(params.tau, ref_tau, params.t_final)
     [(_, traj)] = _ReferenceStore().build([_cell_refs(params, w0, ref_tau)])
     return traj.state
 
@@ -553,29 +566,32 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # begins with the argument it rejects.
 # ---------------------------------------------------------------------------
 
-def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None) -> float:
-    """Reject fewer than 4 step sizes, a nonfinite or nonpositive one or a bad ref_tau."""
+def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None, t_final: float) -> float:
+    """Reject under 4 step sizes, a nonfinite, nonpositive or too fine one, or a bad ref_tau."""
     if len(taus) < 4:
         raise ValueError("tau_list: tau sweep needs at least 4 step sizes")
     if not all(map(math.isfinite, taus)):
         raise ValueError("tau_list entries must be finite")
     if any(t <= 0 for t in taus):
         raise ValueError("tau_list: step sizes must be positive")
-    return _check_ref_tau(min(taus), ref_tau)
+    _check_steps("tau_list", t_final, min(taus))
+    return _check_ref_tau(min(taus), ref_tau, t_final)
 
 
 def _check_eps_sweep(base: SimParams, eps_values: Sequence[float], T: float,
                      ref_tau: float | None) -> float:
-    """Reject under 3 eps, one outside (0, 1], a non-decreasing list, a bad horizon or ref_tau."""
+    """Reject under 3 eps, one outside (0, 1], a non-decreasing list, a bad or too long
+    horizon, or a bad ref_tau."""
     if len(eps_values) < 3:
         raise ValueError("eps_list: eps sweep needs at least 3 values")
     if any(not 0.0 < e <= 1.0 for e in eps_values):
         raise ValueError("eps_list: eps values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps_list: eps values must be strictly decreasing")
-    for e in eps_values:
-        _horizon(base.equation, T, e)
-    return _check_ref_tau(base.tau, ref_tau)
+    horizons = [_horizon(base.equation, T, e) for e in eps_values]
+    for horizon in horizons:
+        _check_steps("eps_list", horizon, base.tau)
+    return _check_ref_tau(base.tau, ref_tau, max(horizons))
 
 
 def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
@@ -589,17 +605,19 @@ def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
         raise ValueError("sample_times: sample times must be nonnegative")
     if times and times[-1] > t_final + tau / 2.0:
         raise ValueError("sample_times: sample times must not exceed t_final")
-    return _check_ref_tau(tau, ref_tau)
+    return _check_ref_tau(tau, ref_tau, t_final)
 
 
-def _check_ref_tau(tau: float, ref_tau: float | None) -> float:
-    """ref_tau, or by default tau/100; reject a nonpositive one or one above tau/10."""
+def _check_ref_tau(tau: float, ref_tau: float | None, t_final: float) -> float:
+    """ref_tau, or by default tau/100; reject a nonpositive one, one above tau/10,
+    or one whose finer half takes too many steps to t_final."""
     if ref_tau is None:
         ref_tau = tau / 100.0
     if not ref_tau > 0.0:
         raise ValueError("ref_tau must be positive")
     if ref_tau > tau / 10.0:
         raise ValueError("ref_tau must be at most tau/10")
+    _check_steps("ref_tau", t_final, ref_tau / 2.0)
     return ref_tau
 
 
@@ -737,7 +755,7 @@ def sweep_tau(
     coarse to resolve the largest error cannot order the rest.
     """
     taus = [float(t) for t in tau_list]
-    ref_tau = _check_tau_sweep(taus, ref_tau)
+    ref_tau = _check_tau_sweep(taus, ref_tau, base.t_final)
     cells = [replace(base, tau=tau) for tau in taus]
     records, gaps = _run_points(base, cells, ref_tau, jobs)
 

@@ -3,10 +3,10 @@
 Every check replays one of the package's load-bearing equivalences, mostly at
 N <= 16: scheme steps against brute-force convolution oracles, symmetric
 schemes against time reversal, constant data against the zero-mode ODE
-integrators, stacked transforms and the batched symmetric maps against
-row-by-row ones, and the serialization round trips.  The whole battery is
-meant to run in seconds, as a deployment smoke test rather than a substitute
-for the pytest suite.
+integrators, stacked transforms against row-by-row ones and np.fft, the
+batched symmetric maps against row-by-row ones, and the serialization round
+trips.  The whole battery is meant to run in seconds, as a deployment smoke
+test rather than a substitute for the pytest suite.
 """
 from __future__ import annotations
 
@@ -179,7 +179,8 @@ def _check_phi1_identity() -> str:
 def _check_stacked_transforms() -> str:
     # the steppers transform all factors of a product stage in one call; on a
     # numpy whose FFT treats a stack differently from lone rows, that would
-    # change the numbers
+    # change the numbers.  The pair calls numpy's FFT kernels directly, so
+    # each row must also equal the public np.fft formulation
     sizes = (16, 96, 128, 1024)
     for n in sizes:
         grid = TorusGrid(n)
@@ -192,7 +193,14 @@ def _check_stacked_transforms() -> str:
                 raise AssertionError(
                     f"row {row} of a (4, {n}) stack differs from its lone transform"
                 )
-    return f"(4, N) stacks at N = {', '.join(map(str, sizes))}"
+            want_vals = np.fft.ifft(np.fft.ifftshift(stack[row] * grid._grid_phase)) * n
+            want_back = grid._grid_phase * np.fft.fftshift(np.fft.fft(want_vals)) / n
+            if not (vals[row].tobytes() == want_vals.tobytes()
+                    and back[row].tobytes() == want_back.tobytes()):
+                raise AssertionError(
+                    f"row {row} of a (4, {n}) stack differs from the np.fft formulation"
+                )
+    return f"(4, N) stacks at N = {', '.join(map(str, sizes))}, rows as np.fft gives them"
 
 
 def _check_batched_maps() -> str:
@@ -256,7 +264,7 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("time-reversal symmetry of two-endpoint maps", _check_symmetry),
     ("constant-data zero-mode reductions", _check_zero_mode_reductions),
     ("phi1 against expm1 decomposition", _check_phi1_identity),
-    ("stacked transforms match row-by-row, bit for bit", _check_stacked_transforms),
+    ("stacked transforms match row-by-row and np.fft, bit for bit", _check_stacked_transforms),
     ("batched symmetric maps match one-row calls bit for bit", _check_batched_maps),
     ("serialization round trips", _check_serialization),
 ]

@@ -18,6 +18,10 @@ from functools import cached_property, lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
+# numpy's pocketfft gufuncs, (m),()->(n) along the last axis: (a, fct, out)
+# is the DFT of a times fct, written to out.  np.fft.fft and ifft call the
+# same kernels after per-call checks; numpy 2.0 made them gufuncs.
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 __all__ = [
     "TorusGrid",
@@ -108,7 +112,8 @@ def coeffs_from_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     Transforms along the last axis, so a ``(..., N)`` stack of fields takes
     one call; each row comes out bit for bit as it would alone.
     """
-    spectrum = np.fft.fft(values).take(grid._half_roll, axis=-1)
+    spectrum = _fft(values, 1.0, np.empty(values.shape, np.complex128))
+    spectrum = spectrum.take(grid._half_roll, axis=-1)
     np.multiply(grid._grid_phase_complex, spectrum, out=spectrum)
     spectrum /= grid.n_modes
     return spectrum
@@ -119,10 +124,12 @@ def values_from_coeffs(coeffs: np.ndarray, grid: TorusGrid,
     """Grid samples of the trigonometric interpolant (array level, last axis).
 
     ``out``, a complex array of the shape of ``coeffs``, receives the samples
-    when given.
+    when given.  The pair calls numpy's FFT kernels with the factors
+    ``np.fft`` passes them (1 forward, 1/N inverse), so its outputs are those
+    of the ``np.fft`` formulation bit for bit.
     """
     shifted = (coeffs * grid._grid_phase_complex).take(grid._half_roll, axis=-1)
-    values = np.fft.ifft(shifted, out=shifted if out is None else out)
+    values = _ifft(shifted, 1.0 / grid.n_modes, shifted if out is None else out)
     values *= grid.n_modes
     return values
 

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,6 +235,35 @@ def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv,
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+_CUBIC = ["--equation", "cubic", "--scheme", "nrli1", "--modes", "16"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", *_CUBIC, "--eps", "0.5", "--tau", "0.1", "--t-final", "1e300"], "--t-final"),
+    (["sweep-tau", *_CUBIC, "--eps", "1e-100", "--tau-list", "0.1,0.05,0.025,0.0125",
+      "--T", "1", "--jobs", "1"], "--tau-list"),
+    (["simulate", *_CUBIC, "--eps", "0.5", "--tau", "0.1", "--t-final", "1",
+      "--ref-tau", "1e-200"], "--ref-tau"),
+    (["sweep-eps", *_CUBIC, "--tau", "1e-9", "--eps-list", "0.5,0.4,0.3", "--T", "1"], "--T"),
+    (["sweep-eps", *_CUBIC, "--tau", "0.1", "--eps-list", "0.5,0.4,1e-6", "--T", "1"],
+     "--eps-list"),
+    (["error-vs-time", *_CUBIC, "--eps", "1e-5", "--tau", "0.01", "--T", "1",
+      "--sample-times", "0.1"], "--T"),
+], ids=["simulate-t-final", "sweep-tau-eps", "simulate-ref-tau", "sweep-eps-T",
+        "sweep-eps-eps-list", "error-vs-time-T"])
+def test_too_many_steps_exit_2_at_once(tmp_path, capsys, monkeypatch, argv, flag):
+    # a horizon of astronomically many steps is a usage error, named by its flag
+    monkeypatch.setattr(harness, "run_trajectory", None)
+    monkeypatch.setattr(harness, "_run_rows", None)
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert time.perf_counter() - started < 1.0
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag}: " in err and "steps" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

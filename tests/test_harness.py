@@ -128,6 +128,23 @@ def test_bad_numeric_params_rejected(kw):
         _quad(**kw)
 
 
+def test_step_count_is_capped_before_any_work(monkeypatch):
+    # a horizon of astronomically many steps is rejected, never run
+    monkeypatch.setattr(harness, "run_trajectory", None)
+    monkeypatch.setattr(harness, "_run_rows", None)
+    cap = harness._MAX_STEPS
+    assert _quad(tau=1.0, t_final=float(cap)).t_final == cap
+    with pytest.raises(ValueError, match="^t_final: "):
+        _quad(tau=1.0, t_final=2.0 * cap)
+    p = _quad()
+    with pytest.raises(ValueError, match="^ref_tau: "):
+        reference_solution(p, make_initial_data(p), ref_tau=1e-200)
+    with pytest.raises(ValueError, match="^tau_list: "):
+        sweep_tau(_quad(tau=_TAUS[0], t_final=_TAUS[0] * cap), _TAUS)
+    with pytest.raises(ValueError, match="^eps_list: "):
+        sweep_eps(_quad(), [0.5, 0.25, 1e-12], T=1.0)
+
+
 @pytest.mark.parametrize("error, gap", [(math.nan, 0.0), (math.nan, math.nan), (1.0, math.nan)])
 def test_record_with_nan_error_or_gap_is_unreliable(error, gap):
     p = _quad(t_final=0.0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowreg_nlse
+from lowreg_nlse import spectral
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
@@ -159,6 +160,47 @@ def test_transform_pair_equals_fftshift_formula_bit_for_bit(n):
         assert np.array_equal(coeffs_from_values(want_vals, grid), want_back)
         assert np.array_equal(vals[row], want_vals)
         assert np.array_equal(back[row], want_back)
+
+
+@pytest.mark.parametrize("n", [6, 96, 128, 1024])
+def test_stage_shaped_stack_equals_lone_rows_and_fftshift_formula(n):
+    # an (F, B, N) stack, the shape of a lockstep product stage, with and without out=
+    rng = np.random.default_rng(600 + n)
+    grid = TorusGrid(n)
+    stack = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    out = np.empty_like(stack)
+    assert values_from_coeffs(stack, grid, out=out) is out
+    vals = values_from_coeffs(stack, grid)
+    back = coeffs_from_values(vals, grid)
+    assert out.tobytes() == vals.tobytes()
+    assert back.shape == stack.shape
+    for f in range(3):
+        for b in range(2):
+            want_vals = _fftshift_values_from_coeffs(stack[f, b], grid)
+            want_back = _fftshift_coeffs_from_values(want_vals, grid)
+            assert vals[f, b].tobytes() == values_from_coeffs(stack[f, b], grid).tobytes()
+            assert back[f, b].tobytes() == coeffs_from_values(vals[f, b], grid).tobytes()
+            assert vals[f, b].tobytes() == want_vals.tobytes()
+            assert back[f, b].tobytes() == want_back.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 16, 128])
+def test_transform_pair_keeps_the_sign_of_exact_zeros(n):
+    # a constant field has exactly zero parts; their signs are np.fft's too
+    grid = TorusGrid(n)
+    vals = np.full(n, 1.5 + 0.0j)
+    coeffs = coeffs_from_values(vals, grid)
+    assert coeffs.tobytes() == _fftshift_coeffs_from_values(vals, grid).tobytes()
+    want_vals = _fftshift_values_from_coeffs(coeffs, grid)
+    assert values_from_coeffs(coeffs, grid).tobytes() == want_vals.tobytes()
+
+
+def test_transform_pair_calls_numpys_fft_kernels():
+    # the gufuncs themselves, not np.fft's Python wrappers around them
+    from numpy.fft import _pocketfft_umath
+
+    assert spectral._fft is _pocketfft_umath.fft
+    assert spectral._ifft is _pocketfft_umath.ifft
 
 
 @pytest.mark.parametrize("n", [4, 6, 16, 128, 1024])
