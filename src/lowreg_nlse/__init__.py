@@ -37,7 +37,6 @@ from .quadratic import (
     sli2_conj_step_info,
     sli2_step_info,
 )
-from .selftest import run_selftest
 from .spectral import (
     OperatorSymbols,
     SpectralField,
@@ -53,6 +52,17 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the selftest battery (and the oracles it checks against) loads on first
+    # use of ``run_selftest``, so importing the package does not pay for it
+    if name == "run_selftest":
+        from .selftest import run_selftest
+
+        return run_selftest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CubicScheme",

@@ -55,7 +55,6 @@ from .harness import (
     sweep_tau,
     write_records_csv,
 )
-from .selftest import run_selftest
 from .spectral import field_to_text
 
 # the flag that sets each SimParams field and each argument of a run's own
@@ -276,6 +275,9 @@ def _finish(config, records: list[SweepRecord]) -> int:
 
 def run(config: argparse.Namespace) -> int:
     if config.subcommand == "selftest":
+        # imported here: the battery and its oracles load for this subcommand only
+        from .selftest import run_selftest
+
         results = run_selftest()
         for name, ok, detail in results:
             print(f"{'ok  ' if ok else 'FAIL'}  {name} — {detail}")

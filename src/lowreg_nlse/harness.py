@@ -31,7 +31,6 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -727,6 +726,9 @@ def _run_points(
     fines = [_cell_refs(p, w0, ref_tau) for p in cells]
     store = _references()
     if jobs is not None and jobs > 1 and len(cells) > 1:
+        # imported here: a serial command never pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pairs = store.pairs(fines, pool.map, jobs)
             payloads = [(p, w0, pair) for p, pair in zip(cells, pairs)]

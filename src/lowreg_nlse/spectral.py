@@ -268,7 +268,11 @@ _U64 = (1 << 64) - 1
 
 
 class _SplitMix64:
-    """splitmix64 counter generator; the pinned random stream for initial data."""
+    """splitmix64 counter generator, one draw at a time.
+
+    The scalar reference for the pinned initial-data stream, which
+    ``_splitmix64_doubles`` draws whole.
+    """
 
     def __init__(self, seed: int):
         self._state = int(seed) & _U64
@@ -285,6 +289,25 @@ class _SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
+def _splitmix64_doubles(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` doubles of ``_SplitMix64(seed)``, in one numpy pass.
+
+    The k-th state is seed + k * 0x9E3779B97F4A7C15 (mod 2^64), and uint64
+    array arithmetic wraps exactly, so every draw equals the scalar one.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(int(seed) & _U64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    # below 2^53, so the conversion and the power-of-two scale are exact
+    return z.astype(np.float64) * 2.0**-53
+
+
 def random_initial_data(grid: TorusGrid, theta: float, seed: int) -> SpectralField:
     """H^theta-rough random field: u_hat[l] = <l>^{-theta} (a + i b), a,b ~ U[0,1).
 
@@ -293,14 +316,11 @@ def random_initial_data(grid: TorusGrid, theta: float, seed: int) -> SpectralFie
     seeded with ``seed`` — bit-identical across runs and platforms.
     """
     _check_nonnegative("theta", theta)
-    rng = _SplitMix64(seed)
     k = grid.wavenumbers
     bracket = np.where(k == 0, 1.0, np.abs(k)).astype(np.float64)
-    coeffs = np.empty(grid.n_modes, dtype=np.complex128)
-    for i in range(grid.n_modes):
-        a = rng.next_double()
-        b = rng.next_double()
-        coeffs[i] = complex(a, b)
+    # draw 2i is mode i's real part and draw 2i+1 its imaginary part, which
+    # is complex128's memory layout
+    coeffs = _splitmix64_doubles(seed, 2 * grid.n_modes).view(np.complex128)
     coeffs *= bracket ** (-float(theta))
     return SpectralField(grid, coeffs)
 

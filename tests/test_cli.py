@@ -1,5 +1,6 @@
 """Command-line interface tests: parsing, precedence, outputs, exit codes."""
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import lowreg_nlse
 from lowreg_nlse import harness, selftest
 from lowreg_nlse.cli import _finish, main, parse_args
 from lowreg_nlse.harness import CSV_COLUMNS, Equation, SweepRecord, read_records_csv
@@ -231,6 +233,7 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     # the sweep's own check, run at parse time: exit 2 before any trajectory
     monkeypatch.setattr(harness, "run_trajectory", None)
+    monkeypatch.setattr(harness, "_run_rows", None)
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert info.value.code == 2
@@ -270,6 +273,7 @@ def test_too_many_steps_exit_2_at_once(tmp_path, capsys, monkeypatch, argv, flag
 def test_sweep_eps_rejects_eps(tmp_path, capsys, monkeypatch, source):
     # a sweep's cells take their eps from --eps-list; an --eps would do nothing
     monkeypatch.setattr(harness, "run_trajectory", None)
+    monkeypatch.setattr(harness, "_run_rows", None)
     argv = _EPS_SWEEP + ["--eps-list", "0.5,0.35,0.25", "--out", str(tmp_path / "out.csv")]
     if source == "flag":
         argv += ["--eps", "0.9"]
@@ -590,6 +594,45 @@ def test_help_runs_as_console_script():
     assert proc.returncode == 0
     for sub in ("simulate", "sweep-tau", "sweep-eps", "error-vs-time", "selftest"):
         assert sub in proc.stdout
+
+
+def test_cold_start_loads_neither_the_pool_nor_the_selftest_battery():
+    # a fresh interpreter importing the CLI pays only for what every command runs
+    code = ("import sys, lowreg_nlse.cli; print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing', 'lowreg_nlse.selftest', 'lowreg_nlse.oracles') "
+            "if m in sys.modules))")
+    src = str(Path(lowreg_nlse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+    # the battery still resolves from the package root, one name or all of them
+    assert lowreg_nlse.run_selftest is selftest.run_selftest
+    namespace = {}
+    exec("from lowreg_nlse import *", namespace)
+    assert set(lowreg_nlse.__all__) <= namespace.keys()
+    assert namespace["run_selftest"] is selftest.run_selftest
+    with pytest.raises(AttributeError):
+        lowreg_nlse.no_such_name
+
+
+def test_jobs_2_sweep_runs_in_the_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    out = tmp_path / "tau.csv"
+    assert main(_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--jobs", "2",
+                              "--out", str(out)]) == 0
+    assert started == [2]
+    assert len(read_records_csv(str(out))) == 4
 
 
 def test_selftest_subcommand_passes(capsys):

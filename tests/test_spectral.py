@@ -471,6 +471,23 @@ def test_random_initial_data_frozen_values():
     assert f.coeffs[1] == 0.026433771592597743 + 0.9708819781538285j
 
 
+@pytest.mark.parametrize("seed", [0, 267, 2**63 + 7, 2**64 - 1, -3, 2**70])
+@pytest.mark.parametrize("n", [4, 6, 128, 1024])
+@pytest.mark.parametrize("theta", [0.0, 1.0, 5.0])
+def test_random_initial_data_is_the_scalar_stream(seed, n, theta):
+    # the one-pass draws give the bytes of one next_double() per part
+    grid = TorusGrid(n)
+    rng = _SplitMix64(seed)
+    expected = np.empty(n, dtype=np.complex128)
+    for i in range(n):
+        a = rng.next_double()
+        b = rng.next_double()
+        expected[i] = complex(a, b)
+    bracket = np.where(grid.wavenumbers == 0, 1.0, np.abs(grid.wavenumbers)).astype(np.float64)
+    expected *= bracket ** (-theta)
+    assert random_initial_data(grid, theta, seed).coeffs.tobytes() == expected.tobytes()
+
+
 def test_random_initial_data_deterministic():
     a = random_initial_data(TorusGrid(64), 2.0, 12345)
     b = random_initial_data(TorusGrid(64), 2.0, 12345)
