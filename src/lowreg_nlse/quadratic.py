@@ -28,6 +28,8 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _check_grid,
+    _fft,
+    _ifft,
     coeffs_from_values,
     conjugate_coeffs,
     sobolev_norms,
@@ -145,6 +147,18 @@ class _Stage:
     the grid.  A call costs one inverse transform of the stacked factors and
     one forward transform of the stacked products, and returns the spectra
     of the products in a new (P, ..., N) array, row r for product r.
+
+    At power-of-two N the stage transforms the ascending rows as they are,
+    without the public pair's (-1)^l phase, half-roll and scale passes.
+    Without the phase the samples are those of the grid shifted by half a
+    period, and without the half-roll sample j carries a factor (-1)^j.  A
+    product of even degree loses that sign, so its spectrum needs only the
+    half-roll; one of odd degree keeps one (-1)^j, which is the half-roll,
+    so its spectrum needs nothing.  The 1/N scale is a power of two and
+    exact.  pocketfft's radix-2 and radix-4 passes commute exactly with
+    these sign flips and shifts, so the spectra keep the public pair's bits
+    (``selftest`` checks this); its radix-3 and radix-5 passes do not, so
+    every other even N takes the public pair.
     """
 
     def __init__(self, n_factors: int, products: tuple[tuple[int, ...], ...],
@@ -157,14 +171,34 @@ class _Stage:
         # each product's row and the sample rows it multiplies, left to right
         self._plan = [(row, [self._values[i] for i in indices])
                       for row, indices in zip(self._products, products)]
+        n = grid.n_modes
+        self._relabel_free = n & (n - 1) == 0
+        self._scale = 1.0 / n
+        # flat take-index of the spectra: the half-roll on the rows of the
+        # even-degree products, the identity on the others; None if none is even
+        even = [r for r, indices in enumerate(products) if len(indices) % 2 == 0]
+        self._order = None
+        if self._relabel_free and even:
+            order = np.arange(self._products.size).reshape(self._products.shape)
+            order[even] = order[even].take(grid._half_roll, axis=-1)
+            self._order = order
 
     def __call__(self) -> np.ndarray:
-        values_from_coeffs(self.factors, self.grid, out=self._values)
+        if not self._relabel_free:
+            values_from_coeffs(self.factors, self.grid, out=self._values)
+            return coeffs_from_values(self._multiply(), self.grid)
+        _ifft(self.factors, 1.0, self._values)
+        if self._order is None:
+            return _fft(self._multiply(), self._scale, np.empty_like(self._products))
+        return _fft(self._multiply(), self._scale, self._products).take(self._order)
+
+    def _multiply(self) -> np.ndarray:
+        """The products of the samples, written into their stack."""
         for row, (first, second, *more) in self._plan:
             np.multiply(first, second, out=row)
             for vals in more:
                 row *= vals
-        return coeffs_from_values(self._products, self.grid)
+        return self._products
 
 
 class _Map:

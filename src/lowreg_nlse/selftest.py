@@ -41,6 +41,7 @@ from .quadratic import (
     QuadSchemeConfig,
     _ModSquareMap,
     _SquareMap,
+    _Stage,
     li1_conj_step,
     li1_step,
     sli2_conj_step_info,
@@ -176,11 +177,17 @@ def _check_phi1_identity() -> str:
     return f"residual {worst:.1e}"
 
 
+# a two-factor stage of degree-2 products and a three-factor one mixing
+# degrees 3 and 2: at power-of-two N the stage skips the pair's relabelling
+_STAGES = (((0, 0), (0, 1)), ((0, 0, 1), (0, 0, 2), (1, 2)))
+
+
 def _check_stacked_transforms() -> str:
     # the steppers transform all factors of a product stage in one call; on a
     # numpy whose FFT treats a stack differently from lone rows, that would
     # change the numbers.  The pair calls numpy's FFT kernels directly, so
-    # each row must also equal the public np.fft formulation
+    # each row must also equal the public np.fft formulation; and a product
+    # stage, relabel-free at power-of-two N, must give the pair's spectra
     sizes = (16, 96, 128, 1024)
     for n in sizes:
         grid = TorusGrid(n)
@@ -200,7 +207,19 @@ def _check_stacked_transforms() -> str:
                 raise AssertionError(
                     f"row {row} of a (4, {n}) stack differs from the np.fft formulation"
                 )
-    return f"(4, N) stacks at N = {', '.join(map(str, sizes))}, rows as np.fft gives them"
+        for products in _STAGES:
+            stage = _Stage(1 + max(map(max, products)), products, (n,), grid)
+            stage.factors[...] = stack[:len(stage.factors)]
+            for indices, got in zip(products, stage()):
+                prod = vals[indices[0]] * vals[indices[1]]
+                for i in indices[2:]:
+                    prod = prod * vals[i]
+                if got.tobytes() != coeffs_from_values(prod, grid).tobytes():
+                    raise AssertionError(
+                        f"product {indices} of a stage at N = {n} differs from the public pair"
+                    )
+    return (f"(4, N) stacks at N = {', '.join(map(str, sizes))}, rows as np.fft gives them;"
+            " product stages as the public pair gives them")
 
 
 def _check_batched_maps() -> str:
@@ -264,7 +283,8 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("time-reversal symmetry of two-endpoint maps", _check_symmetry),
     ("constant-data zero-mode reductions", _check_zero_mode_reductions),
     ("phi1 against expm1 decomposition", _check_phi1_identity),
-    ("stacked transforms match row-by-row and np.fft, bit for bit", _check_stacked_transforms),
+    ("stacked transforms and product stages match row-by-row and np.fft, bit for bit",
+     _check_stacked_transforms),
     ("batched symmetric maps match one-row calls bit for bit", _check_batched_maps),
     ("serialization round trips", _check_serialization),
 ]

@@ -41,7 +41,7 @@ def _stack(n_modes):
     return grid, fields, ops
 
 
-@pytest.mark.parametrize("n_modes", [6, 16, 128])
+@pytest.mark.parametrize("n_modes", [6, 16, 128, 1024])
 @pytest.mark.parametrize("name", list(_MAPS))
 def test_mixed_stack_equals_one_row_calls(name, n_modes):
     step, prepared, config = _MAPS[name]
