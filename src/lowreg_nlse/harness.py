@@ -452,19 +452,6 @@ def _run_rows(
     return results
 
 
-def _longest_first(mapper, fn, tasks: list, costs: Sequence[int]) -> list:
-    """``mapper(fn, tasks)`` issued in decreasing cost, results in task order.
-
-    Handing a pool its longest tasks first (Graham's LPT rule) keeps one
-    late long task from running alone while the other workers idle.
-    """
-    order = sorted(range(len(tasks)), key=lambda i: costs[i], reverse=True)
-    results: list = [None] * len(tasks)
-    for i, result in zip(order, mapper(fn, [tasks[i] for i in order])):
-        results[i] = result
-    return results
-
-
 class _ReferenceStore:
     """Reference trajectories, each built once and kept under its key.
 
@@ -718,9 +705,10 @@ def _run_points(
 
     Every cell starts from base's initial data.  The missing reference
     trajectories are built first, in lockstep batches (one batch, or with
-    jobs > 1 up to ``jobs`` of them); then the cells run, each handed its
-    pair.  With jobs > 1 both phases share one pool of at most ``jobs``
-    workers.
+    jobs > 1 up to ``jobs`` of them); then the cells run in task order, each
+    handed its pair.  With jobs > 1 both phases share one pool of
+    ``min(jobs, 2 * len(cells))`` workers: a cell misses at most two
+    references, so neither phase has more tasks than that.
     """
     w0 = make_initial_data(base)
     fines = [_cell_refs(p, w0, ref_tau) for p in cells]
@@ -729,11 +717,10 @@ def _run_points(
         # imported here: a serial command never pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, 2 * len(cells))) as pool:
             pairs = store.pairs(fines, pool.map, jobs)
             payloads = [(p, w0, pair) for p, pair in zip(cells, pairs)]
-            costs = [_horizon_steps(p)[0] for p in cells]
-            outcomes = _longest_first(pool.map, _point_worker, payloads, costs)
+            outcomes = list(pool.map(_point_worker, payloads))
     else:
         outcomes = []
         for p, pair in zip(cells, store.pairs(fines)):

@@ -74,14 +74,6 @@ class TorusGrid:
         return s
 
     @cached_property
-    def _grid_phase_complex(self) -> np.ndarray:
-        # the same phase as complex128: numpy has no complex-times-float loop,
-        # so a product with the float phase casts it on every call
-        s = self._grid_phase.astype(np.complex128)
-        s.setflags(write=False)
-        return s
-
-    @cached_property
     def _half_roll(self) -> np.ndarray:
         # take-index of fftshift and of ifftshift, which coincide for even N
         n = self.n_modes
@@ -114,7 +106,7 @@ def coeffs_from_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """
     spectrum = _fft(values, 1.0, np.empty(values.shape, np.complex128))
     spectrum = spectrum.take(grid._half_roll, axis=-1)
-    np.multiply(grid._grid_phase_complex, spectrum, out=spectrum)
+    np.multiply(grid._grid_phase, spectrum, out=spectrum)
     spectrum /= grid.n_modes
     return spectrum
 
@@ -128,7 +120,7 @@ def values_from_coeffs(coeffs: np.ndarray, grid: TorusGrid,
     ``np.fft`` passes them (1 forward, 1/N inverse), so its outputs are those
     of the ``np.fft`` formulation bit for bit.
     """
-    shifted = (coeffs * grid._grid_phase_complex).take(grid._half_roll, axis=-1)
+    shifted = (coeffs * grid._grid_phase).take(grid._half_roll, axis=-1)
     values = _ifft(shifted, 1.0 / grid.n_modes, shifted if out is None else out)
     values *= grid.n_modes
     return values

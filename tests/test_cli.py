@@ -565,7 +565,8 @@ def test_picard_stall_names_the_trajectory(tmp_path, capsys, jobs, fp_max_iter, 
     assert "implicit solve failed at step 1 (t = " in err
     assert trajectory in err
     if fp_max_iter == "4":
-        assert "tau 0.05)" in err
+        # cells run in task order at every --jobs, so the first stall is eps 0.5's
+        assert "cell (scheme sli2, eps 0.5, tau 0.05)" in err
 
 
 def test_unwritable_output_is_diagnosed(tmp_path, capsys):
@@ -633,6 +634,37 @@ def test_jobs_2_sweep_runs_in_the_pool(tmp_path, monkeypatch):
                               "--out", str(out)]) == 0
     assert started == [2]
     assert len(read_records_csv(str(out))) == 4
+
+
+def test_pool_is_sized_by_its_work(tmp_path, monkeypatch):
+    # a 4-cell sweep misses at most 8 references, so it starts at most 8
+    # workers however large --jobs is; the fake pool maps in this process
+    import concurrent.futures
+
+    started = []
+
+    class InProcess:
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    rows = {}
+    for jobs in ("1000000", "1"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--jobs", jobs,
+                                  "--out", str(out)]) == 0
+        rows[jobs] = _rows_without_wall_clock(out)
+    assert started == [8]
+    assert rows["1000000"] == rows["1"]
 
 
 def test_selftest_subcommand_passes(capsys):

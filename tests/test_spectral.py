@@ -206,11 +206,17 @@ def test_transform_pair_calls_numpys_fft_kernels():
 @pytest.mark.parametrize("n", [4, 6, 16, 128, 1024])
 def test_cached_grid_arrays_are_exact(n):
     grid = TorusGrid(n)
-    # the complex phase is the float phase cast, so products with it keep their bits
-    assert grid._grid_phase_complex.dtype == np.complex128
-    assert grid._grid_phase_complex.tobytes() == grid._grid_phase.astype(np.complex128).tobytes()
-    assert not grid._grid_phase_complex.flags.writeable
     rng = np.random.default_rng(700 + n)
+    # the pair multiplies by the float phase, which numpy casts to complex:
+    # exact and signed zeros come out as in the np.fft formulation
+    rows = np.empty((4, n), np.complex128)
+    rows.real = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], (4, n))
+    rows.imag = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], (4, n))
+    for row in rows:
+        want = _fftshift_values_from_coeffs(row, grid)
+        assert values_from_coeffs(row, grid).tobytes() == want.tobytes()
+        want = _fftshift_coeffs_from_values(row, grid)
+        assert coeffs_from_values(row, grid).tobytes() == want.tobytes()
     stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     flipped = np.conj(np.concatenate((stack[..., :1], stack[..., :0:-1]), axis=-1))
     assert conjugate_coeffs(stack).tobytes() == flipped.tobytes()
@@ -686,3 +692,30 @@ def test_no_module_imports_a_name_it_does_not_use():
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         unused += [f"{path.stem}.{name}" for name in imported if name not in read | strings]
     assert unused == []
+
+
+def test_every_module_function_and_class_is_named_somewhere():
+    # a module-level def or class of the package must be named in src, tests
+    # or perfbench (as a name, an attribute, an import or a string constant),
+    # so a helper whose last caller was deleted does not stay behind; a
+    # dunder such as the package's __getattr__ is called by the language
+    root = Path(__file__).resolve().parents[1]
+    named = set()
+    for path in [*root.glob("src/lowreg_nlse/*.py"), *root.glob("tests/*.py"),
+                 *root.glob("perfbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    defined = [f"{path.stem}.{node.name}"
+               for path in sorted(root.glob("src/lowreg_nlse/*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("__")]
+    assert len(defined) > 100
+    assert [name for name in defined if name.split(".")[1] not in named] == []
