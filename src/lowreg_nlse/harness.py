@@ -128,11 +128,22 @@ _REFERENCES = {
 _MAX_STEPS = 10**9
 
 
+def _step_count(t_final: float, step: float) -> int:
+    """The steps a trajectory takes to t_final: round(t_final / step)."""
+    return int(round(t_final / step))
+
+
 def _check_steps(name: str, t_final: float, step: float) -> None:
     """Reject reaching t_final in more than _MAX_STEPS steps; the message begins with ``name``."""
     if t_final / step > _MAX_STEPS:
         raise ValueError(f"{name}: t = {t_final:g} in steps of {step:g} takes more than "
                          f"{_MAX_STEPS:.0e} steps")
+
+
+def _check_takes_a_step(name: str, t_final: float, step: float) -> None:
+    """Reject reaching t_final in no step at all; the message begins with ``name``."""
+    if _step_count(t_final, step) < 1:
+        raise ValueError(f"{name}: t = {t_final:g} in steps of {step:g} takes no step")
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,8 @@ class SimParams:
         _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
         TorusGrid(self.n_modes)
         _check_nonnegative("theta", self.theta)
-        _check_nonnegative("error_norm_r", self.error_norm_r)
+        if not 0.0 <= self.error_norm_r < math.inf:
+            raise ValueError(f"error_norm_r must be nonnegative and finite, got {self.error_norm_r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +266,7 @@ def make_initial_data(params: SimParams) -> SpectralField:
 
 def _horizon_steps(params: SimParams) -> tuple[int, float]:
     """Step count round(t_final / tau) and the horizon those steps reach."""
-    n_steps = int(round(params.t_final / params.tau))
+    n_steps = _step_count(params.t_final, params.tau)
     return n_steps, n_steps * params.tau
 
 
@@ -282,8 +294,9 @@ def _build_stepper(
 class _Track:
     """Bookkeeping of one trajectory: its snapshots, sup_h1 and Picard counts.
 
-    :func:`run_trajectory` keeps one; the lockstep reference runner keeps one
-    per row, whose states are rows of its stack.
+    It records coefficients and makes fields only for the snapshots and the
+    result.  :func:`run_trajectory` keeps one; the lockstep reference runner
+    keeps one per row, whose coefficients are rows of its stack.
     """
 
     def __init__(self, params: SimParams, w0: SpectralField,
@@ -294,32 +307,25 @@ class _Track:
         self.snap_at: dict[int, int] = {}
         for k in _sample_steps(params, sample_times):
             self.snap_at[k] = self.snap_at.get(k, 0) + 1
-        self.state: SpectralField | np.ndarray = w0
+        self.coeffs = w0.coeffs
         self.sup_h1 = sobolev_norm(w0, 1.0)
         self.iters: list[int] = []
         self.snapshots = [(0.0, w0)] * self.snap_at.get(0, 0)
 
-    def _field(self) -> SpectralField:
-        if isinstance(self.state, SpectralField):
-            return self.state
-        return SpectralField(self.grid, self.state)
-
-    def record(self, k: int, state: SpectralField | np.ndarray, it: int | None,
-               h1: float) -> None:
-        """Step k reached ``state`` (a field or its coefficients) after ``it`` iterations."""
-        self.state = state
+    def record(self, k: int, coeffs: np.ndarray, it: int | None, h1: float) -> None:
+        """Step k reached the coefficients ``coeffs`` after ``it`` iterations."""
+        self.coeffs = coeffs
         if it is not None:
             self.iters.append(it)
         self.sup_h1 = max(self.sup_h1, h1)
         if k in self.snap_at:
-            # one field for the snapshots and, at the last step, the result
-            self.state = self._field()
-            self.snapshots.extend([(k * self.tau, self.state)] * self.snap_at[k])
+            field = SpectralField(self.grid, coeffs)
+            self.snapshots.extend([(k * self.tau, field)] * self.snap_at[k])
 
     def result(self) -> TrajectoryResult:
         iters = self.iters
         return TrajectoryResult(
-            state=self._field(),
+            state=SpectralField(self.grid, self.coeffs),
             t_actual=self.t_actual,
             n_steps=self.n_steps,
             sup_h1=self.sup_h1,
@@ -349,7 +355,7 @@ def run_trajectory(
             w, it = step(w)
         except FixedPointError as exc:
             raise SolverFailure(k, k * params.tau, exc) from exc
-        track.record(k, w, it, sobolev_norm(w, 1.0))
+        track.record(k, w.coeffs, it, sobolev_norm(w, 1.0))
     return track.result()
 
 
@@ -379,7 +385,7 @@ class _Reference:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.step))
+        return _step_count(self.t_final, self.step)
 
     @property
     def key(self) -> tuple:
@@ -416,10 +422,10 @@ def _run_rows(
     N, fp_tol and fp_max_iter.  Row r steps with its own eps and tau through
     the symmetric map of its equation, prepared for the stack and again
     only when rows leave it, which a row does once its own step count is
-    done.  The last row left steps as a lone field.  So each row's state,
-    sup_h1, Picard counts and snapshots are those :func:`run_trajectory`
-    gives it.  A stalled row raises :class:`SolverFailure` naming its
-    reference trajectory.
+    done; the last row left steps through a lone field's map of its own
+    symbols.  So each row's state, sup_h1, Picard counts and snapshots are
+    those :func:`run_trajectory` gives it.  A stalled row raises
+    :class:`SolverFailure` naming its reference trajectory.
     """
     # longest first, so the rows still stepping are always a prefix
     order = sorted(range(len(rows)), key=lambda r: -_horizon_steps(rows[r][0])[0])
@@ -427,20 +433,26 @@ def _run_rows(
     first = params[0]
     grid = TorusGrid(first.n_modes)
     tracks = [_Track(p, rows[r][1], rows[r][2]) for p, r in zip(params, order)]
-    ops = OperatorSymbols.stack([OperatorSymbols.build(grid, p.tau) for p in params])
+    row_ops = [OperatorSymbols.build(grid, p.tau) for p in params]
     _, prepared = _REFERENCES[first.equation]
-    full = prepared(tuple(p.eps for p in params), ops, first.fp_tol, first.fp_max_iter)
-    step = full if len(rows) > 1 else full.last_row()
+    step = full = prepared(tuple(p.eps for p in params), OperatorSymbols.stack(row_ops),
+                           first.fp_tol, first.fp_max_iter)
+    lone = prepared((first.eps,), row_ops[0], first.fp_tol, first.fp_max_iter)
     c = np.stack([rows[r][1].coeffs for r in order])
     live = len(rows)
     for k in range(1, tracks[0].n_steps + 1):
         while tracks[live - 1].n_steps < k:
             live -= 1
         if live < len(c):
-            step = full.take(np.arange(len(rows)) < live) if live > 1 else full.last_row()
             c = c[:live]
+            if live > 1:
+                step = full.take(np.arange(len(rows)) < live)
         try:
-            c, iters = step(c)
+            if live > 1:
+                c, iters = step(c)
+            else:
+                u, iters = lone(c[0])
+                c = u[None]
         except FixedPointError as exc:
             p = params[exc.row]
             raise SolverFailure(k, k * p.tau, exc, _reference_name(p)) from exc
@@ -553,7 +565,8 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None, t_final: float) -> float:
-    """Reject under 4 step sizes, a nonfinite, nonpositive or too fine one, or a bad ref_tau."""
+    """Reject under 4 step sizes, a nonfinite, nonpositive, too fine or too coarse one, or a
+    bad ref_tau."""
     if len(taus) < 4:
         raise ValueError("tau_list: tau sweep needs at least 4 step sizes")
     if not all(map(math.isfinite, taus)):
@@ -561,13 +574,14 @@ def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None, t_final: floa
     if any(t <= 0 for t in taus):
         raise ValueError("tau_list: step sizes must be positive")
     _check_steps("tau_list", t_final, min(taus))
+    _check_takes_a_step("tau_list", t_final, max(taus))
     return _check_ref_tau(min(taus), ref_tau, t_final)
 
 
 def _check_eps_sweep(base: SimParams, eps_values: Sequence[float], T: float,
                      ref_tau: float | None) -> float:
     """Reject under 3 eps, one outside (0, 1], a non-decreasing list, a bad or too long
-    horizon, or a bad ref_tau."""
+    horizon, one that base.tau reaches in no step, or a bad ref_tau."""
     if len(eps_values) < 3:
         raise ValueError("eps_list: eps sweep needs at least 3 values")
     if any(not 0.0 < e <= 1.0 for e in eps_values):
@@ -577,6 +591,7 @@ def _check_eps_sweep(base: SimParams, eps_values: Sequence[float], T: float,
     horizons = [_horizon(base.equation, T, e) for e in eps_values]
     for horizon in horizons:
         _check_steps("eps_list", horizon, base.tau)
+        _check_takes_a_step("eps_list", horizon, base.tau)
     return _check_ref_tau(base.tau, ref_tau, max(horizons))
 
 
@@ -641,8 +656,8 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
             gap: float, ref_tau: float, wall: float) -> SweepRecord:
     """The record of params' trajectory at time t against a reference with this gap.
 
-    It is reliable only when the error is at least ten times the gap
-    between the fine and the finer reference (a nan error or gap never is).
+    It is reliable only when the error is at least ten times a finite gap
+    between the fine and the finer reference (a nan error never is).
     """
     return SweepRecord(
         equation=params.equation,
@@ -659,7 +674,7 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
         wall_seconds=wall,
         fp_iter_max=traj.fp_iter_max,
         fp_iter_mean=traj.fp_iter_mean,
-        reliable=error >= 10.0 * gap,
+        reliable=math.isfinite(gap) and error >= 10.0 * gap,
     )
 
 
@@ -739,9 +754,9 @@ def sweep_tau(
 ) -> tuple[list[SweepRecord], OrderFit]:
     """Error against step size at base's horizon; >= 4 step sizes required.
 
-    The reference self-consistency gap must stay below 10% of the coarsest
-    step's error, otherwise the whole sweep is rejected — a reference too
-    coarse to resolve the largest error cannot order the rest.
+    The reference self-consistency gap must be finite and stay below 10% of
+    the coarsest step's error, otherwise the whole sweep is rejected — a
+    reference too coarse to resolve the largest error cannot order the rest.
     """
     taus = [float(t) for t in tau_list]
     ref_tau = _check_tau_sweep(taus, ref_tau, base.t_final)
@@ -749,11 +764,11 @@ def sweep_tau(
     records, gaps = _run_points(base, cells, ref_tau, jobs)
 
     coarse_idx = max(range(len(records)), key=lambda i: records[i].tau)
-    if gaps[coarse_idx] > 0.1 * records[coarse_idx].error:
+    gap, error = gaps[coarse_idx], records[coarse_idx].error
+    if not math.isfinite(gap) or gap > 0.1 * error:
         raise RuntimeError(
-            f"reference self-consistency gap {gaps[coarse_idx]:.3e} exceeds 10% "
-            f"of the coarsest-step error {records[coarse_idx].error:.3e}; "
-            "refine ref_tau"
+            f"reference self-consistency gap {gap:.3e} is not within 10% "
+            f"of the coarsest-step error {error:.3e}; refine ref_tau"
         )
     fit = fit_order([(r.tau, r.error) for r in records], abscissa="tau")
     return records, fit

@@ -204,14 +204,14 @@ class _Stage:
 class _Map:
     """The maps of one nonlinearity, prepared for fixed rows and Picard settings.
 
-    Built once per trajectory (:func:`_prepared`) or per lockstep batch;
-    ``eps`` is a tuple with an entry per row, and each row steps by the
-    ``tau`` of its symbols.  Calling the map takes the symmetric step of c
-    and returns the solutions with the Picard count of each row; its
-    explicit first-order maps are methods.  A map
-    holds the symbol arrays it uses, and a stack's map its symbols too, to
-    narrow them; one field's map, kept on its symbols, holds no reference
-    back to them.
+    Built once per trajectory (:func:`_prepared`), per lockstep batch, or
+    for the row a batch steps last, alone; ``eps`` is a tuple with an entry
+    per row, and each row steps by the ``tau`` of its symbols.  Calling the
+    map takes the symmetric step of c and returns the solutions with the
+    Picard count of each row; its explicit first-order maps are methods.  A
+    map holds the symbol arrays it uses, and a stack's map its symbols too,
+    to narrow them with :meth:`take`; one field's map, kept on its symbols,
+    holds no reference back to them.
     """
 
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
@@ -258,18 +258,6 @@ class _Map:
             eps = tuple(e for e, k in zip(self.eps, keep) if k)
             taken = self._taken[key] = self._like(eps, self.stacked.take(keep))
         return taken
-
-    def last_row(self) -> Callable[[np.ndarray], tuple[np.ndarray, list[int]]]:
-        """The step of a (1, N) stack of this map's first row, taken as a lone field's.
-
-        A lone field's scalars need no per-row glue; the bits are the same.
-        """
-        lone = self._like(self.eps[:1], self.stacked.take(0))
-
-        def step(c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-            u, iters = lone(c[0])
-            return u[None], iters
-        return step
 
     def _like(self, eps: tuple, ops: OperatorSymbols) -> "_Map":
         return type(self)(eps, ops, self.tol, self.max_iter)
@@ -340,8 +328,9 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
 # the maps of eps w^2 and of eps |w|^2
 #
 # Each explicit first-order map is a product stage of the spectrum c and a
-# core that assembles the step from both.  The implicit map's explicit half
-# shares that stage, P c and the zero modes with the first-order predictor.
+# core that assembles the step from both and the per-row factors.  The
+# implicit map's explicit half is the same core with every factor halved, so
+# it shares the stage, P c and the zero modes with the first-order predictor.
 # ---------------------------------------------------------------------------
 
 class _SquareMap(_Map):
@@ -350,11 +339,12 @@ class _SquareMap(_Map):
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
         super().__init__(eps, ops, tol, max_iter)
         e, t = self.eps, self.tau
-        self.ie_t = self.each(lambda e, t: 1j * e * t, e, t)
-        self.two_ie_t = self.each(lambda e, t: 2j * e * t, e, t)
-        self.half_ie_t = self.each(lambda e, t: 0.5j * e * t, e, t)
-        self.half_e = self.column(lambda e: e / 2.0, e)
-        self.quarter_e = self.column(lambda e: e / 4.0, e)
+        ie_t = self.each(lambda e, t: 1j * e * t, e, t)
+        # (2a, a, b) of :meth:`_core`: li1's, and sli2's halves of them
+        self.li1_factors = (self.each(lambda e, t: 2j * e * t, e, t), ie_t,
+                            self.column(lambda e: e / 2.0, e))
+        self.half_factors = (ie_t, self.each(lambda e, t: 0.5j * e * t, e, t),
+                             self.column(lambda e: e / 4.0, e))
         self.inv_dx, self.prop_conj = ops.inv_dx, ops.prop_conj
         self._stage = self.new_stage(2, _SQUARES)
 
@@ -366,32 +356,33 @@ class _SquareMap(_Map):
         sq_prop, sq_plain = self._stage()
         return self.prop * c, self.zero_modes(c), sq_prop - self.prop * sq_plain
 
-    def _li1(self, prop_c: np.ndarray, w0, bracket: np.ndarray) -> np.ndarray:
-        out = self.column(lambda a, z: 1.0 - a * z, self.two_ie_t, w0) * prop_c
-        self.add_to_zero_modes(out, self.each(lambda a, z: a * z * z, self.ie_t, w0))
-        out += self.half_e * bracket
+    def _core(self, factors: tuple, prop_c: np.ndarray, w0, bracket: np.ndarray) -> np.ndarray:
+        """(1 - 2a w0) P c + a w0^2 + b bracket, the w0^2 term on the zero mode."""
+        two_a, a, b = factors
+        out = self.column(lambda a, z: 1.0 - a * z, two_a, w0) * prop_c
+        self.add_to_zero_modes(out, self.each(lambda a, z: a * z * z, a, w0))
+        out += b * bracket
         return out
 
     def li1(self, c: np.ndarray) -> np.ndarray:
-        return self._li1(*self._first(c))
+        return self._core(self.li1_factors, *self._first(c))
 
     def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        prop_c, w0, bracket = self._first(c)
-        explicit = self.column(lambda a, z: 1.0 - a * z, self.ie_t, w0) * prop_c
-        self.add_to_zero_modes(explicit, self.each(lambda h, z: h * z * z, self.half_ie_t, w0))
-        explicit += self.quarter_e * bracket
-        return _picard(self, explicit, self._li1(prop_c, w0, bracket))
+        first = self._first(c)
+        explicit = self._core(self.half_factors, *first)
+        return _picard(self, explicit, self._core(self.li1_factors, *first))
 
     def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
         """One Picard map of sli2: the explicit half plus the terms of u."""
+        ie_t, half_ie_t, quarter_e = self.half_factors
         u0 = self.zero_modes(u)
-        out = explicit - self.column(lambda a, z: a * z, self.ie_t, u0) * u
-        self.add_to_zero_modes(out, self.each(lambda h, z: h * z * z, self.half_ie_t, u0))
+        out = explicit - self.column(lambda a, z: a * z, ie_t, u0) * u
+        self.add_to_zero_modes(out, self.each(lambda h, z: h * z * z, half_ie_t, u0))
         du, prop_conj_du = self._stage.rows
         np.multiply(self.inv_dx, u, out=du)
         np.multiply(self.prop_conj, du, out=prop_conj_du)
         sq, sq_back = self._stage()
-        out += self.quarter_e * (sq - self.prop * sq_back)
+        out += quarter_e * (sq - self.prop * sq_back)
         return out
 
 
@@ -408,12 +399,13 @@ class _ModSquareMap(_Map):
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
         super().__init__(eps, ops, tol, max_iter)
         e, t = self.eps, self.tau
-        self.ie_t = self.each(lambda e, t: 1j * e * t, e, t)
-        self.minus_ie_t = self.each(lambda e, t: -1j * e * t, e, t)
-        self.half_ie_t = self.each(lambda e, t: 0.5j * e * t, e, t)
-        self.minus_half_ie_t = self.each(lambda e, t: -0.5j * e * t, e, t)
-        self.half_e_dx = self.column(lambda e: e / 2.0, e) * ops.inv_dx
-        self.quarter_e_dx = self.column(lambda e: e / 4.0, e) * ops.inv_dx
+        half_ie_t = self.each(lambda e, t: 0.5j * e * t, e, t)
+        # (a, -a, b) of :meth:`_core`: li1's, and sli2's halves of them
+        self.li1_factors = (self.each(lambda e, t: 1j * e * t, e, t),
+                            self.each(lambda e, t: -1j * e * t, e, t),
+                            self.column(lambda e: e / 2.0, e) * ops.inv_dx)
+        self.half_factors = (half_ie_t, self.each(lambda e, t: -0.5j * e * t, e, t),
+                             self.column(lambda e: e / 4.0, e) * ops.inv_dx)
         self.inv_dx, self.prop_conj = ops.inv_dx, ops.prop_conj
         self._stage = self.new_stage(4, _PAIRS)
 
@@ -431,37 +423,38 @@ class _ModSquareMap(_Map):
         t1, t2 = self._stage()
         return prop_c, self.zero_modes(c), _masses(c), t1 - self.prop * t2
 
-    def _li1(self, prop_c: np.ndarray, w0, mass, bracket: np.ndarray) -> np.ndarray:
-        out = self.column(lambda a, z: 1.0 - a * np.conj(z), self.ie_t, w0) * prop_c
+    def _core(self, factors: tuple, prop_c: np.ndarray, w0, mass,
+              bracket: np.ndarray) -> np.ndarray:
+        """(1 - a conj w0) P c - a (mass - |w0|^2) + b bracket, the mass term on the zero mode."""
+        a, minus_a, b = factors
+        out = self.column(lambda a, z: 1.0 - a * np.conj(z), a, w0) * prop_c
         self.add_to_zero_modes(out, self.each(
-            lambda a, z, m: a * (m - abs(z) ** 2), self.minus_ie_t, w0, mass))
-        out += self.half_e_dx * bracket
+            lambda a, z, m: a * (m - abs(z) ** 2), minus_a, w0, mass))
+        out += b * bracket
         return out
 
     def li1(self, c: np.ndarray) -> np.ndarray:
-        return self._li1(*self._first(c))
+        return self._core(self.li1_factors, *self._first(c))
 
     def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        prop_c, w0, mass, bracket = self._first(c)
-        explicit = self.column(lambda h, z: 1.0 - h * np.conj(z), self.half_ie_t, w0) * prop_c
-        self.add_to_zero_modes(explicit, self.each(
-            lambda h, z, m: h * (m - abs(z) ** 2), self.minus_half_ie_t, w0, mass))
-        explicit += self.quarter_e_dx * bracket
-        return _picard(self, explicit, self._li1(prop_c, w0, mass, bracket))
+        first = self._first(c)
+        explicit = self._core(self.half_factors, *first)
+        return _picard(self, explicit, self._core(self.li1_factors, *first))
 
     def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
         """One Picard map of sli2 for |w|^2: the explicit half plus the terms of u."""
+        half_ie_t, minus_half_ie_t, quarter_e_dx = self.half_factors
         u0 = self.zero_modes(u)
-        out = explicit - self.column(lambda h, z: h * np.conj(z), self.half_ie_t, u0) * u
+        out = explicit - self.column(lambda h, z: h * np.conj(z), half_ie_t, u0) * u
         self.add_to_zero_modes(out, self.each(
-            lambda h, z, m: h * (m - abs(z) ** 2), self.minus_half_ie_t, u0, _masses(u)))
+            lambda h, z, m: h * (m - abs(z) ** 2), minus_half_ie_t, u0, _masses(u)))
         plain, dcu, prop_conj_u, prop_dcu = self._stage.rows
         plain[...] = u
         np.multiply(self.inv_dx, conjugate_coeffs(u, out=dcu), out=dcu)
         np.multiply(self.prop_conj, u, out=prop_conj_u)
         np.multiply(self.prop, dcu, out=prop_dcu)
         t1, t2 = self._stage()
-        out += self.quarter_e_dx * (t1 - self.prop * t2)
+        out += quarter_e_dx * (t1 - self.prop * t2)
         return out
 
 

@@ -87,16 +87,6 @@ class TorusGrid:
         w.setflags(write=False)
         return w
 
-    @cached_property
-    def _inv_ik(self) -> np.ndarray:
-        # symbol of the regularized antiderivative: 1/(i l), zero at l = 0
-        k = self.wavenumbers
-        out = np.zeros(self.n_modes, dtype=np.complex128)
-        nz = k != 0
-        out[nz] = 1.0 / (1j * k[nz])
-        out.setflags(write=False)
-        return out
-
 
 def coeffs_from_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """DFT of grid samples to ascending-l coefficients (array level).
@@ -381,8 +371,11 @@ class OperatorSymbols:
 
     @classmethod
     def build(cls, grid: TorusGrid, tau: float) -> "OperatorSymbols":
-        lsq = (grid.wavenumbers * grid.wavenumbers).astype(np.float64)
+        k = grid.wavenumbers
+        lsq = (k * k).astype(np.float64)
         prop = np.exp(-1j * tau * lsq)
+        # the regularized antiderivative: 1/(i l), zero at l = 0
+        inv_dx = np.divide(1.0, 1j * k, out=np.zeros(grid.n_modes, np.complex128), where=k != 0)
         phi1_2 = phi1(2j * tau * lsq)
         phi1_1 = phi1(1j * tau * lsq)
         phi1_1c = phi1(-1j * tau * lsq)
@@ -390,7 +383,7 @@ class OperatorSymbols:
             prop=prop,
             prop_conj=np.conj(prop),
             prop_half=np.exp(-0.5j * tau * lsq),
-            inv_dx=grid._inv_ik.copy(),
+            inv_dx=inv_dx,
             phi1_2=phi1_2,
             phi1_1=phi1_1,
             phi1_1c=phi1_1c,
@@ -414,13 +407,9 @@ class OperatorSymbols:
         )
 
     def take(self, rows) -> "OperatorSymbols":
-        """The rows ``rows`` (a slice or a boolean mask) of stacked symbols.
-
-        An int ``rows`` gives that row as the symbols of its one step.
-        """
-        tau = np.asarray(self.tau)[rows].tolist()
+        """The rows ``rows`` (a slice or a boolean mask) of stacked symbols, still stacked."""
         return type(self)(
-            tau=tuple(tau) if isinstance(tau, list) else tau,
+            tau=tuple(np.asarray(self.tau)[rows].tolist()),
             grid=self.grid,
             **{name: getattr(self, name)[rows] for name in self._ARRAYS},
         )

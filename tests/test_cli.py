@@ -147,8 +147,9 @@ def test_config_values_are_usage_errors(tmp_path, capsys, argv, cfg, message):
     ("--fp-tol", "nan", "--fp-tol: fp_tol must be positive"),
     ("--theta", "nan", "--theta: theta must be nonnegative"),
     ("--error-norm-r", "nan", "--error-norm-r: error_norm_r must be nonnegative"),
+    ("--error-norm-r", "inf", "--error-norm-r: error_norm_r must be nonnegative and finite"),
 ], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme", "modes", "fp-tol-nan", "theta-nan",
-        "error-norm-r-nan"])
+        "error-norm-r-nan", "error-norm-r-inf"])
 @pytest.mark.parametrize("subcommand", ["simulate", "sweep-tau"])
 def test_bad_run_settings_are_usage_errors(tmp_path, capsys, subcommand, flag, value, message):
     if subcommand == "simulate":
@@ -267,6 +268,26 @@ def test_too_many_steps_exit_2_at_once(tmp_path, capsys, monkeypatch, argv, flag
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {flag}: " in err and "steps" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-tau", *_CUBIC, "--eps", "0.5", "--tau-list", "4,2,1,0.5", "--T", "0.2",
+      "--jobs", "1"], "--tau-list"),
+    (["sweep-eps", "--equation", "quad-square", "--scheme", "li1", "--modes", "16",
+      "--tau", "0.5", "--eps-list", "1.0,0.9,0.8", "--T", "0.2", "--ref-tau", "0.05",
+      "--jobs", "1"], "--eps-list"),
+], ids=["sweep-tau", "sweep-eps"])
+def test_sweep_cell_without_a_step_exits_2_at_once(tmp_path, capsys, monkeypatch, argv, flag):
+    # a step above twice a cell's horizon takes no step; rejected before any reference
+    monkeypatch.setattr(harness, "run_trajectory", None)
+    monkeypatch.setattr(harness, "_run_rows", None)
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert time.perf_counter() - started < 1.0
+    assert info.value.code == 2
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

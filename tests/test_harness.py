@@ -145,12 +145,25 @@ def test_step_count_is_capped_before_any_work(monkeypatch):
         sweep_eps(_quad(), [0.5, 0.25, 1e-12], T=1.0)
 
 
-@pytest.mark.parametrize("error, gap", [(math.nan, 0.0), (math.nan, math.nan), (1.0, math.nan)])
+@pytest.mark.parametrize("error, gap", [(math.nan, 0.0), (math.nan, math.nan), (1.0, math.nan),
+                                        (math.inf, math.inf), (1.0, math.inf)])
 def test_record_with_nan_error_or_gap_is_unreliable(error, gap):
     p = _quad(t_final=0.0)
     traj = run_trajectory(p, make_initial_data(p))
     record = harness._record(p, traj, 0.0, error, gap, 1e-3, 0.0)
     assert record.reliable is False
+
+
+def test_sweep_cell_that_takes_no_step_is_rejected_before_any_work(monkeypatch):
+    # a step above twice the horizon takes round(horizon / tau) = 0 steps and
+    # would score an error of 0, which no order fit takes
+    monkeypatch.setattr(harness, "run_trajectory", None)
+    monkeypatch.setattr(harness, "_run_rows", None)
+    monkeypatch.setattr(harness, "_run_points", None)
+    with pytest.raises(ValueError, match="^tau_list: t = 0.8 in steps of 4 takes no step"):
+        sweep_tau(_cubic("nrli1", tau=4.0, t_final=0.8), [4.0, 2.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match="^eps_list: t = 0.2 in steps of 0.5 takes no step"):
+        sweep_eps(_quad("li1", tau=0.5), [1.0, 0.9, 0.8], T=0.2, ref_tau=0.05)
 
 
 def test_params_pickle_round_trip():
@@ -533,6 +546,19 @@ def test_sweep_tau_gate_is_ten_percent_of_the_coarsest_error(monkeypatch, above)
         got, fit = sweep_tau(base, taus, ref_tau=2.5e-3)
         assert got == records
         assert fit.slope == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("error", [math.inf, 1.0])
+def test_sweep_tau_gate_rejects_a_coarsest_gap_that_is_not_finite(monkeypatch, error):
+    # an infinite gap is never within 10% of an error, not even of an infinite one
+    taus = _TAUS[::-1]
+    records = [replace(_sample_records()[0], tau=tau, error=tau * tau) for tau in taus]
+    records[-1] = replace(records[-1], error=error)
+    gaps = [0.0, 0.0, 0.0, math.inf]
+    monkeypatch.setattr(harness, "_run_points", lambda *args: (records, gaps))
+    base = _quad("sli2", tau=_TAUS[0], t_final=1.0)
+    with pytest.raises(RuntimeError, match="gap inf is not within 10% "):
+        sweep_tau(base, taus, ref_tau=2.5e-3)
 
 
 def test_reference_pairs_are_shared_only_within_a_store(monkeypatch):

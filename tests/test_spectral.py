@@ -576,16 +576,8 @@ class TestOperatorSymbols:
         built = [OperatorSymbols.build(grid, tau) for tau in (0.3, -0.05, 1.7)]
         stacked = OperatorSymbols.stack(built)
         for ops in built + [stacked, stacked.take(slice(2)),
-                            stacked.take(np.array([True, False, True])), stacked.take(1)]:
+                            stacked.take(np.array([True, False, True]))]:
             assert ops.prop_conj.tobytes() == np.conj(ops.prop).tobytes()
-
-    def test_take_of_one_row_gives_that_steps_symbols(self):
-        grid = TorusGrid(16)
-        built = [OperatorSymbols.build(grid, tau) for tau in (0.3, -0.05)]
-        row = OperatorSymbols.stack(built).take(1)
-        assert row.tau == -0.05
-        for name in OperatorSymbols._ARRAYS:
-            assert getattr(row, name).tobytes() == getattr(built[1], name).tobytes()
 
     def test_half_step_propagator(self):
         grid = TorusGrid(16)
