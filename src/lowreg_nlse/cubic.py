@@ -98,7 +98,7 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 class _NonresonantMap(_Map):
-    """os18, nrli1 and nrsli2, with nrsli2's choice of g/h multipliers.
+    """os18, nrli1, strang and nrsli2, with nrsli2's choice of g/h multipliers.
 
     Calling the map solves nrsli2's two-endpoint relation by Picard
     iteration.  Composing the half-step maps (forward half step, then an
@@ -121,6 +121,8 @@ class _NonresonantMap(_Map):
         self.h_factor = self.column(lambda e, t: 1j * e * e * t, e, t)
         self.half_tq = self.column(lambda t, q: 0.5j * t * q, t, q)
         self.half_qt = self.column(lambda q, t: 0.5j * q * t, q, t)
+        self.rotation_factor = self.column(lambda e, t: -1j * t * e * e, e, t)
+        self.prop_half = ops.prop_half
         self.phi1_2, self.phi1_1, self.phi1_1c = ops.phi1_2, ops.phi1_1, ops.phi1_1c
         self.one_minus_phi1_2 = ops.one_minus_phi1_2
         if gh_half_step:
@@ -164,6 +166,12 @@ class _NonresonantMap(_Map):
     def nrli1(self, c: np.ndarray) -> np.ndarray:
         [cubic] = self._filtered(self._one, c, (self.phi1_2,))
         return self._nrli1(c, cubic, self.prop * c, np.abs(c) ** 2)
+
+    def strang(self, c: np.ndarray) -> np.ndarray:
+        """Half propagator, the pointwise rotation by -i tau eps^2 |u|^2, half propagator."""
+        u = values_from_coeffs(self.prop_half * c, self.grid)
+        u = u * np.exp(self.rotation_factor * (u.real**2 + u.imag**2))
+        return self.prop_half * coeffs_from_values(u, self.grid)
 
     def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
         cubic_2, cubic_n = self._filtered(self._two, c, (self.phi1_2, self.phi1_1))
@@ -254,7 +262,4 @@ def strang_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) 
     conserved to rounding.
     """
     _check(w, cfg, ops, CubicScheme.STRANG)
-    grid, eps, tau = w.grid, cfg.eps, cfg.tau
-    u = values_from_coeffs(ops.prop_half * w.coeffs, grid)
-    u = u * np.exp(-1j * tau * eps * eps * (u.real**2 + u.imag**2))
-    return SpectralField(grid, ops.prop_half * coeffs_from_values(u, grid))
+    return SpectralField(w.grid, _prepared(_NonresonantMap, cfg, ops).strang(w.coeffs))

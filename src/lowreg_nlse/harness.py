@@ -7,9 +7,11 @@ The three experiment families mirror the structure of long-time error studies:
   eps-dependent horizon T/eps (quadratic) or T/eps^2 (cubic),
 * ``error_vs_time`` — error growth along a single trajectory.
 
-A trajectory steps with the one-step map that the table ``_STEPPERS`` gives
-for its (equation, scheme); the same table is the set of schemes
-:class:`SimParams` accepts.
+Every trajectory is a row of a coefficient stack that steps through the
+prepared map the table ``_SCHEMES`` gives for its (equation, scheme); the
+same table is the set of schemes :class:`SimParams` accepts.  The rows of a
+stack advance in lockstep (``_run_rows``), each bit for bit the trajectory it
+would be alone; :func:`run_trajectory` is a stack of one row.
 
 Errors are measured against a fine-step trajectory of the matching symmetric
 scheme (the quadratic two-endpoint map, or the cubic non-resonant symmetric
@@ -21,15 +23,15 @@ unreliable rather than trusted silently.
 Reference step sizes are snapped so the reference lands exactly on the
 compared times; the fast free-propagator phases make even microscopic horizon
 mismatches visible in H^1, so exact alignment is load-bearing, not cosmetic.
-The reference trajectories a command still needs advance in lockstep, as the
-rows of one coefficient stack (``_run_rows``), each row bit for bit the
-trajectory it would be alone.
+The reference trajectories a command still needs advance as the rows of
+stacks.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -39,19 +41,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cubic import (
-    CubicScheme,
-    CubicSchemeConfig,
-    _NonresonantMap,
-    nrli1_step,
-    nrsli2_step_info,
-    os18_step,
-    strang_step,
-)
+from .cubic import _NonresonantMap, nrli1_step, nrsli2_step_info, os18_step, strang_step
 from .quadratic import (
     FixedPointError,
-    QuadNonlinearity,
-    QuadSchemeConfig,
+    _Map,
     _ModSquareMap,
     _SquareMap,
     _check_settings,
@@ -98,30 +91,25 @@ class Equation(Enum):
     CUBIC = "cubic"
 
 
-# (equation, scheme) -> (stepper, nonlinearity or scheme of its config).  The
-# stepper is named, not held: _build_stepper looks it up among this module's
-# globals, so a stepper swapped in there is the one that runs.  A name ending
-# in _info returns (field, Picard count), any other the field alone.
-_STEPPERS: dict[tuple[Equation, str], tuple[str, Enum]] = {
-    (Equation.QUAD_SQUARE, "li1"): ("li1_step", QuadNonlinearity.SQUARE),
-    (Equation.QUAD_SQUARE, "sli2"): ("sli2_step_info", QuadNonlinearity.SQUARE),
-    (Equation.QUAD_MODSQ, "li1"): ("li1_conj_step", QuadNonlinearity.MODULUS_SQUARE),
-    (Equation.QUAD_MODSQ, "sli2"): ("sli2_conj_step_info", QuadNonlinearity.MODULUS_SQUARE),
-    (Equation.CUBIC, "nrli1"): ("nrli1_step", CubicScheme.NRLI1),
-    (Equation.CUBIC, "nrsli2"): ("nrsli2_step_info", CubicScheme.NRSLI2),
-    (Equation.CUBIC, "os18"): ("os18_step", CubicScheme.OS18),
-    (Equation.CUBIC, "strang"): ("strang_step", CubicScheme.STRANG),
+# (equation, scheme) -> (map class, rows method, public one-field stepper).
+# The map is built from (eps, ops, tol, max_iter) for the rows of a (B, N)
+# stack, row r with eps[r] and the step of its symbols, or for one field.
+# "__call__" takes c to (c, Picard counts), any other method to c; the
+# stepper takes the same step of one SpectralField.
+_SCHEMES: dict[tuple[Equation, str], tuple[type[_Map], str, Callable]] = {
+    (Equation.QUAD_SQUARE, "li1"): (_SquareMap, "li1", li1_step),
+    (Equation.QUAD_SQUARE, "sli2"): (_SquareMap, "__call__", sli2_step_info),
+    (Equation.QUAD_MODSQ, "li1"): (_ModSquareMap, "li1", li1_conj_step),
+    (Equation.QUAD_MODSQ, "sli2"): (_ModSquareMap, "__call__", sli2_conj_step_info),
+    (Equation.CUBIC, "nrli1"): (_NonresonantMap, "nrli1", nrli1_step),
+    (Equation.CUBIC, "nrsli2"): (_NonresonantMap, "__call__", nrsli2_step_info),
+    (Equation.CUBIC, "os18"): (_NonresonantMap, "os18", os18_step),
+    (Equation.CUBIC, "strang"): (_NonresonantMap, "strang", strang_step),
 }
 
-# equation -> (symmetric scheme its references step with, prepared map of
-# that scheme).  The map is built from (eps, ops, tol, max_iter) for the rows
-# of a (B, N) stack, row r with eps[r] and the step of its symbols; a call
-# takes c to (c, Picard counts)
-_REFERENCES = {
-    Equation.QUAD_SQUARE: ("sli2", _SquareMap),
-    Equation.QUAD_MODSQ: ("sli2", _ModSquareMap),
-    Equation.CUBIC: ("nrsli2", _NonresonantMap),
-}
+# equation -> the symmetric scheme its references step with
+_REFERENCE_SCHEMES = {Equation.QUAD_SQUARE: "sli2", Equation.QUAD_MODSQ: "sli2",
+                      Equation.CUBIC: "nrsli2"}
 
 
 # no trajectory takes more steps; the finest canonical reference takes under 10^6
@@ -170,8 +158,8 @@ class SimParams:
     fp_max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if (self.equation, self.scheme) not in _STEPPERS:
-            valid = [scheme for eq, scheme in _STEPPERS if eq is self.equation]
+        if (self.equation, self.scheme) not in _SCHEMES:
+            valid = [scheme for eq, scheme in _SCHEMES if eq is self.equation]
             raise ValueError(
                 f"scheme {self.scheme!r} not available for {self.equation.value}"
                 f" (choose from {', '.join(valid)})"
@@ -186,6 +174,10 @@ class SimParams:
         _check_nonnegative("theta", self.theta)
         if not 0.0 <= self.error_norm_r < math.inf:
             raise ValueError(f"error_norm_r must be nonnegative and finite, got {self.error_norm_r}")
+        # the largest squared H^r weight, (1 + N/2)^(2r), must be finite
+        if 2.0 * self.error_norm_r * math.log1p(self.n_modes // 2) > math.log(sys.float_info.max):
+            raise ValueError(f"error_norm_r {self.error_norm_r:g} makes the squared H^r weight "
+                             f"(1 + N/2)^(2r) overflow at N = {self.n_modes}")
 
 
 @dataclass(frozen=True)
@@ -276,27 +268,12 @@ def _sample_steps(params: SimParams, times: Sequence[float]) -> list[int]:
     return [min(max(int(round(t / params.tau)), 0), n_steps) for t in times]
 
 
-def _build_stepper(
-    params: SimParams,
-) -> tuple[TorusGrid, Callable[[SpectralField], tuple[SpectralField, int | None]]]:
-    """Grid and one-step map w -> (field, Picard count or None) of params' table entry."""
-    name, kind = _STEPPERS[(params.equation, params.scheme)]
-    grid = TorusGrid(params.n_modes)
-    ops = OperatorSymbols.build(grid, params.tau)
-    config = CubicSchemeConfig if params.equation is Equation.CUBIC else QuadSchemeConfig
-    cfg = config(params.eps, params.tau, kind, params.fp_tol, params.fp_max_iter)
-    stepper = globals()[name]
-    if name.endswith("_info"):
-        return grid, lambda w: stepper(w, cfg, ops)
-    return grid, lambda w: (stepper(w, cfg, ops), None)
-
-
 class _Track:
     """Bookkeeping of one trajectory: its snapshots, sup_h1 and Picard counts.
 
     It records coefficients and makes fields only for the snapshots and the
-    result.  :func:`run_trajectory` keeps one; the lockstep reference runner
-    keeps one per row, whose coefficients are rows of its stack.
+    result.  :func:`_run_rows` keeps one per row, whose coefficients are rows
+    of its stack.
     """
 
     def __init__(self, params: SimParams, w0: SpectralField,
@@ -344,19 +321,16 @@ def run_trajectory(
 
     Snapshots are taken at the step nearest each requested time and recorded
     with the step time actually hit.  Implicit-solver failures are re-raised
-    as :class:`SolverFailure` annotated with the step index.
+    as :class:`SolverFailure` annotated with the step index.  The trajectory
+    is the one row of a :func:`_run_rows` lot.
     """
-    grid, step = _build_stepper(params)
-    _check_grid(w0, grid)
-    track = _Track(params, w0, sample_times)
-    w = w0
-    for k in range(1, track.n_steps + 1):
-        try:
-            w, it = step(w)
-        except FixedPointError as exc:
-            raise SolverFailure(k, k * params.tau, exc) from exc
-        track.record(k, w.coeffs, it, sobolev_norm(w, 1.0))
-    return track.result()
+    _check_grid(w0, TorusGrid(params.n_modes))
+    try:
+        [result] = _run_rows([(params, w0, tuple(sample_times))])
+    except SolverFailure as exc:
+        # a lone trajectory is named by its caller, if at all
+        raise SolverFailure(exc.step_index, exc.t, exc.inner) from exc.inner
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +338,8 @@ def run_trajectory(
 # ---------------------------------------------------------------------------
 
 def _reference_params(params: SimParams, ref_tau: float, t_final: float) -> SimParams:
-    scheme, _ = _REFERENCES[params.equation]
-    return replace(params, scheme=scheme, tau=ref_tau, t_final=t_final)
+    return replace(params, scheme=_REFERENCE_SCHEMES[params.equation], tau=ref_tau,
+                   t_final=t_final)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,19 +387,30 @@ def _reference_name(params: SimParams) -> str:
     return f"reference trajectory (step {params.tau:.6g}, eps {params.eps:g})"
 
 
+def _advance(step: _Map, method: str, c: np.ndarray) -> tuple[np.ndarray, list]:
+    """c after one step of the map's rows method, with each row's Picard count.
+
+    ``method`` is ``"__call__"`` for an implicit scheme; an explicit one
+    counts None per row.
+    """
+    if method == "__call__":
+        return step(c)
+    return getattr(step, method)(c), [None] * (1 if step.lone else len(c))
+
+
 def _run_rows(
     rows: Sequence[tuple[SimParams, SpectralField, tuple[float, ...]]],
 ) -> list[TrajectoryResult]:
-    """Reference trajectories advanced in lockstep as the rows of one (B, N) stack.
+    """Trajectories advanced in lockstep as the rows of one (B, N) stack.
 
-    Each row is (reference params, w0, sample times); all share equation,
-    N, fp_tol and fp_max_iter.  Row r steps with its own eps and tau through
-    the symmetric map of its equation, prepared for the stack and again
-    only when rows leave it, which a row does once its own step count is
-    done; the last row left steps through a lone field's map of its own
-    symbols.  So each row's state, sup_h1, Picard counts and snapshots are
-    those :func:`run_trajectory` gives it.  A stalled row raises
-    :class:`SolverFailure` naming its reference trajectory.
+    Each row is (params, w0, sample times); all share equation, scheme, N,
+    fp_tol and fp_max_iter.  Row r steps with its own eps and tau through
+    the scheme's map of the table ``_SCHEMES``, prepared for the stack and
+    again only when rows leave it, which a row does once its own step count
+    is done; the last row left steps through a lone field's map of its own
+    symbols, as the public stepper would.  So each row's state, sup_h1,
+    Picard counts and snapshots are those it has alone.  A stalled row
+    raises :class:`SolverFailure` naming its reference trajectory.
     """
     # longest first, so the rows still stepping are always a prefix
     order = sorted(range(len(rows)), key=lambda r: -_horizon_steps(rows[r][0])[0])
@@ -434,7 +419,7 @@ def _run_rows(
     grid = TorusGrid(first.n_modes)
     tracks = [_Track(p, rows[r][1], rows[r][2]) for p, r in zip(params, order)]
     row_ops = [OperatorSymbols.build(grid, p.tau) for p in params]
-    _, prepared = _REFERENCES[first.equation]
+    prepared, method, _ = _SCHEMES[(first.equation, first.scheme)]
     step = full = prepared(tuple(p.eps for p in params), OperatorSymbols.stack(row_ops),
                            first.fp_tol, first.fp_max_iter)
     lone = prepared((first.eps,), row_ops[0], first.fp_tol, first.fp_max_iter)
@@ -449,9 +434,9 @@ def _run_rows(
                 step = full.take(np.arange(len(rows)) < live)
         try:
             if live > 1:
-                c, iters = step(c)
+                c, iters = _advance(step, method, c)
             else:
-                u, iters = lone(c[0])
+                u, iters = _advance(lone, method, c[0])
                 c = u[None]
         except FixedPointError as exc:
             p = params[exc.row]

@@ -4,8 +4,8 @@ Every check replays one of the package's load-bearing equivalences, mostly at
 N <= 16: scheme steps against brute-force convolution oracles, symmetric
 schemes against time reversal, constant data against the zero-mode ODE
 integrators, stacked transforms against row-by-row ones and np.fft, the
-batched symmetric maps against row-by-row ones, and the serialization round
-trips.  The whole battery is meant to run in seconds, as a deployment smoke
+batched maps of every scheme against row-by-row ones, and the serialization
+round trips.  The whole battery is meant to run in seconds, as a deployment smoke
 test rather than a substitute for the pytest suite.
 """
 from __future__ import annotations
@@ -17,15 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from .cubic import (
-    CubicScheme,
-    CubicSchemeConfig,
-    _NonresonantMap,
-    nrli1_step,
-    nrsli2_step_info,
-    strang_step,
+from .cubic import CubicScheme, CubicSchemeConfig, nrli1_step, nrsli2_step_info, strang_step
+from .harness import (
+    Equation,
+    SweepRecord,
+    _SCHEMES,
+    _norm_diff,
+    read_records_csv,
+    write_records_csv,
 )
-from .harness import Equation, SweepRecord, _norm_diff, read_records_csv, write_records_csv
 from .oracles import (
     band_limit,
     cubic_nrli1_oracle_step,
@@ -39,8 +39,6 @@ from .oracles import (
 from .quadratic import (
     QuadNonlinearity,
     QuadSchemeConfig,
-    _ModSquareMap,
-    _SquareMap,
     _Stage,
     li1_conj_step,
     li1_step,
@@ -223,32 +221,35 @@ def _check_stacked_transforms() -> str:
 
 
 def _check_batched_maps() -> str:
-    # reference trajectories step as rows of one stack; each row, with its
-    # own eps and step, must come out as the map applied to it alone
+    # every trajectory steps as a row of a stack through its scheme's rows
+    # method; each row, with its own eps and step, must come out as the
+    # public stepper applied to it alone
     grid = TorusGrid(16)
     rows = [(0.5, 0.05, 3), (0.9, -0.02, 267), (0.2, 0.01, 11)]
     fields = [random_initial_data(grid, 1.0, seed) for _, _, seed in rows]
     ops = [OperatorSymbols.build(grid, tau) for _, tau, _ in rows]
     stacked = OperatorSymbols.stack(ops)
     eps = tuple(e for e, _, _ in rows)
-    maps = [
-        ("sli2", sli2_step_info, _SquareMap,
-         lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.SQUARE)),
-        ("sli2_conj", sli2_conj_step_info, _ModSquareMap,
-         lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.MODULUS_SQUARE)),
-        ("nrsli2", nrsli2_step_info, _NonresonantMap,
-         lambda e, t: CubicSchemeConfig(e, t, CubicScheme.NRSLI2)),
-    ]
-    for name, step, prepared, config in maps:
+    square = {Equation.QUAD_SQUARE: QuadNonlinearity.SQUARE,
+              Equation.QUAD_MODSQ: QuadNonlinearity.MODULUS_SQUARE}
+    for (equation, scheme), (prepared, method, step) in _SCHEMES.items():
+        if equation is Equation.CUBIC:
+            config, kind = CubicSchemeConfig, CubicScheme(scheme)
+        else:
+            config, kind = QuadSchemeConfig, square[equation]
         c = np.stack([w.coeffs for w in fields])
-        out, iters = prepared(eps, stacked, 1e-12, 100)(c)
+        out = getattr(prepared(eps, stacked, 1e-12, 100), method)(c)
+        implicit = method == "__call__"
+        out, iters = out if implicit else (out, [None] * len(rows))
         for r, (w, o) in enumerate(zip(fields, ops)):
-            lone, lone_iters = step(w, config(eps[r], o.tau), o)
+            lone = step(w, config(eps[r], o.tau, kind), o)
+            lone, lone_iters = lone if implicit else (lone, None)
             if out[r].tobytes() != lone.coeffs.tobytes() or iters[r] != lone_iters:
                 raise AssertionError(
-                    f"{name}: row {r} of a (3, 16) stack differs from its lone step"
+                    f"{equation.value} {scheme}: row {r} of a (3, 16) stack differs from "
+                    "its lone step"
                 )
-    return "sli2, sli2_conj, nrsli2 on a (3, 16) stack of mixed eps and steps"
+    return "every scheme's rows method on a (3, 16) stack of mixed eps and steps"
 
 
 def _check_serialization() -> str:
@@ -285,7 +286,7 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("phi1 against expm1 decomposition", _check_phi1_identity),
     ("stacked transforms and product stages match row-by-row and np.fft, bit for bit",
      _check_stacked_transforms),
-    ("batched symmetric maps match one-row calls bit for bit", _check_batched_maps),
+    ("batched maps of every scheme match one-row calls bit for bit", _check_batched_maps),
     ("serialization round trips", _check_serialization),
 ]
 

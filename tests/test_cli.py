@@ -148,8 +148,11 @@ def test_config_values_are_usage_errors(tmp_path, capsys, argv, cfg, message):
     ("--theta", "nan", "--theta: theta must be nonnegative"),
     ("--error-norm-r", "nan", "--error-norm-r: error_norm_r must be nonnegative"),
     ("--error-norm-r", "inf", "--error-norm-r: error_norm_r must be nonnegative and finite"),
+    # finite, but 9^400 and (9^200)^2 overflow at N = 16
+    ("--error-norm-r", "200", "--error-norm-r: error_norm_r 200 makes the squared H^r weight"),
+    ("--error-norm-r", "400", "--error-norm-r: error_norm_r 400 makes the squared H^r weight"),
 ], ids=["fp-tol", "fp-max-iter", "error-norm-r", "scheme", "modes", "fp-tol-nan", "theta-nan",
-        "error-norm-r-nan", "error-norm-r-inf"])
+        "error-norm-r-nan", "error-norm-r-inf", "error-norm-r-200", "error-norm-r-400"])
 @pytest.mark.parametrize("subcommand", ["simulate", "sweep-tau"])
 def test_bad_run_settings_are_usage_errors(tmp_path, capsys, subcommand, flag, value, message):
     if subcommand == "simulate":
@@ -383,6 +386,14 @@ def test_snapshot_out_runs_no_extra_trajectory(tmp_path, monkeypatch, reference_
     p = harness.SimParams(Equation.QUAD_SQUARE, "li1", eps=0.5, tau=0.1, t_final=0.5,
                           n_modes=16, theta=2.0)
     assert snap.read_text() == field_to_text(original(p, harness.make_initial_data(p)).state)
+
+
+def test_simulate_error_norm_r_with_finite_weights_runs(tmp_path):
+    # (1 + N/2)^(2r) = 9^320 is finite; at N = 16 the limit is r = 161.5
+    out = tmp_path / "out.csv"
+    assert main(_simulate_args(tmp_path, out=str(out), **{"error-norm-r": "160"})) == 0
+    [record] = read_records_csv(str(out))
+    assert record.error_norm_r == 160.0 and 0.0 < record.error < float("inf")
 
 
 def test_simulate_is_deterministic_apart_from_wall_clock(tmp_path):

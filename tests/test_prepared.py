@@ -24,16 +24,28 @@ def _assert_fresh(states):
         assert not np.shares_memory(prev, cur)
 
 
-@pytest.mark.parametrize("equation, scheme", list(harness._STEPPERS))
-def test_trajectory_steps_return_fresh_states(equation, scheme):
+def _recording(monkeypatch):
+    """Every state the trajectory recorders are handed, per recorder, with its bytes then."""
+    recorded = {}
+    original = harness._Track.record
+
+    def record(track, k, state, it, h1):
+        recorded.setdefault(id(track), []).append((state, state.tobytes()))
+        original(track, k, state, it, h1)
+
+    monkeypatch.setattr(harness._Track, "record", record)
+    return recorded
+
+
+@pytest.mark.parametrize("equation, scheme", list(harness._SCHEMES))
+def test_trajectory_steps_return_fresh_states(monkeypatch, equation, scheme):
+    # a lone trajectory steps through the lone map of its scheme
     params = SimParams(equation=equation, scheme=scheme, eps=0.5, tau=0.05, t_final=0.2,
                        n_modes=16, theta=1.5, seed=267)
-    _, step = harness._build_stepper(params)
-    w = make_initial_data(params)
-    states = []
-    for _ in range(4):
-        w, _ = step(w)
-        states.append((w.coeffs, w.coeffs.tobytes()))
+    recorded = _recording(monkeypatch)
+    harness.run_trajectory(params, make_initial_data(params))
+    [states] = recorded.values()
+    assert len(states) == 4
     _assert_fresh(states)
 
 
@@ -41,7 +53,7 @@ def test_trajectory_steps_return_fresh_states(equation, scheme):
 _ENTRIES = [(_SquareMap, "li1"), (_SquareMap, "__call__"),
             (_ModSquareMap, "li1"), (_ModSquareMap, "__call__"),
             (_NonresonantMap, "os18"), (_NonresonantMap, "nrli1"),
-            (_NonresonantMap, "__call__")]
+            (_NonresonantMap, "strang"), (_NonresonantMap, "__call__")]
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -67,25 +79,22 @@ def test_map_entry_points_return_fresh_arrays(kind, entry, rows):
 @pytest.mark.parametrize("equation", list(Equation))
 def test_lockstep_rows_keep_their_states(monkeypatch, equation):
     # rows of three lengths leave the stack one by one; the last steps alone.
-    # Rows step with the symmetric map, as references do
-    base = SimParams(equation=equation, scheme="nrsli2" if equation is Equation.CUBIC else "sli2",
-                     eps=0.5, tau=0.01, t_final=0.05, n_modes=16, theta=1.5, seed=267)
-    rows = []
-    for eps, t_final in [(0.5, 0.05), (0.3, 0.08), (0.8, 0.03)]:
-        p = replace(base, eps=eps, t_final=t_final)
-        rows.append((p, make_initial_data(p), ()))
-    lone = [harness.run_trajectory(p, w0) for p, w0, _ in rows]
-    recorded = {}
-    original = harness._Track.record
-
-    def record(track, k, state, it, h1):
-        recorded.setdefault(id(track), []).append((state, state.tobytes()))
-        original(track, k, state, it, h1)
-
-    monkeypatch.setattr(harness._Track, "record", record)
-    results = harness._run_rows(rows)
-    assert sorted(len(states) for states in recorded.values()) == [3, 5, 8]
-    for states in recorded.values():
-        _assert_fresh(states)
-    for result, want in zip(results, lone):
-        assert result.state.coeffs.tobytes() == want.state.coeffs.tobytes()
+    # Every scheme of the equation steps so, as a lot of its cells would
+    for eq, scheme in harness._SCHEMES:
+        if eq is not equation:
+            continue
+        base = SimParams(equation=equation, scheme=scheme, eps=0.5, tau=0.01, t_final=0.05,
+                         n_modes=16, theta=1.5, seed=267)
+        rows = []
+        for eps, t_final in [(0.5, 0.05), (0.3, 0.08), (0.8, 0.03)]:
+            p = replace(base, eps=eps, t_final=t_final)
+            rows.append((p, make_initial_data(p), ()))
+        lone = [harness.run_trajectory(p, w0) for p, w0, _ in rows]
+        with monkeypatch.context() as patch:
+            recorded = _recording(patch)
+            results = harness._run_rows(rows)
+        assert sorted(len(states) for states in recorded.values()) == [3, 5, 8]
+        for states in recorded.values():
+            _assert_fresh(states)
+        for result, want in zip(results, lone):
+            assert result.state.coeffs.tobytes() == want.state.coeffs.tobytes()

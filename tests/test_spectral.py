@@ -669,8 +669,8 @@ def test_every_exported_name_resolves():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # a module-level import must be read, listed in __all__ or named by a
-    # string constant (harness._STEPPERS names its steppers)
+    # a module-level import must be read or named by a string constant, as
+    # the package's __all__ names the exports it imports
     unused = []
     for path in sorted(Path(lowreg_nlse.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
