@@ -204,8 +204,9 @@ class _Stage:
 class _Map:
     """The maps of one nonlinearity, prepared for fixed rows and Picard settings.
 
-    Built once per trajectory (:func:`_prepared`), per lockstep batch, or
-    for the row a batch steps last, alone; ``eps`` is a tuple with an entry
+    Built once per lockstep lot of trajectories (``harness._run_rows``),
+    again for the row a lot steps last, alone, and once per symbols for the
+    public steppers (:func:`_prepared`); ``eps`` is a tuple with an entry
     per row, and each row steps by the ``tau`` of its symbols.  Calling the
     map takes the symmetric step of c and returns the solutions with the
     Picard count of each row; its explicit first-order maps are methods.  A
@@ -270,8 +271,10 @@ class _Map:
 def _prepared(kind: type, cfg, ops: OperatorSymbols):
     """The ``kind`` map of cfg's eps and solver settings on the symbols ops.
 
-    Built at a trajectory's first step and kept on its symbols, one per
-    kind, so the later steps reuse it.
+    Built at a public stepper's first call and kept on its symbols, one per
+    kind, so later calls on the same symbols reuse it.  Trajectories build
+    their maps in ``harness._run_rows``; only the public one-field steppers
+    come here, and ``perfbench/layers.py`` times them on reused symbols.
     """
     key = (cfg.eps, cfg.fp_tol, cfg.fp_max_iter)
     slot = ops._maps.get(kind)

@@ -5,8 +5,8 @@ N <= 16: scheme steps against brute-force convolution oracles, symmetric
 schemes against time reversal, constant data against the zero-mode ODE
 integrators, stacked transforms against row-by-row ones and np.fft, the
 batched maps of every scheme against row-by-row ones, and the serialization
-round trips.  The whole battery is meant to run in seconds, as a deployment smoke
-test rather than a substitute for the pytest suite.
+round trips.  The whole battery is meant to run in seconds, as a deployment
+smoke test rather than a substitute for the pytest suite.
 """
 from __future__ import annotations
 
@@ -230,13 +230,13 @@ def _check_batched_maps() -> str:
     ops = [OperatorSymbols.build(grid, tau) for _, tau, _ in rows]
     stacked = OperatorSymbols.stack(ops)
     eps = tuple(e for e, _, _ in rows)
-    square = {Equation.QUAD_SQUARE: QuadNonlinearity.SQUARE,
-              Equation.QUAD_MODSQ: QuadNonlinearity.MODULUS_SQUARE}
+    nonlinearity = {Equation.QUAD_SQUARE: QuadNonlinearity.SQUARE,
+                    Equation.QUAD_MODSQ: QuadNonlinearity.MODULUS_SQUARE}
     for (equation, scheme), (prepared, method, step) in _SCHEMES.items():
         if equation is Equation.CUBIC:
             config, kind = CubicSchemeConfig, CubicScheme(scheme)
         else:
-            config, kind = QuadSchemeConfig, square[equation]
+            config, kind = QuadSchemeConfig, nonlinearity[equation]
         c = np.stack([w.coeffs for w in fields])
         out = getattr(prepared(eps, stacked, 1e-12, 100), method)(c)
         implicit = method == "__call__"
