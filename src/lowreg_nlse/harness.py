@@ -550,14 +550,16 @@ def _norm_diff(a: SpectralField, b: SpectralField, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_tau_sweep(taus: Sequence[float], ref_tau: float | None, t_final: float) -> float:
-    """Reject under 4 step sizes, a nonfinite, nonpositive, too fine or too coarse one, or a
-    bad ref_tau."""
+    """Reject under 4 step sizes, a nonfinite, nonpositive, repeated, too fine or too coarse
+    one, or a bad ref_tau."""
     if len(taus) < 4:
         raise ValueError("tau_list: tau sweep needs at least 4 step sizes")
     if not all(map(math.isfinite, taus)):
         raise ValueError("tau_list entries must be finite")
     if any(t <= 0 for t in taus):
         raise ValueError("tau_list: step sizes must be positive")
+    if len(set(taus)) < len(taus):
+        raise ValueError("tau_list: step sizes must be distinct")
     _check_steps("tau_list", t_final, min(taus))
     _check_takes_a_step("tau_list", t_final, max(taus))
     return _check_ref_tau(min(taus), ref_tau, t_final)
@@ -811,6 +813,8 @@ def fit_order(
         raise ValueError("order fit needs at least 3 points")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("order fit needs positive abscissae and errors")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError("order fit needs at least 2 distinct abscissae")
     log_x = np.log([x for x, _ in pts])
     log_y = np.log([y for _, y in pts])
     slope, intercept = np.polyfit(log_x, log_y, 1)

@@ -208,6 +208,8 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
      "--tau-list: tau_list: tau sweep needs at least 4 step sizes"),
     (_TAU_SWEEP + ["--tau-list", "0.1,0.05,-0.025,0.0125"],
      "--tau-list: tau_list: step sizes must be positive"),
+    (_TAU_SWEEP + ["--tau-list", "0.1,0.1,0.1,0.1"],
+     "--tau-list: tau_list: step sizes must be distinct"),
     (_ERROR_VS_TIME + ["--sample-times", "0.5,0.2"],
      "--sample-times: sample_times: sample times must be strictly increasing"),
     (_ERROR_VS_TIME + ["--sample-times", "0.1,5"],
@@ -231,9 +233,10 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
         "sample-order", "simulate-ref-tau", "simulate-ref-tau-zero", "tau-nan", "tau-inf",
         "ref-tau-nan", "t-final-inf", "tau-list-nan", "sample-times-nan", "T-nan", "T-inf",
         "jobs-negative", "eps-list-nan-flag", "eps-count-flag", "eps-first-flag",
-        "tau-count-flag", "tau-sign-flag", "sample-order-flag", "sample-past-t-final-flag",
-        "tau-list-empty", "scheme-empty", "eps-list-underflow", "sweep-tau-eps-underflow",
-        "sweep-tau-horizon-overflow", "error-vs-time-horizon-overflow"])
+        "tau-count-flag", "tau-sign-flag", "tau-repeat-flag", "sample-order-flag",
+        "sample-past-t-final-flag", "tau-list-empty", "scheme-empty", "eps-list-underflow",
+        "sweep-tau-eps-underflow", "sweep-tau-horizon-overflow",
+        "error-vs-time-horizon-overflow"])
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
     # the sweep's own check, run at parse time: exit 2 before any trajectory
     monkeypatch.setattr(harness, "run_trajectory", None)
@@ -722,3 +725,14 @@ def test_selftest_reports_failing_checks(monkeypatch, capsys):
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  wrong" in out and "FAIL  broken" in out and "0/2 checks passed" in out
+
+
+def test_a_failing_check_names_the_map_and_input_of_its_worst_case(monkeypatch, capsys):
+    # an Euler oracle that is wrong for one of li1's constant inputs only
+    right = selftest.euler_zero_mode_square
+    monkeypatch.setattr(selftest, "euler_zero_mode_square",
+                        lambda v, eps, tau: right(v, eps, tau) + 1e-3 * (v == 0.7 - 0.3j))
+    assert main(["selftest"]) == 1
+    [fail] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fail.startswith("FAIL  constant-data zero-mode reductions — AssertionError: "
+                           "li1 N=16 eps=0.5 tau=0.1 v0=0.7-0.3j: mismatch 1.000e-03")

@@ -14,7 +14,6 @@ from lowreg_nlse import harness
 from lowreg_nlse.harness import (
     CSV_COLUMNS,
     Equation,
-    OrderFit,
     SimParams,
     SolverFailure,
     SweepRecord,
@@ -482,6 +481,8 @@ def test_sweep_tau_needs_enough_points():
     base = _quad("sli2")
     with pytest.raises(ValueError, match="4"):
         sweep_tau(base, [0.1, 0.05, 0.025])
+    with pytest.raises(ValueError, match="^tau_list: step sizes must be distinct"):
+        sweep_tau(base, [0.1, 0.1, 0.1, 0.1])
     for ref_tau in (0.02, 0.0, -1e-3):
         with pytest.raises(ValueError, match="ref_tau"):
             sweep_tau(base, _TAUS, ref_tau=ref_tau)
@@ -691,6 +692,8 @@ def test_fit_order_rejects_bad_input():
         fit_order([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
     with pytest.raises(ValueError, match="positive"):
         fit_order([(0.1, 1.0), (-0.05, 0.5), (0.025, 0.1)])
+    with pytest.raises(ValueError, match="2 distinct abscissae"):
+        fit_order([(0.1, 1.0), (0.1, 0.5), (0.1, 0.1)])
 
 
 # ---------------------------------------------------------------------------
