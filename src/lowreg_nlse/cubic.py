@@ -32,9 +32,8 @@ from .spectral import (
 from .quadratic import (
     _Map,
     _StepConfig,
-    _check,
+    _lone_map,
     _picard,
-    _prepared,
 )
 
 __all__ = [
@@ -98,22 +97,20 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 class _NonresonantMap(_Map):
-    """os18, nrli1, strang and nrsli2, with nrsli2's choice of g/h multipliers.
+    """os18, nrli1, strang and nrsli2.
 
     Calling the map solves nrsli2's two-endpoint relation by Picard
     iteration.  Composing the half-step maps (forward half step, then an
     inverted backward half step) produces resonance corrections whose g/h
     multipliers carry the *signed half* arguments: 1 - phi1(+- i tau m^2)
-    for the n / n+1 endpoints.  ``gh_half_step=False`` keeps the full-step
-    multiplier 1 - phi1(2 i tau m^2) on both endpoints instead; that variant
-    is retained because it is the naive transcription, and the time-reversal
-    test shows it is not symmetric (see tests).
+    for the n / n+1 endpoints.  The naive transcription keeps the full-step
+    multiplier 1 - phi1(2 i tau m^2) on both endpoints; it is not
+    time-symmetric, and ``selftest._FullStepGH`` keeps it as the negative
+    control of the time-reversal check.
     """
 
-    def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int,
-                 gh_half_step: bool = True) -> None:
+    def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
         super().__init__(eps, ops, tol, max_iter)
-        self.gh_half_step = gh_half_step
         e, t = self.eps, self.tau
         q = self.each(lambda e: e * e, e)
         self.os18_factor = self.column(lambda e, t: 1j * t * e * e, e, t)
@@ -125,17 +122,10 @@ class _NonresonantMap(_Map):
         self.prop_half = ops.prop_half
         self.phi1_2, self.phi1_1, self.phi1_1c = ops.phi1_2, ops.phi1_1, ops.phi1_1c
         self.one_minus_phi1_2 = ops.one_minus_phi1_2
-        if gh_half_step:
-            self.mult_n = 1.0 - ops.phi1_1  # 1 - phi1(+i tau m^2), forward endpoint
-            self.mult_u = 1.0 - ops.phi1_1c  # 1 - phi1(-i tau m^2), backward endpoint
-        else:
-            self.mult_n = ops.one_minus_phi1_2
-            self.mult_u = ops.one_minus_phi1_2
+        self.mult_n = 1.0 - ops.phi1_1  # 1 - phi1(+i tau m^2), forward endpoint
+        self.mult_u = 1.0 - ops.phi1_1c  # 1 - phi1(-i tau m^2), backward endpoint
         self._one = self.new_stage(2, ((0, 0, 1),))
         self._two = self.new_stage(3, ((0, 0, 1), (0, 0, 2)))
-
-    def _like(self, eps: tuple, ops: OperatorSymbols) -> "_NonresonantMap":
-        return type(self)(eps, ops, self.tol, self.max_iter, self.gh_half_step)
 
     @staticmethod
     def _filtered(stage, c: np.ndarray, symbols: tuple) -> np.ndarray:
@@ -207,8 +197,8 @@ def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) ->
     non-resonant weight; the two non-resonant maps below add the terms that
     restore the exact resonant integral.
     """
-    _check(w, cfg, ops, CubicScheme.OS18)
-    return SpectralField(w.grid, _prepared(_NonresonantMap, cfg, ops).os18(w.coeffs))
+    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.OS18)
+    return SpectralField(w.grid, step.os18(w.coeffs))
 
 
 def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
@@ -221,8 +211,8 @@ def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -
     matching the conjugated one) to exactly tau; the h-term removes the
     double-counted all-equal overlap.
     """
-    _check(w, cfg, ops, CubicScheme.NRLI1)
-    return SpectralField(w.grid, _prepared(_NonresonantMap, cfg, ops).nrli1(w.coeffs))
+    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.NRLI1)
+    return SpectralField(w.grid, step.nrli1(w.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +235,8 @@ def nrsli2_step_info(
     returns u with the iteration count.  Stepping with tau then -tau returns
     the input to the iteration tolerance.
     """
-    _check(w, cfg, ops, CubicScheme.NRSLI2)
-    u, [iters] = _prepared(_NonresonantMap, cfg, ops)(w.coeffs)
+    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.NRSLI2)
+    u, [iters] = step(w.coeffs)
     return SpectralField(w.grid, u), iters
 
 
@@ -261,5 +251,5 @@ def strang_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) 
     so it is the exact rotation w * exp(-i tau eps^2 |w|^2).  Mass is
     conserved to rounding.
     """
-    _check(w, cfg, ops, CubicScheme.STRANG)
-    return SpectralField(w.grid, _prepared(_NonresonantMap, cfg, ops).strang(w.coeffs))
+    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.STRANG)
+    return SpectralField(w.grid, step.strang(w.coeffs))

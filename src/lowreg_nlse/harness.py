@@ -584,14 +584,16 @@ def _check_eps_sweep(base: SimParams, eps_values: Sequence[float], T: float,
 
 def _check_error_vs_time(times: Sequence[float], tau: float, t_final: float,
                         ref_tau: float | None) -> float:
-    """Reject nonfinite, unordered, negative or past-t_final times, or a bad ref_tau."""
+    """Reject no times, nonfinite, unordered, negative or past-t_final ones, or a bad ref_tau."""
+    if not times:
+        raise ValueError("sample_times: sample times must not be empty")
     if not all(map(math.isfinite, times)):
         raise ValueError("sample_times entries must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("sample_times: sample times must be strictly increasing")
     if any(t < 0 for t in times):
         raise ValueError("sample_times: sample times must be nonnegative")
-    if times and times[-1] > t_final + tau / 2.0:
+    if times[-1] > t_final + tau / 2.0:
         raise ValueError("sample_times: sample times must not exceed t_final")
     return _check_ref_tau(tau, ref_tau, t_final)
 

@@ -107,14 +107,19 @@ class FixedPointError(RuntimeError):
         return type(self), (self.residual, self.iterations, self.row)
 
 
-def _check(w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> None:
-    """Reject a field, config and symbols that do not fit each other or ``want``."""
+def _lone_map(kind: type, w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> _Map:
+    """The ``kind`` map of cfg's eps and solver settings on one step's symbols ops.
+
+    Rejects first a field, config and symbols that do not fit each other or
+    ``want``.  The public one-field steppers build their map so at each call.
+    """
     _check_grid(w, ops.grid)
     if cfg.tau != ops.tau:
         raise ValueError(f"config tau {cfg.tau} does not match symbols tau {ops.tau}")
     have = cfg.nonlinearity if isinstance(want, QuadNonlinearity) else cfg.scheme
     if have is not want:
         raise ValueError(f"stepper expects {want}, got {have}")
+    return kind((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +209,21 @@ class _Stage:
 class _Map:
     """The maps of one nonlinearity, prepared for fixed rows and Picard settings.
 
-    Built once per lockstep lot of trajectories (``harness._run_rows``),
-    again for the row a lot steps last, alone, and once per symbols for the
-    public steppers (:func:`_prepared`); ``eps`` is a tuple with an entry
-    per row, and each row steps by the ``tau`` of its symbols.  Calling the
-    map takes the symmetric step of c and returns the solutions with the
-    Picard count of each row; its explicit first-order maps are methods.  A
-    map holds the symbol arrays it uses, and a stack's map its symbols too,
-    to narrow them with :meth:`take`; one field's map, kept on its symbols,
-    holds no reference back to them.
+    Built as ``Kind(eps, ops, tol, max_iter)``: once per lockstep lot of
+    trajectories (``harness._run_rows``), again for the row a lot steps
+    last, alone, and at each call of a public stepper (:func:`_lone_map`);
+    ``eps`` is a tuple with an entry per row, and each row steps by the
+    ``tau`` of its symbols.  Calling the map takes the symmetric step of c
+    and returns the solutions with the Picard count of each row; its
+    explicit first-order maps are methods.  A map holds its symbols, to
+    narrow a stack's with :meth:`take`.
     """
 
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
         self.lone = ops.prop.ndim == 1
         # one field's eps and step as scalars, a stack's as tuples
         self.eps, self.tau = eps[0] if self.lone else tuple(eps), ops.tau
-        self.stacked = None if self.lone else ops
+        self.ops = ops
         self.shape = ops.prop.shape
         self.prop = ops.prop
         self.grid = ops.grid
@@ -257,31 +261,13 @@ class _Map:
             if len(self._taken) >= 16:
                 self._taken.clear()
             eps = tuple(e for e, k in zip(self.eps, keep) if k)
-            taken = self._taken[key] = self._like(eps, self.stacked.take(keep))
+            taken = self._taken[key] = type(self)(eps, self.ops.take(keep), self.tol,
+                                                  self.max_iter)
         return taken
-
-    def _like(self, eps: tuple, ops: OperatorSymbols) -> "_Map":
-        return type(self)(eps, ops, self.tol, self.max_iter)
 
     def new_stage(self, n_factors: int, products: tuple[tuple[int, ...], ...]) -> _Stage:
         """A stage with buffers for this map's rows."""
         return _Stage(n_factors, products, self.shape, self.grid)
-
-
-def _prepared(kind: type, cfg, ops: OperatorSymbols):
-    """The ``kind`` map of cfg's eps and solver settings on the symbols ops.
-
-    Built at a public stepper's first call and kept on its symbols, one per
-    kind, so later calls on the same symbols reuse it.  Trajectories build
-    their maps in ``harness._run_rows``; only the public one-field steppers
-    come here, and ``perfbench/layers.py`` times them on reused symbols.
-    """
-    key = (cfg.eps, cfg.fp_tol, cfg.fp_max_iter)
-    slot = ops._maps.get(kind)
-    if slot is None or slot[0] != key:
-        built = kind((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter)
-        slot = ops._maps[kind] = (key, built)
-    return slot[1]
 
 
 def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -336,7 +322,19 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
 # it shares the stage, P c and the zero modes with the first-order predictor.
 # ---------------------------------------------------------------------------
 
-class _SquareMap(_Map):
+class _QuadMap(_Map):
+    """li1 and sli2 from a subclass's stage (:meth:`_first`), core and factors."""
+
+    def li1(self, c: np.ndarray) -> np.ndarray:
+        return self._core(self.li1_factors, *self._first(c))
+
+    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        first = self._first(c)
+        explicit = self._core(self.half_factors, *first)
+        return _picard(self, explicit, self._core(self.li1_factors, *first))
+
+
+class _SquareMap(_QuadMap):
     """li1 and sli2 for eps w^2."""
 
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
@@ -367,14 +365,6 @@ class _SquareMap(_Map):
         out += b * bracket
         return out
 
-    def li1(self, c: np.ndarray) -> np.ndarray:
-        return self._core(self.li1_factors, *self._first(c))
-
-    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        first = self._first(c)
-        explicit = self._core(self.half_factors, *first)
-        return _picard(self, explicit, self._core(self.li1_factors, *first))
-
     def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
         """One Picard map of sli2: the explicit half plus the terms of u."""
         ie_t, half_ie_t, quarter_e = self.half_factors
@@ -396,7 +386,7 @@ def _masses(c: np.ndarray):
     return abs_sq.sum(axis=-1).tolist()
 
 
-class _ModSquareMap(_Map):
+class _ModSquareMap(_QuadMap):
     """li1 and sli2 for eps |w|^2."""
 
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
@@ -436,14 +426,6 @@ class _ModSquareMap(_Map):
         out += b * bracket
         return out
 
-    def li1(self, c: np.ndarray) -> np.ndarray:
-        return self._core(self.li1_factors, *self._first(c))
-
-    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        first = self._first(c)
-        explicit = self._core(self.half_factors, *first)
-        return _picard(self, explicit, self._core(self.li1_factors, *first))
-
     def apply(self, u: np.ndarray, explicit: np.ndarray) -> np.ndarray:
         """One Picard map of sli2 for |w|^2: the explicit half plus the terms of u."""
         half_ie_t, minus_half_ie_t, quarter_e_dx = self.half_factors
@@ -474,8 +456,8 @@ def li1_step(w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols) -> S
     with P the free propagator over tau, w0 the zeroth Fourier coefficient,
     and squares formed pointwise on the grid.
     """
-    _check(w, cfg, ops, QuadNonlinearity.SQUARE)
-    return SpectralField(w.grid, _prepared(_SquareMap, cfg, ops).li1(w.coeffs))
+    step = _lone_map(_SquareMap, w, cfg, ops, QuadNonlinearity.SQUARE)
+    return SpectralField(w.grid, step.li1(w.coeffs))
 
 
 def li1_conj_step(
@@ -490,8 +472,8 @@ def li1_conj_step(
     the purely-constant interaction counted exactly once, so on zero-mode data
     the step reduces to the forward-Euler update of i v' = eps |v|^2.
     """
-    _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    return SpectralField(w.grid, _prepared(_ModSquareMap, cfg, ops).li1(w.coeffs))
+    step = _lone_map(_ModSquareMap, w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
+    return SpectralField(w.grid, step.li1(w.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +495,8 @@ def sli2_step_info(
     returns u with the iteration count.  Applying the step with tau and then
     with -tau returns the input to within the iteration tolerance.
     """
-    _check(w, cfg, ops, QuadNonlinearity.SQUARE)
-    u, [iters] = _prepared(_SquareMap, cfg, ops)(w.coeffs)
+    step = _lone_map(_SquareMap, w, cfg, ops, QuadNonlinearity.SQUARE)
+    u, [iters] = step(w.coeffs)
     return SpectralField(w.grid, u), iters
 
 
@@ -528,6 +510,6 @@ def sli2_conj_step_info(
     terms being the tau-reversed mirror images of the starting ones.  Same
     fixed-point contract as :func:`sli2_step_info`.
     """
-    _check(w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    u, [iters] = _prepared(_ModSquareMap, cfg, ops)(w.coeffs)
+    step = _lone_map(_ModSquareMap, w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
+    u, [iters] = step(w.coeffs)
     return SpectralField(w.grid, u), iters

@@ -13,7 +13,7 @@ exp(-i t l^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar, Sequence
 
@@ -348,8 +348,6 @@ class OperatorSymbols:
 
     :meth:`stack` puts the symbols of several steps into one instance whose
     arrays have a row per step, for the step maps prepared on a stack.
-    ``_maps`` keeps the step maps prepared on one step's symbols (see
-    ``quadratic._prepared``).
     """
 
     tau: float
@@ -362,7 +360,6 @@ class OperatorSymbols:
     phi1_1: np.ndarray
     phi1_1c: np.ndarray
     one_minus_phi1_2: np.ndarray
-    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     _ARRAYS: ClassVar[tuple[str, ...]] = (
         "prop", "prop_conj", "prop_half", "inv_dx", "phi1_2", "phi1_1", "phi1_1c",

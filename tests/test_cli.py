@@ -736,3 +736,12 @@ def test_a_failing_check_names_the_map_and_input_of_its_worst_case(monkeypatch, 
     [fail] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert fail.startswith("FAIL  constant-data zero-mode reductions — AssertionError: "
                            "li1 N=16 eps=0.5 tau=0.1 v0=0.7-0.3j: mismatch 1.000e-03")
+
+
+def test_the_phi1_check_fails_on_a_nan_and_names_its_z(monkeypatch):
+    right = selftest.phi1
+    monkeypatch.setattr(selftest, "phi1", lambda z: right(z) if abs(z) <= 20 else complex("nan"))
+    with pytest.raises(AssertionError, match="residual nan") as failed:
+        selftest._check_phi1_identity()
+    z = complex(str(failed.value).split("z=")[1].split(":")[0])
+    assert abs(z) > 20

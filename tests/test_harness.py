@@ -665,6 +665,12 @@ def test_error_vs_time_validation():
         error_vs_time(base, [-0.1, 0.2])
 
 
+def test_error_vs_time_rejects_no_sample_times_before_any_work(monkeypatch):
+    monkeypatch.setattr(harness, "_run_rows", None)
+    with pytest.raises(ValueError, match="^sample_times: "):
+        error_vs_time(_quad("li1"), [])
+
+
 # ---------------------------------------------------------------------------
 # order fitting
 # ---------------------------------------------------------------------------
