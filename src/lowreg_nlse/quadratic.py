@@ -180,21 +180,16 @@ class _Stage:
         self._relabel_free = n & (n - 1) == 0
         self._scale = 1.0 / n
         # flat take-index of the spectra: the half-roll on the rows of the
-        # even-degree products, the identity on the others; None if none is even
+        # even-degree products, the identity on the others
         even = [r for r, indices in enumerate(products) if len(indices) % 2 == 0]
-        self._order = None
-        if self._relabel_free and even:
-            order = np.arange(self._products.size).reshape(self._products.shape)
-            order[even] = order[even].take(grid._half_roll, axis=-1)
-            self._order = order
+        self._order = np.arange(self._products.size).reshape(self._products.shape)
+        self._order[even] = self._order[even].take(grid._half_roll, axis=-1)
 
     def __call__(self) -> np.ndarray:
         if not self._relabel_free:
             values_from_coeffs(self.factors, self.grid, out=self._values)
             return coeffs_from_values(self._multiply(), self.grid)
         _ifft(self.factors, 1.0, self._values)
-        if self._order is None:
-            return _fft(self._multiply(), self._scale, np.empty_like(self._products))
         return _fft(self._multiply(), self._scale, self._products).take(self._order)
 
     def _multiply(self) -> np.ndarray:
