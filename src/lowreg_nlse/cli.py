@@ -204,14 +204,15 @@ def _validate(parser: argparse.ArgumentParser, config: argparse.Namespace) -> No
         parser.error("--scheme must not be empty")
     if sub == "simulate" and "," in config.scheme:
         parser.error("--scheme: simulate runs a single scheme")
-    for name in ("tau_list", "eps_list", "sample_times"):
-        if getattr(config, name, None) == []:
-            parser.error(f"--{name.replace('_', '-')} must not be empty")
     if sub != "simulate" and not 0 < config.T < math.inf:
         parser.error(f"--T must be positive and finite, got {config.T}")
     if getattr(config, "jobs", None) is not None and config.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {config.jobs}")
     if sub == "sweep-eps":
+        # the library's checks reject an empty --tau-list or --sample-times, but
+        # an empty --eps-list would raise IndexError here before its check runs
+        if not config.eps_list:
+            parser.error("--eps-list must not be empty")
         config.eps = config.eps_list[0]
     try:
         if sub == "sweep-tau":  # first: the SimParams below take their tau from the list

@@ -32,7 +32,7 @@ from .spectral import (
 from .quadratic import (
     _Map,
     _StepConfig,
-    _lone_map,
+    _lone_step,
     _picard,
 )
 
@@ -99,9 +99,9 @@ def h_field(u: SpectralField, ops: OperatorSymbols) -> SpectralField:
 class _NonresonantMap(_Map):
     """os18, nrli1, strang and nrsli2.
 
-    Calling the map solves nrsli2's two-endpoint relation by Picard
-    iteration.  Composing the half-step maps (forward half step, then an
-    inverted backward half step) produces resonance corrections whose g/h
+    :meth:`nrsli2` solves the two-endpoint relation by Picard iteration.
+    Composing the half-step maps (forward half step, then an inverted
+    backward half step) produces resonance corrections whose g/h
     multipliers carry the *signed half* arguments: 1 - phi1(+- i tau m^2)
     for the n / n+1 endpoints.  The naive transcription keeps the full-step
     multiplier 1 - phi1(2 i tau m^2) on both endpoints; it is not
@@ -140,9 +140,9 @@ class _NonresonantMap(_Map):
     def _os18(self, c: np.ndarray, cubic: np.ndarray) -> np.ndarray:
         return self.prop * (c - self.os18_factor * cubic)
 
-    def os18(self, c: np.ndarray) -> np.ndarray:
+    def os18(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         [cubic] = self._filtered(self._one, c, (self.phi1_2,))
-        return self._os18(c, cubic)
+        return self._os18(c, cubic), None
 
     def _nrli1(self, c: np.ndarray, cubic: np.ndarray, prop_c: np.ndarray,
                abs_sq: np.ndarray) -> np.ndarray:
@@ -153,17 +153,17 @@ class _NonresonantMap(_Map):
             - self.column(lambda a, g: a * g, self.g_factor, g0) * prop_c \
             + self.h_factor * (self.prop * h)
 
-    def nrli1(self, c: np.ndarray) -> np.ndarray:
+    def nrli1(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         [cubic] = self._filtered(self._one, c, (self.phi1_2,))
-        return self._nrli1(c, cubic, self.prop * c, np.abs(c) ** 2)
+        return self._nrli1(c, cubic, self.prop * c, np.abs(c) ** 2), None
 
-    def strang(self, c: np.ndarray) -> np.ndarray:
+    def strang(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         """Half propagator, the pointwise rotation by -i tau eps^2 |u|^2, half propagator."""
         u = values_from_coeffs(self.prop_half * c, self.grid)
         u = u * np.exp(self.rotation_factor * (u.real**2 + u.imag**2))
-        return self.prop_half * coeffs_from_values(u, self.grid)
+        return self.prop_half * coeffs_from_values(u, self.grid), None
 
-    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    def nrsli2(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
         cubic_2, cubic_n = self._filtered(self._two, c, (self.phi1_2, self.phi1_1))
         prop_c = self.prop * c
         abs_sq = np.abs(c) ** 2
@@ -197,8 +197,7 @@ def os18_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) ->
     non-resonant weight; the two non-resonant maps below add the terms that
     restore the exact resonant integral.
     """
-    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.OS18)
-    return SpectralField(w.grid, step.os18(w.coeffs))
+    return _lone_step(_NonresonantMap, "os18", w, cfg, ops, CubicScheme.OS18)[0]
 
 
 def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
@@ -211,8 +210,7 @@ def nrli1_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -
     matching the conjugated one) to exactly tau; the h-term removes the
     double-counted all-equal overlap.
     """
-    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.NRLI1)
-    return SpectralField(w.grid, step.nrli1(w.coeffs))
+    return _lone_step(_NonresonantMap, "nrli1", w, cfg, ops, CubicScheme.NRLI1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +233,7 @@ def nrsli2_step_info(
     returns u with the iteration count.  Stepping with tau then -tau returns
     the input to the iteration tolerance.
     """
-    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.NRSLI2)
-    u, [iters] = step(w.coeffs)
-    return SpectralField(w.grid, u), iters
+    return _lone_step(_NonresonantMap, "nrsli2", w, cfg, ops, CubicScheme.NRSLI2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,5 +247,4 @@ def strang_step(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) 
     so it is the exact rotation w * exp(-i tau eps^2 |w|^2).  Mass is
     conserved to rounding.
     """
-    step = _lone_map(_NonresonantMap, w, cfg, ops, CubicScheme.STRANG)
-    return SpectralField(w.grid, step.strang(w.coeffs))
+    return _lone_step(_NonresonantMap, "strang", w, cfg, ops, CubicScheme.STRANG)[0]

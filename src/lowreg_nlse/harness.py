@@ -91,20 +91,20 @@ class Equation(Enum):
     CUBIC = "cubic"
 
 
-# (equation, scheme) -> (map class, rows method, public one-field stepper).
-# The map is built from (eps, ops, tol, max_iter) for the rows of a (B, N)
-# stack, row r with eps[r] and the step of its symbols, or for one field.
-# "__call__" takes c to (c, Picard counts), any other method to c; the
+# (equation, scheme) -> (map class, public one-field stepper).  The map is
+# built from (eps, ops, tol, max_iter) for the rows of a (B, N) stack, row r
+# with eps[r] and the step of its symbols, or for one field; its method of
+# the scheme's name takes c to (c, each row's Picard count or None).  The
 # stepper takes the same step of one SpectralField.
-_SCHEMES: dict[tuple[Equation, str], tuple[type[_Map], str, Callable]] = {
-    (Equation.QUAD_SQUARE, "li1"): (_SquareMap, "li1", li1_step),
-    (Equation.QUAD_SQUARE, "sli2"): (_SquareMap, "__call__", sli2_step_info),
-    (Equation.QUAD_MODSQ, "li1"): (_ModSquareMap, "li1", li1_conj_step),
-    (Equation.QUAD_MODSQ, "sli2"): (_ModSquareMap, "__call__", sli2_conj_step_info),
-    (Equation.CUBIC, "nrli1"): (_NonresonantMap, "nrli1", nrli1_step),
-    (Equation.CUBIC, "nrsli2"): (_NonresonantMap, "__call__", nrsli2_step_info),
-    (Equation.CUBIC, "os18"): (_NonresonantMap, "os18", os18_step),
-    (Equation.CUBIC, "strang"): (_NonresonantMap, "strang", strang_step),
+_SCHEMES: dict[tuple[Equation, str], tuple[type[_Map], Callable]] = {
+    (Equation.QUAD_SQUARE, "li1"): (_SquareMap, li1_step),
+    (Equation.QUAD_SQUARE, "sli2"): (_SquareMap, sli2_step_info),
+    (Equation.QUAD_MODSQ, "li1"): (_ModSquareMap, li1_conj_step),
+    (Equation.QUAD_MODSQ, "sli2"): (_ModSquareMap, sli2_conj_step_info),
+    (Equation.CUBIC, "nrli1"): (_NonresonantMap, nrli1_step),
+    (Equation.CUBIC, "nrsli2"): (_NonresonantMap, nrsli2_step_info),
+    (Equation.CUBIC, "os18"): (_NonresonantMap, os18_step),
+    (Equation.CUBIC, "strang"): (_NonresonantMap, strang_step),
 }
 
 # equation -> the symmetric scheme its references step with
@@ -325,11 +325,8 @@ def run_trajectory(
     is the one row of a :func:`_run_rows` lot.
     """
     _check_grid(w0, TorusGrid(params.n_modes))
-    try:
-        [result] = _run_rows([(params, w0, tuple(sample_times))])
-    except SolverFailure as exc:
-        # a lone trajectory is named by its caller, if at all
-        raise SolverFailure(exc.step_index, exc.t, exc.inner) from exc.inner
+    # a lone trajectory is named by its caller, if at all
+    [result] = _run_rows([(params, w0, tuple(sample_times))], None)
     return result
 
 
@@ -387,30 +384,22 @@ def _reference_name(params: SimParams) -> str:
     return f"reference trajectory (step {params.tau:.6g}, eps {params.eps:g})"
 
 
-def _advance(step: _Map, method: str, c: np.ndarray) -> tuple[np.ndarray, list]:
-    """c after one step of the map's rows method, with each row's Picard count.
-
-    ``method`` is ``"__call__"`` for an implicit scheme; an explicit one
-    counts None per row.
-    """
-    if method == "__call__":
-        return step(c)
-    return getattr(step, method)(c), [None] * (1 if step.lone else len(c))
-
-
 def _run_rows(
     rows: Sequence[tuple[SimParams, SpectralField, tuple[float, ...]]],
+    name: Callable[[SimParams], str] | None = _reference_name,
 ) -> list[TrajectoryResult]:
     """Trajectories advanced in lockstep as the rows of one (B, N) stack.
 
     Each row is (params, w0, sample times); all share equation, scheme, N,
     fp_tol and fp_max_iter.  Row r steps with its own eps and tau through
-    the scheme's map of the table ``_SCHEMES``, prepared for the stack and
-    again only when rows leave it, which a row does once its own step count
-    is done; the last row left steps through a lone field's map of its own
-    symbols, as the public stepper would.  So each row's state, sup_h1,
-    Picard counts and snapshots are those it has alone.  A stalled row
-    raises :class:`SolverFailure` naming its reference trajectory.
+    the method of the scheme's name on its map of the table ``_SCHEMES``.
+    A lot of two or more rows prepares that map for the stack, and again
+    only when rows leave it, which a row does once its own step count is
+    done; the last row left, or the only one, steps through a lone field's
+    map of its own symbols, as the public stepper would.  So each row's
+    state, sup_h1, Picard counts and snapshots are those it has alone.  A
+    stalled row raises :class:`SolverFailure`, named by ``name`` of its
+    params (by default its reference trajectory) or, with None, unnamed.
     """
     # longest first, so the rows still stepping are always a prefix
     order = sorted(range(len(rows)), key=lambda r: -_horizon_steps(rows[r][0])[0])
@@ -419,10 +408,11 @@ def _run_rows(
     grid = TorusGrid(first.n_modes)
     tracks = [_Track(p, rows[r][1], rows[r][2]) for p, r in zip(params, order)]
     row_ops = [OperatorSymbols.build(grid, p.tau) for p in params]
-    prepared, method, _ = _SCHEMES[(first.equation, first.scheme)]
-    step = full = prepared(tuple(p.eps for p in params), OperatorSymbols.stack(row_ops),
-                           first.fp_tol, first.fp_max_iter)
-    lone = prepared((first.eps,), row_ops[0], first.fp_tol, first.fp_max_iter)
+    kind, _ = _SCHEMES[(first.equation, first.scheme)]
+    lone = kind((first.eps,), row_ops[0], first.fp_tol, first.fp_max_iter)
+    step = full = lone if len(rows) == 1 else kind(
+        tuple(p.eps for p in params), OperatorSymbols.stack(row_ops),
+        first.fp_tol, first.fp_max_iter)
     c = np.stack([rows[r][1].coeffs for r in order])
     live = len(rows)
     for k in range(1, tracks[0].n_steps + 1):
@@ -430,18 +420,18 @@ def _run_rows(
             live -= 1
         if live < len(c):
             c = c[:live]
-            if live > 1:
-                step = full.take(np.arange(len(rows)) < live)
+            step = lone if live == 1 else full.take(np.arange(len(rows)) < live)
         try:
-            if live > 1:
-                c, iters = _advance(step, method, c)
-            else:
-                u, iters = _advance(lone, method, c[0])
+            if step is lone:
+                u, iters = getattr(lone, first.scheme)(c[0])
                 c = u[None]
+            else:
+                c, iters = getattr(step, first.scheme)(c)
         except FixedPointError as exc:
             p = params[exc.row]
-            raise SolverFailure(k, k * p.tau, exc, _reference_name(p)) from exc
-        for track, row, it, h1 in zip(tracks, c, iters, sobolev_norms(c, grid, 1.0).tolist()):
+            raise SolverFailure(k, k * p.tau, exc, name(p) if name else "") from exc
+        for track, row, it, h1 in zip(tracks, c, iters or [None] * live,
+                                      sobolev_norms(c, grid, 1.0).tolist()):
             track.record(k, row, it, h1)
     results: list = [None] * len(rows)
     for r, track in zip(order, tracks):
@@ -645,8 +635,9 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
             gap: float, ref_tau: float, wall: float) -> SweepRecord:
     """The record of params' trajectory at time t against a reference with this gap.
 
-    It is reliable only when the error is at least ten times a finite gap
-    between the fine and the finer reference (a nan error never is).
+    It is reliable only when a finite error is at least ten times a finite
+    gap between the fine and the finer reference (a nan or infinite error
+    never is).
     """
     return SweepRecord(
         equation=params.equation,
@@ -663,7 +654,7 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
         wall_seconds=wall,
         fp_iter_max=traj.fp_iter_max,
         fp_iter_mean=traj.fp_iter_mean,
-        reliable=math.isfinite(gap) and error >= 10.0 * gap,
+        reliable=math.isfinite(error) and math.isfinite(gap) and error >= 10.0 * gap,
     )
 
 
@@ -899,12 +890,17 @@ def write_records_csv(path: str, records: Sequence[SweepRecord]) -> None:
 
 
 def read_records_csv(path: str) -> list[SweepRecord]:
+    """The records of a CSV that write_records_csv wrote; reject a row of the wrong width."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
+            # DictReader files extra cells under None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"{path}, line {reader.line_num}: the row does not have "
+                                 f"the header's {len(CSV_COLUMNS)} cells")
             records.append(SweepRecord(**{column: _csv_value(row, column)
                                           for column in CSV_COLUMNS}))
     return records

@@ -107,11 +107,14 @@ class FixedPointError(RuntimeError):
         return type(self), (self.residual, self.iterations, self.row)
 
 
-def _lone_map(kind: type, w: SpectralField, cfg, ops: OperatorSymbols, want: Enum) -> _Map:
-    """The ``kind`` map of cfg's eps and solver settings on one step's symbols ops.
+def _lone_step(kind: type, scheme: str, w: SpectralField, cfg, ops: OperatorSymbols,
+               want: Enum) -> tuple[SpectralField, int | None]:
+    """One ``scheme`` step of w by the ``kind`` map of cfg's eps and solver settings on ops.
 
     Rejects first a field, config and symbols that do not fit each other or
-    ``want``.  The public one-field steppers build their map so at each call.
+    ``want``.  Returns the new field with its Picard count, None for an
+    explicit scheme.  The public one-field steppers build their map so at
+    each call.
     """
     _check_grid(w, ops.grid)
     if cfg.tau != ops.tau:
@@ -119,7 +122,9 @@ def _lone_map(kind: type, w: SpectralField, cfg, ops: OperatorSymbols, want: Enu
     have = cfg.nonlinearity if isinstance(want, QuadNonlinearity) else cfg.scheme
     if have is not want:
         raise ValueError(f"stepper expects {want}, got {have}")
-    return kind((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter)
+    step = kind((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter)
+    c, iters = getattr(step, scheme)(w.coeffs)
+    return SpectralField(w.grid, c), None if iters is None else iters[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +210,13 @@ class _Map:
     """The maps of one nonlinearity, prepared for fixed rows and Picard settings.
 
     Built as ``Kind(eps, ops, tol, max_iter)``: once per lockstep lot of
-    trajectories (``harness._run_rows``), again for the row a lot steps
-    last, alone, and at each call of a public stepper (:func:`_lone_map`);
+    two or more trajectories (``harness._run_rows``), for the row a lot
+    steps alone, and at each call of a public stepper (:func:`_lone_step`);
     ``eps`` is a tuple with an entry per row, and each row steps by the
-    ``tau`` of its symbols.  Calling the map takes the symmetric step of c
-    and returns the solutions with the Picard count of each row; its
-    explicit first-order maps are methods.  A map holds its symbols, to
-    narrow a stack's with :meth:`take`.
+    ``tau`` of its symbols.  Each scheme's step is the method of its name:
+    it takes c to the new spectra and the Picard count of each row, None
+    for an explicit scheme.  A map holds its symbols, to narrow a stack's
+    with :meth:`take`.
     """
 
     def __init__(self, eps: tuple, ops: OperatorSymbols, tol: float, max_iter: int) -> None:
@@ -320,10 +325,10 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
 class _QuadMap(_Map):
     """li1 and sli2 from a subclass's stage (:meth:`_first`), core and factors."""
 
-    def li1(self, c: np.ndarray) -> np.ndarray:
-        return self._core(self.li1_factors, *self._first(c))
+    def li1(self, c: np.ndarray) -> tuple[np.ndarray, None]:
+        return self._core(self.li1_factors, *self._first(c)), None
 
-    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    def sli2(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
         first = self._first(c)
         explicit = self._core(self.half_factors, *first)
         return _picard(self, explicit, self._core(self.li1_factors, *first))
@@ -451,8 +456,7 @@ def li1_step(w: SpectralField, cfg: QuadSchemeConfig, ops: OperatorSymbols) -> S
     with P the free propagator over tau, w0 the zeroth Fourier coefficient,
     and squares formed pointwise on the grid.
     """
-    step = _lone_map(_SquareMap, w, cfg, ops, QuadNonlinearity.SQUARE)
-    return SpectralField(w.grid, step.li1(w.coeffs))
+    return _lone_step(_SquareMap, "li1", w, cfg, ops, QuadNonlinearity.SQUARE)[0]
 
 
 def li1_conj_step(
@@ -467,8 +471,7 @@ def li1_conj_step(
     the purely-constant interaction counted exactly once, so on zero-mode data
     the step reduces to the forward-Euler update of i v' = eps |v|^2.
     """
-    step = _lone_map(_ModSquareMap, w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    return SpectralField(w.grid, step.li1(w.coeffs))
+    return _lone_step(_ModSquareMap, "li1", w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +493,7 @@ def sli2_step_info(
     returns u with the iteration count.  Applying the step with tau and then
     with -tau returns the input to within the iteration tolerance.
     """
-    step = _lone_map(_SquareMap, w, cfg, ops, QuadNonlinearity.SQUARE)
-    u, [iters] = step(w.coeffs)
-    return SpectralField(w.grid, u), iters
+    return _lone_step(_SquareMap, "sli2", w, cfg, ops, QuadNonlinearity.SQUARE)
 
 
 def sli2_conj_step_info(
@@ -505,6 +506,4 @@ def sli2_conj_step_info(
     terms being the tau-reversed mirror images of the starting ones.  Same
     fixed-point contract as :func:`sli2_step_info`.
     """
-    step = _lone_map(_ModSquareMap, w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)
-    u, [iters] = step(w.coeffs)
-    return SpectralField(w.grid, u), iters
+    return _lone_step(_ModSquareMap, "sli2", w, cfg, ops, QuadNonlinearity.MODULUS_SQUARE)

@@ -214,7 +214,11 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
      "--sample-times: sample_times: sample times must be strictly increasing"),
     (_ERROR_VS_TIME + ["--sample-times", "0.1,5"],
      "--sample-times: sample_times: sample times must not exceed t_final"),
-    (_TAU_SWEEP + ["--tau-list", ","], "--tau-list must not be empty"),
+    (_TAU_SWEEP + ["--tau-list", ","],
+     "--tau-list: tau_list: tau sweep needs at least 4 step sizes"),
+    (_ERROR_VS_TIME + ["--sample-times", ","],
+     "--sample-times: sample_times: sample times must not be empty"),
+    (_EPS_SWEEP + ["--eps-list", ","], "--eps-list must not be empty"),
     (_TAU_SWEEP + ["--tau-list", "0.1,0.05,0.025,0.0125", "--scheme", ","],
      "--scheme must not be empty"),
     (["sweep-eps", "--equation", "cubic", "--scheme", "nrli1", "--tau", "0.05",
@@ -234,7 +238,8 @@ _SIMULATE = ["simulate", "--equation", "quad-square", "--scheme", "li1", "--eps"
         "ref-tau-nan", "t-final-inf", "tau-list-nan", "sample-times-nan", "T-nan", "T-inf",
         "jobs-negative", "eps-list-nan-flag", "eps-count-flag", "eps-first-flag",
         "tau-count-flag", "tau-sign-flag", "tau-repeat-flag", "sample-order-flag",
-        "sample-past-t-final-flag", "tau-list-empty", "scheme-empty", "eps-list-underflow",
+        "sample-past-t-final-flag", "tau-list-empty", "sample-times-empty",
+        "eps-list-empty", "scheme-empty", "eps-list-underflow",
         "sweep-tau-eps-underflow", "sweep-tau-horizon-overflow",
         "error-vs-time-horizon-overflow"])
 def test_sweep_list_checks_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):

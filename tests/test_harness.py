@@ -5,6 +5,7 @@ physically interesting regimes live in the acceptance suite.
 """
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -145,7 +146,8 @@ def test_step_count_is_capped_before_any_work(monkeypatch):
 
 
 @pytest.mark.parametrize("error, gap", [(math.nan, 0.0), (math.nan, math.nan), (1.0, math.nan),
-                                        (math.inf, math.inf), (1.0, math.inf)])
+                                        (math.inf, math.inf), (1.0, math.inf),
+                                        (math.inf, 0.0)])
 def test_record_with_nan_error_or_gap_is_unreliable(error, gap):
     p = _quad(t_final=0.0)
     traj = run_trajectory(p, make_initial_data(p))
@@ -268,7 +270,7 @@ def test_trajectory_steps_through_the_harness_global(equation, scheme):
     # bit for bit a loop of the table's public stepper, which is the
     # harness global of that name
     stepper, kind = _STEP_OF[(equation, scheme)]
-    assert harness._SCHEMES[(equation, scheme)][2] is stepper
+    assert harness._SCHEMES[(equation, scheme)][1] is stepper
     assert getattr(harness, stepper.__name__) is stepper
     p = SimParams(equation=equation, scheme=scheme, eps=0.5, tau=0.05, t_final=0.2,
                   n_modes=16, theta=2.0, seed=3)
@@ -421,9 +423,9 @@ def test_batched_references_equal_lone_trajectories(monkeypatch, equation, batch
     lockstep = []
     original = harness._run_rows
 
-    def counting(rows):
+    def counting(rows, *name):
         lockstep.append(len(rows))
-        return original(rows)
+        return original(rows, *name)
 
     monkeypatch.setattr(harness, "_run_rows", counting)
     base = SimParams(equation=equation, scheme="nrli1" if equation is Equation.CUBIC else "li1",
@@ -799,4 +801,16 @@ def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
+        read_records_csv(str(path))
+
+
+@pytest.mark.parametrize("edit", [lambda row: row + ",0.5", lambda row: row.rsplit(",", 1)[0]],
+                         ids=["extra-cell", "missing-cell"])
+def test_csv_rejects_a_row_of_the_wrong_width(tmp_path, edit):
+    # a row must have the header's cells; the error names the file and the line
+    path = tmp_path / "records.csv"
+    write_records_csv(str(path), _sample_records())
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, edit(second)]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: "):
         read_records_csv(str(path))

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from lowreg_nlse import harness
-from lowreg_nlse.cubic import _NonresonantMap
 from lowreg_nlse.harness import Equation, SimParams, make_initial_data
-from lowreg_nlse.quadratic import _ModSquareMap, _SquareMap
 from lowreg_nlse.spectral import OperatorSymbols, TorusGrid, random_initial_data
 
 
@@ -49,11 +47,8 @@ def test_trajectory_steps_return_fresh_states(monkeypatch, equation, scheme):
     _assert_fresh(states)
 
 
-# every entry point of the three maps, on one field and on a stack of two
-_ENTRIES = [(_SquareMap, "li1"), (_SquareMap, "__call__"),
-            (_ModSquareMap, "li1"), (_ModSquareMap, "__call__"),
-            (_NonresonantMap, "os18"), (_NonresonantMap, "nrli1"),
-            (_NonresonantMap, "strang"), (_NonresonantMap, "__call__")]
+# every scheme's step on its map, on one field and on a stack of two
+_ENTRIES = [(kind, scheme) for (_, scheme), (kind, _) in harness._SCHEMES.items()]
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -70,8 +65,7 @@ def test_map_entry_points_return_fresh_arrays(kind, entry, rows):
     prepared = kind((0.5, 0.3)[:rows], ops, 1e-12, 100)
     states = []
     for _ in range(4):
-        out = getattr(prepared, entry)(c)
-        c = out[0] if entry == "__call__" else out
+        c, _ = getattr(prepared, entry)(c)
         states.append((c, c.tobytes()))
     _assert_fresh(states)
 

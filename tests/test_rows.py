@@ -49,7 +49,7 @@ def test_mixed_stack_equals_one_row_calls(name, n_modes):
     eps = tuple(e for e, _, _, _ in _ROWS)
     stacked = OperatorSymbols.stack(ops)
     c = np.stack([w.coeffs for w in fields])
-    out, iters = prepared(eps, stacked, 1e-12, 100)(c)
+    out, iters = getattr(prepared(eps, stacked, 1e-12, 100), name.removesuffix("_conj"))(c)
     # the rows converge at different counts, so rows leave the stack early
     assert len(set(iters)) > 1
     for r, (w, o) in enumerate(zip(fields, ops)):
@@ -67,7 +67,7 @@ def test_stalled_row_is_named(name):
     stacked = OperatorSymbols.stack(ops)
     eps = tuple(e for e, _, _, _ in _ROWS)
     with pytest.raises(FixedPointError) as info:
-        prepared(eps, stacked, 1e-12, 100)(c)
+        getattr(prepared(eps, stacked, 1e-12, 100), name.removesuffix("_conj"))(c)
     assert info.value.row == 3
 
 
@@ -91,8 +91,9 @@ def test_take_keeps_at_most_16_masks(name):
     fresh = prepared(tuple(e for e, k in zip(eps, keep) if k),
                      OperatorSymbols.stack([o for o, k in zip(ops, keep) if k]), 1e-12, 100)
     c = np.stack([w.coeffs for w, k in zip(fields, keep) if k])
-    out, iters = again(c)
-    want, want_iters = fresh(c)
+    scheme = name.removesuffix("_conj")
+    out, iters = getattr(again, scheme)(c)
+    want, want_iters = getattr(fresh, scheme)(c)
     assert out.tobytes() == want.tobytes()
     assert iters == want_iters
 
