@@ -265,10 +265,11 @@ def _finish(config, records: list[SweepRecord]) -> int:
     print(f"wrote {len(records)} records to {config.out}")
     flagged = [r for r in records if not r.reliable]
     for r in flagged:
+        cause = ("error does not dominate the reference self-consistency gap"
+                 if math.isfinite(r.error) else "error is not finite")
         print(
             f"warning: unreliable record (scheme {r.scheme}, eps {r.eps}, "
-            f"tau {r.tau}, t {r.t_final:g}): error does not dominate the "
-            "reference self-consistency gap",
+            f"tau {r.tau}, t {r.t_final:g}): {cause}",
             file=sys.stderr,
         )
     return 1 if flagged else 0

@@ -124,8 +124,8 @@ class _NonresonantMap(_Map):
         self.one_minus_phi1_2 = ops.one_minus_phi1_2
         self.mult_n = 1.0 - ops.phi1_1  # 1 - phi1(+i tau m^2), forward endpoint
         self.mult_u = 1.0 - ops.phi1_1c  # 1 - phi1(-i tau m^2), backward endpoint
-        self._one = self.new_stage(2, ((0, 0, 1),))
-        self._two = self.new_stage(3, ((0, 0, 1), (0, 0, 2)))
+        self._one = self.new_stage(((0, 0, 1),))
+        self._two = self.new_stage(((0, 0, 1), (0, 0, 2)))
 
     @staticmethod
     def _filtered(stage, c: np.ndarray, symbols: tuple) -> np.ndarray:

@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -415,24 +415,26 @@ def _run_rows(
         first.fp_tol, first.fp_max_iter)
     c = np.stack([rows[r][1].coeffs for r in order])
     live = len(rows)
-    for k in range(1, tracks[0].n_steps + 1):
-        while tracks[live - 1].n_steps < k:
-            live -= 1
-        if live < len(c):
-            c = c[:live]
-            step = lone if live == 1 else full.take(np.arange(len(rows)) < live)
-        try:
-            if step is lone:
-                u, iters = getattr(lone, first.scheme)(c[0])
-                c = u[None]
-            else:
-                c, iters = getattr(step, first.scheme)(c)
-        except FixedPointError as exc:
-            p = params[exc.row]
-            raise SolverFailure(k, k * p.tau, exc, name(p) if name else "") from exc
-        for track, row, it, h1 in zip(tracks, c, iters or [None] * live,
-                                      sobolev_norms(c, grid, 1.0).tolist()):
-            track.record(k, row, it, h1)
+    # an overflowing row runs on to inf or nan, which its record flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, tracks[0].n_steps + 1):
+            while tracks[live - 1].n_steps < k:
+                live -= 1
+            if live < len(c):
+                c = c[:live]
+                step = lone if live == 1 else full.take(np.arange(len(rows)) < live)
+            try:
+                if step is lone:
+                    u, iters = getattr(lone, first.scheme)(c[0])
+                    c = u[None]
+                else:
+                    c, iters = getattr(step, first.scheme)(c)
+            except FixedPointError as exc:
+                p = params[exc.row]
+                raise SolverFailure(k, k * p.tau, exc, name(p) if name else "") from exc
+            for track, row, it, h1 in zip(tracks, c, iters or [None] * live,
+                                          sobolev_norms(c, grid, 1.0).tolist()):
+                track.record(k, row, it, h1)
     results: list = [None] * len(rows)
     for r, track in zip(order, tracks):
         results[r] = track.result()
@@ -675,17 +677,20 @@ def _run_single_point(
         traj = run_trajectory(params, w0, pair.sample_times)
     except SolverFailure as exc:
         raise SolverFailure(exc.step_index, exc.t, exc.inner, _cell_name(params)) from exc.inner
-    errors = [_norm_diff(w, f, r) for (_, w), (_, f) in zip(traj.snapshots, pair.fine.snapshots)]
-    wall = time.perf_counter() - started
-    gaps = [_norm_diff(f, g, r)
-            for (_, f), (_, g) in zip(pair.fine.snapshots, pair.finer.snapshots)]
+    # an overflowed trajectory or reference scores an inf or nan, which _record flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = [_norm_diff(w, f, r)
+                  for (_, w), (_, f) in zip(traj.snapshots, pair.fine.snapshots)]
+        wall = time.perf_counter() - started
+        gaps = [_norm_diff(f, g, r)
+                for (_, f), (_, g) in zip(pair.fine.snapshots, pair.finer.snapshots)]
     records = [_record(params, traj, t, error, gap, pair.ref_tau, wall)
                for (t, _), error, gap in zip(traj.snapshots, errors, gaps)]
     return records, gaps, traj.state
 
 
 def _point_worker(payload) -> tuple[SweepRecord, float]:
-    """A sweep cell in a pool worker: its record and gap at the horizon."""
+    """A sweep cell, in this process or a pool worker: its record and gap at the horizon."""
     [record], [gap], _ = _run_single_point(*payload)
     return record, gap
 
@@ -700,27 +705,25 @@ def _run_points(
 
     Every cell starts from base's initial data.  The missing reference
     trajectories are built first, in lockstep batches (one batch, or with
-    jobs > 1 up to ``jobs`` of them); then the cells run in task order, each
-    handed its pair.  With jobs > 1 both phases share one pool of
-    ``min(jobs, 2 * len(cells))`` workers: a cell misses at most two
+    jobs > 1 up to ``jobs`` of them); then the cells run in task order,
+    each handed its pair to ``_point_worker``.  Both phases go through one
+    mapper: ``map`` in this process, or with jobs > 1 one pool of
+    ``min(jobs, 2 * len(cells))`` workers, since a cell misses at most two
     references, so neither phase has more tasks than that.
     """
     w0 = make_initial_data(base)
     fines = [_cell_refs(p, w0, ref_tau) for p in cells]
-    store = _references()
+    pool = nullcontext()
     if jobs is not None and jobs > 1 and len(cells) > 1:
         # imported here: a serial command never pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, 2 * len(cells))) as pool:
-            pairs = store.pairs(fines, pool.map, jobs)
-            payloads = [(p, w0, pair) for p, pair in zip(cells, pairs)]
-            outcomes = list(pool.map(_point_worker, payloads))
-    else:
-        outcomes = []
-        for p, pair in zip(cells, store.pairs(fines)):
-            [record], [gap], _ = _run_single_point(p, w0, pair)
-            outcomes.append((record, gap))
+        pool = ProcessPoolExecutor(max_workers=min(jobs, 2 * len(cells)))
+    with pool as workers:
+        mapper, lots = (map, 1) if workers is None else (workers.map, jobs)
+        pairs = _references().pairs(fines, mapper, lots)
+        payloads = [(p, w0, pair) for p, pair in zip(cells, pairs)]
+        outcomes = list(mapper(_point_worker, payloads))
     records = [rec for rec, _ in outcomes]
     gaps = [gap for _, gap in outcomes]
     return records, gaps

@@ -154,9 +154,10 @@ class _Stage:
     The caller writes the spectra of the factors into ``rows``, the rows of
     an (F, ..., N) stack.  ``products`` holds one tuple of factor indices per
     product: ``(i, j, k)`` is (f_i * f_j) * f_k, multiplied left to right on
-    the grid.  A call costs one inverse transform of the stacked factors and
-    one forward transform of the stacked products, and returns the spectra
-    of the products in a new (P, ..., N) array, row r for product r.
+    the grid, and F is one more than the largest index.  A call costs one
+    inverse transform of the stacked factors and one forward transform of
+    the stacked products, and returns the spectra of the products in a new
+    (P, ..., N) array, row r for product r.
 
     At power-of-two N the stage transforms the ascending rows as they are,
     without the public pair's (-1)^l phase, half-roll and scale passes.
@@ -171,8 +172,9 @@ class _Stage:
     every other even N takes the public pair.
     """
 
-    def __init__(self, n_factors: int, products: tuple[tuple[int, ...], ...],
-                 shape: tuple[int, ...], grid: TorusGrid) -> None:
+    def __init__(self, products: tuple[tuple[int, ...], ...], shape: tuple[int, ...],
+                 grid: TorusGrid) -> None:
+        n_factors = 1 + max(map(max, products))
         self.factors = np.empty((n_factors,) + shape, dtype=np.complex128)
         self.rows = tuple(self.factors)
         self.grid = grid
@@ -265,9 +267,9 @@ class _Map:
                                                   self.max_iter)
         return taken
 
-    def new_stage(self, n_factors: int, products: tuple[tuple[int, ...], ...]) -> _Stage:
+    def new_stage(self, products: tuple[tuple[int, ...], ...]) -> _Stage:
         """A stage with buffers for this map's rows."""
-        return _Stage(n_factors, products, self.shape, self.grid)
+        return _Stage(products, self.shape, self.grid)
 
 
 def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -347,7 +349,7 @@ class _SquareMap(_QuadMap):
         self.half_factors = (ie_t, self.each(lambda e, t: 0.5j * e * t, e, t),
                              self.column(lambda e: e / 4.0, e))
         self.inv_dx, self.prop_conj = ops.inv_dx, ops.prop_conj
-        self._stage = self.new_stage(2, _SQUARES)
+        self._stage = self.new_stage(_SQUARES)
 
     def _first(self, c: np.ndarray):
         """P c, the zero modes of c and (P dx^-1 c)^2 - P (dx^-1 c)^2."""
@@ -400,7 +402,7 @@ class _ModSquareMap(_QuadMap):
         self.half_factors = (half_ie_t, self.each(lambda e, t: -0.5j * e * t, e, t),
                              self.column(lambda e: e / 4.0, e) * ops.inv_dx)
         self.inv_dx, self.prop_conj = ops.inv_dx, ops.prop_conj
-        self._stage = self.new_stage(4, _PAIRS)
+        self._stage = self.new_stage(_PAIRS)
 
     def _first(self, c: np.ndarray):
         """P c, the zero modes and masses of c, and the bracket t1 - P t2.

@@ -306,7 +306,7 @@ def _check_stacked_transforms() -> str:
                     f"row {row} of a (4, {n}) stack differs from the np.fft formulation"
                 )
         for products in _STAGES:
-            stage = _Stage(1 + max(map(max, products)), products, (n,), grid)
+            stage = _Stage(products, (n,), grid)
             stage.factors[...] = stack[:len(stage.factors)]
             for indices, got in zip(products, stage()):
                 prod = vals[indices[0]] * vals[indices[1]]

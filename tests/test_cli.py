@@ -1,5 +1,6 @@
 """Command-line interface tests: parsing, precedence, outputs, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -494,12 +495,22 @@ def _rows_without_wall_clock(path):
     return [line.split(",")[:wall] + line.split(",")[wall + 1:] for line in lines]
 
 
-def test_sweep_eps_builds_each_pair_once_and_jobs_agree(tmp_path, reference_builds):
+def test_sweep_eps_builds_each_pair_once_and_jobs_agree(tmp_path, monkeypatch,
+                                                        reference_builds):
     argv = ["sweep-eps", "--equation", "quad-modsq", "--scheme", "li1,sli2",
             "--tau", "0.05", "--eps-list", "0.5,0.35,0.25", "--T", "0.2",
             "--theta", "2", "--modes", "16", "--ref-tau", "5e-3"]
+    worker = harness._point_worker
+    cells = []
+
+    def counting(payload):
+        cells.append((payload[0].scheme, payload[0].eps))
+        return worker(payload)
+
     rows = {}
-    for jobs in ("1", "2"):
+    # the pool pickles _point_worker by name, so only --jobs 1 counts its calls
+    for jobs, point_worker in (("1", counting), ("2", worker)):
+        monkeypatch.setattr(harness, "_point_worker", point_worker)
         reference_builds.clear()
         out = tmp_path / f"jobs{jobs}.csv"
         assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
@@ -508,6 +519,8 @@ def test_sweep_eps_builds_each_pair_once_and_jobs_agree(tmp_path, reference_buil
         assert len(set(reference_builds)) == 6
         assert sorted({eps for eps, _, _ in reference_builds}) == [0.25, 0.35, 0.5]
         rows[jobs] = _rows_without_wall_clock(out)
+    # --jobs 1 runs every cell, in task order, through the function the pool runs
+    assert cells == [(scheme, eps) for scheme in ("li1", "sli2") for eps in (0.5, 0.35, 0.25)]
     assert len(rows["1"]) == 7
     assert rows["1"] == rows["2"]
 
@@ -625,6 +638,21 @@ def test_flagged_records_fail_the_exit_code(tmp_path, capsys):
     config = parse_args(_simulate_args(tmp_path))
     assert _finish(config, [record]) == 1
     assert "unreliable" in capsys.readouterr().err
+
+
+def test_a_record_flagged_for_an_error_that_is_not_finite_says_so(tmp_path, capsys):
+    record = SweepRecord(
+        equation=Equation.CUBIC, scheme="os18", eps=1.0, tau=0.8,
+        theta=0.0, seed=1, n_modes=32, t_final=4.0, error_norm_r=1.0,
+        error=math.inf, ref_tau=1e-3, wall_seconds=0.1, fp_iter_max=None,
+        fp_iter_mean=None, reliable=False,
+    )
+    config = parse_args(_simulate_args(tmp_path))
+    assert _finish(config, [record]) == 1
+    assert capsys.readouterr().err == (
+        "warning: unreliable record (scheme os18, eps 1.0, tau 0.8, t 4): "
+        "error is not finite\n"
+    )
 
 
 def test_help_runs_as_console_script():

@@ -330,6 +330,30 @@ def test_solver_failure_names_its_trajectory_through_pickling():
     assert (back.where, back.step_index, back.residual) == (where, 2, 1e-3)
 
 
+# os18 at eps 1 and tau 0.8 from seed 1 overflows within its five steps
+_OVERFLOWING = dict(eps=1.0, tau=0.8, t_final=4.0, n_modes=32, theta=0.0, seed=1)
+
+
+def test_overflowing_trajectory_runs_on_under_warnings_as_errors():
+    # the suite turns every warning into an error, so an overflow warning
+    # in a step or its norm would raise here instead of returning
+    p = _cubic("os18", **_OVERFLOWING)
+    out = run_trajectory(p, make_initial_data(p))
+    assert out.n_steps == 5
+    assert not math.isfinite(out.sup_h1)
+
+
+def test_overflowing_cell_scores_an_unreliable_inf():
+    p = _cubic("os18", **_OVERFLOWING)
+    w0 = make_initial_data(p)
+    # a finite stand-in for the reference pair: w0 itself at the horizon
+    fine = harness.TrajectoryResult(w0, 4.0, 4000, 1.0, None, None, ((4.0, w0),))
+    pair = harness._ReferencePair(fine, fine, 1e-3, (4.0,))
+    [record], [gap], _ = harness._run_single_point(p, w0, pair)
+    assert (record.error, gap) == (math.inf, 0.0)
+    assert record.reliable is False
+
+
 def test_wrong_grid_rejected():
     p = _quad()
     w0 = SpectralField(TorusGrid(32), np.zeros(32, dtype=complex))

@@ -252,7 +252,7 @@ def test_batched_products_equal_one_at_a_time(n):
     rng = np.random.default_rng(900 + n)
     grid = TorusGrid(n)
     factors = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-    stage = _Stage(len(factors), _MIXED_PRODUCTS, (2, n), grid)
+    stage = _Stage(_MIXED_PRODUCTS, (2, n), grid)
     stage.factors[...] = factors
     batched = stage()
     assert batched.shape == (len(_MIXED_PRODUCTS), 2, n)
@@ -276,7 +276,7 @@ def test_stage_on_sparse_data_equals_public_pair(n):
     for b, l in enumerate(modes):
         factors[:, b, h + l] = (1.0, 0.5 - 0.25j, 2j)
     factors[0, len(modes), h + 1] = 1.5
-    stage = _Stage(len(factors), _MIXED_PRODUCTS, factors.shape[1:], grid)
+    stage = _Stage(_MIXED_PRODUCTS, factors.shape[1:], grid)
     stage.factors[...] = factors
     assert np.array_equal(stage(), _public_products(factors, grid))
 
