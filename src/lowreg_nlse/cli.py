@@ -293,7 +293,7 @@ def run(config: argparse.Namespace) -> int:
             w0 = make_initial_data(params)
             ref_tau = _check_ref_tau(config.tau, config.ref_tau, config.t_final)
             [pair] = _references().pairs([_cell_refs(params, w0, ref_tau)])
-            [record], _, final = _run_single_point(params, w0, pair)
+            [record], final = _run_single_point(params, w0, pair)
             if config.snapshot_out:
                 with open(config.snapshot_out, "w") as fh:
                     fh.write(field_to_text(final))

@@ -137,21 +137,30 @@ class _NonresonantMap(_Map):
             np.multiply(phi, cc, out=row)
         return stage()
 
-    def _os18(self, c: np.ndarray, cubic: np.ndarray) -> np.ndarray:
-        return self.prop * (c - self.os18_factor * cubic)
+    def _kick(self, c: np.ndarray, factor, cubic: np.ndarray) -> np.ndarray:
+        """P (c - factor cubic).
+
+        Here and below a factor times a fresh temporary is written
+        np.multiply(factor, temp, out=temp).  Written factor * temp, numpy
+        reuses a temporary of 256 KiB or more in place as temp * factor, whose
+        last bit may differ, and a large stack's rows would lose their lone bits.
+        """
+        kicked = c - factor * cubic
+        return np.multiply(self.prop, kicked, out=kicked)
 
     def os18(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         [cubic] = self._filtered(self._one, c, (self.phi1_2,))
-        return self._os18(c, cubic), None
+        return self._kick(c, self.os18_factor, cubic), None
 
     def _nrli1(self, c: np.ndarray, cubic: np.ndarray, prop_c: np.ndarray,
                abs_sq: np.ndarray) -> np.ndarray:
         weighted = self.one_minus_phi1_2 * abs_sq
         g0 = weighted.sum(axis=-1).tolist()
         h = weighted * c
-        return self._os18(c, cubic) \
+        prop_h = self.prop * h
+        return self._kick(c, self.os18_factor, cubic) \
             - self.column(lambda a, g: a * g, self.g_factor, g0) * prop_c \
-            + self.h_factor * (self.prop * h)
+            + np.multiply(self.h_factor, prop_h, out=prop_h)
 
     def nrli1(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         [cubic] = self._filtered(self._one, c, (self.phi1_2,))
@@ -160,8 +169,9 @@ class _NonresonantMap(_Map):
     def strang(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         """Half propagator, the pointwise rotation by -i tau eps^2 |u|^2, half propagator."""
         u = values_from_coeffs(self.prop_half * c, self.grid)
-        u = u * np.exp(self.rotation_factor * (u.real**2 + u.imag**2))
-        return self.prop_half * coeffs_from_values(u, self.grid), None
+        rotated = np.exp(self.rotation_factor * (u.real**2 + u.imag**2))
+        rotated = coeffs_from_values(np.multiply(u, rotated, out=rotated), self.grid)
+        return np.multiply(self.prop_half, rotated, out=rotated), None
 
     def nrsli2(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
         cubic_2, cubic_n = self._filtered(self._two, c, (self.phi1_2, self.phi1_1))
@@ -170,7 +180,7 @@ class _NonresonantMap(_Map):
         weighted_n = self.mult_n * abs_sq
         g0_n = weighted_n.sum(axis=-1).tolist()
         h_n = weighted_n * c
-        explicit = self.prop * (c - self.half_tq * cubic_n) - self.half_qt \
+        explicit = self._kick(c, self.half_tq, cubic_n) - self.half_qt \
             * (self.column(lambda g: 2.0 * g, g0_n) * prop_c - self.prop * h_n)
         return _picard(self, explicit, self._nrli1(c, cubic_2, prop_c, abs_sq))
 

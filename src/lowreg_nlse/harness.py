@@ -196,8 +196,12 @@ class SweepRecord:
     """One experiment cell: parameters plus the measured error.
 
     ``reliable`` is False when the measured error fails to dominate the
-    reference self-consistency gap by the required factor of ten; the flag is
-    diagnostic metadata and is not serialized to CSV.
+    reference self-consistency gap by the required factor of ten.  It and
+    the last three fields are diagnostic metadata, kept in memory and not
+    serialized to CSV: ``gap``, the fine reference's gap to the finer at the
+    record's time; ``sup_h1``, the sup of H^1 along the cell's trajectory;
+    ``ref_sup_h1``, that of the fine reference.  A record read back from CSV
+    is reliable and has them unset (None).
     """
 
     equation: Equation
@@ -215,6 +219,9 @@ class SweepRecord:
     fp_iter_max: int | None
     fp_iter_mean: float | None
     reliable: bool = True
+    gap: float | None = None
+    sup_h1: float | None = None
+    ref_sup_h1: float | None = None
 
 
 @dataclass(frozen=True)
@@ -397,9 +404,11 @@ def _run_rows(
     only when rows leave it, which a row does once its own step count is
     done; the last row left, or the only one, steps through a lone field's
     map of its own symbols, as the public stepper would.  So each row's
-    state, sup_h1, Picard counts and snapshots are those it has alone.  A
-    stalled row raises :class:`SolverFailure`, named by ``name`` of its
-    params (by default its reference trajectory) or, with None, unnamed.
+    state, sup_h1, Picard counts and snapshots are those it has alone, at
+    every stack size (selftest checks a (16, 1024) stack, where numpy starts
+    reusing temporaries in place).  A stalled row raises
+    :class:`SolverFailure`, named by ``name`` of its params (by default its
+    reference trajectory) or, with None, unnamed.
     """
     # longest first, so the rows still stepping are always a prefix
     order = sorted(range(len(rows)), key=lambda r: -_horizon_steps(rows[r][0])[0])
@@ -634,8 +643,8 @@ def _cell_name(params: SimParams) -> str:
 
 
 def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
-            gap: float, ref_tau: float, wall: float) -> SweepRecord:
-    """The record of params' trajectory at time t against a reference with this gap.
+            gap: float, pair: _ReferencePair, wall: float) -> SweepRecord:
+    """The record of params' trajectory at time t against pair, with this gap at t.
 
     It is reliable only when a finite error is at least ten times a finite
     gap between the fine and the finer reference (a nan or infinite error
@@ -652,11 +661,14 @@ def _record(params: SimParams, traj: TrajectoryResult, t: float, error: float,
         t_final=t,
         error_norm_r=params.error_norm_r,
         error=error,
-        ref_tau=ref_tau,
+        ref_tau=pair.ref_tau,
         wall_seconds=wall,
         fp_iter_max=traj.fp_iter_max,
         fp_iter_mean=traj.fp_iter_mean,
         reliable=math.isfinite(error) and math.isfinite(gap) and error >= 10.0 * gap,
+        gap=gap,
+        sup_h1=traj.sup_h1,
+        ref_sup_h1=pair.fine.sup_h1,
     )
 
 
@@ -664,10 +676,10 @@ def _run_single_point(
     params: SimParams,
     w0: SpectralField,
     pair: _ReferencePair,
-) -> tuple[list[SweepRecord], list[float], SpectralField]:
+) -> tuple[list[SweepRecord], SpectralField]:
     """params' trajectory from w0 against its reference pair at the pair's sample times.
 
-    Returns a record and the gap of the pair per sample time, and the
+    Returns a record per sample time, with the pair's gap there, and the
     trajectory's final field.  ``wall_seconds`` times the trajectory and its
     errors, never the reference.
     """
@@ -684,15 +696,15 @@ def _run_single_point(
         wall = time.perf_counter() - started
         gaps = [_norm_diff(f, g, r)
                 for (_, f), (_, g) in zip(pair.fine.snapshots, pair.finer.snapshots)]
-    records = [_record(params, traj, t, error, gap, pair.ref_tau, wall)
+    records = [_record(params, traj, t, error, gap, pair, wall)
                for (t, _), error, gap in zip(traj.snapshots, errors, gaps)]
-    return records, gaps, traj.state
+    return records, traj.state
 
 
 def _point_worker(payload) -> tuple[SweepRecord, float]:
     """A sweep cell, in this process or a pool worker: its record and gap at the horizon."""
-    [record], [gap], _ = _run_single_point(*payload)
-    return record, gap
+    [record], _ = _run_single_point(*payload)
+    return record, record.gap
 
 
 def _run_points(
@@ -796,7 +808,7 @@ def error_vs_time(
     w0 = make_initial_data(base)
     step = base.tau / int(round(base.tau / ref_tau))
     [pair] = _references().pairs([_Reference(base, w0, step, t_actual, snapped)])
-    records, _, _ = _run_single_point(base, w0, pair)
+    records, _ = _run_single_point(base, w0, pair)
     return records
 
 

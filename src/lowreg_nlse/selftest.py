@@ -323,32 +323,37 @@ def _check_stacked_transforms() -> str:
 def _check_batched_maps() -> str:
     # every trajectory steps as a row of a stack through the method of its
     # scheme's name; each row, with its own eps and step, must come out as
-    # the public stepper applied to it alone
-    grid = TorusGrid(16)
-    rows = [(0.5, 0.05, 3), (0.9, -0.02, 267), (0.2, 0.01, 11)]
-    fields = [random_initial_data(grid, 1.0, seed) for _, _, seed in rows]
-    ops = [OperatorSymbols.build(grid, tau) for _, tau, _ in rows]
-    stacked = OperatorSymbols.stack(ops)
-    eps = tuple(e for e, _, _ in rows)
+    # the public stepper applied to it alone.  The (16, 1024) stack is the
+    # smallest whose temporaries numpy may reuse in place (256 KiB)
+    inputs = [(16, [(0.5, 0.05, 3), (0.9, -0.02, 267), (0.2, 0.01, 11)]),
+              (1024, [(0.2 + 0.05 * r, 0.01 * (1 + r % 3), r) for r in range(16)])]
     nonlinearity = {Equation.QUAD_SQUARE: QuadNonlinearity.SQUARE,
                     Equation.QUAD_MODSQ: QuadNonlinearity.MODULUS_SQUARE}
-    for (equation, scheme), (prepared, step) in _SCHEMES.items():
-        if equation is Equation.CUBIC:
-            config, kind = CubicSchemeConfig, CubicScheme(scheme)
-        else:
-            config, kind = QuadSchemeConfig, nonlinearity[equation]
-        c = np.stack([w.coeffs for w in fields])
-        out, iters = getattr(prepared(eps, stacked, 1e-12, 100), scheme)(c)
-        implicit = iters is not None
-        for r, (w, o) in enumerate(zip(fields, ops)):
-            lone = step(w, config(eps[r], o.tau, kind), o)
-            lone, lone_iters = lone if implicit else (lone, None)
-            if out[r].tobytes() != lone.coeffs.tobytes() or implicit and iters[r] != lone_iters:
-                raise AssertionError(
-                    f"{equation.value} {scheme}: row {r} of a (3, 16) stack differs from "
-                    "its lone step"
-                )
-    return "every scheme's rows method on a (3, 16) stack of mixed eps and steps"
+    for n, rows in inputs:
+        grid = TorusGrid(n)
+        fields = [random_initial_data(grid, 1.0, seed) for _, _, seed in rows]
+        ops = [OperatorSymbols.build(grid, tau) for _, tau, _ in rows]
+        stacked = OperatorSymbols.stack(ops)
+        eps = tuple(e for e, _, _ in rows)
+        for (equation, scheme), (prepared, step) in _SCHEMES.items():
+            if equation is Equation.CUBIC:
+                config, kind = CubicSchemeConfig, CubicScheme(scheme)
+            else:
+                config, kind = QuadSchemeConfig, nonlinearity[equation]
+            c = np.stack([w.coeffs for w in fields])
+            out, iters = getattr(prepared(eps, stacked, 1e-12, 100), scheme)(c)
+            implicit = iters is not None
+            for r, (w, o) in enumerate(zip(fields, ops)):
+                lone = step(w, config(eps[r], o.tau, kind), o)
+                lone, lone_iters = lone if implicit else (lone, None)
+                differs = out[r].tobytes() != lone.coeffs.tobytes()
+                if differs or implicit and iters[r] != lone_iters:
+                    raise AssertionError(
+                        f"{equation.value} {scheme}: row {r} of a {c.shape} stack differs "
+                        "from its lone step"
+                    )
+    return ("every scheme's rows method on (3, 16) and (16, 1024) stacks of mixed eps "
+            "and steps")
 
 
 def _check_serialization() -> str:

@@ -81,10 +81,10 @@ def _trajectory(result) -> dict:
     }
 
 
-def _sweep(records, gaps, fit) -> dict:
+def _sweep(records, fit) -> dict:
     return {
         "errors": [r.error for r in records],
-        "gaps": list(gaps),
+        "gaps": [r.gap for r in records],
         "fp_iter_mean": [r.fp_iter_mean for r in records],
         "slope": fit.slope,
     }
@@ -116,19 +116,14 @@ def compute() -> dict:
             base = SimParams(equation=Equation.CUBIC, scheme=scheme, eps=0.5, tau=0.1,
                              t_final=0.5, n_modes=32, theta=2.0, seed=267)
             records, fit = sweep_tau(base, taus, ref_tau=1e-3)
-            # the same cells again, for their gaps; the references are shared
-            _, gaps = harness._run_points(base, [replace(base, tau=t) for t in taus],
-                                          1e-3, None)
-            out[f"sweep_tau/cubic/{scheme}"] = _sweep(records, gaps, fit)
+            out[f"sweep_tau/cubic/{scheme}"] = _sweep(records, fit)
 
         eps_list = [0.5, 0.35, 0.25]
         for scheme in ("li1", "sli2"):
             base = SimParams(equation=Equation.QUAD_MODSQ, scheme=scheme, eps=0.5, tau=0.05,
                              t_final=0.2, n_modes=32, theta=5.0, seed=267)
             records, fit = sweep_eps(base, eps_list, 0.1, ref_tau=5e-3, jobs=2)
-            cells = [replace(base, eps=e, t_final=0.1 / e) for e in eps_list]
-            _, gaps = harness._run_points(base, cells, 5e-3, None)
-            out[f"sweep_eps/quad-modsq/{scheme}"] = _sweep(records, gaps, fit)
+            out[f"sweep_eps/quad-modsq/{scheme}"] = _sweep(records, fit)
     return out
 
 

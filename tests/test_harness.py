@@ -151,7 +151,8 @@ def test_step_count_is_capped_before_any_work(monkeypatch):
 def test_record_with_nan_error_or_gap_is_unreliable(error, gap):
     p = _quad(t_final=0.0)
     traj = run_trajectory(p, make_initial_data(p))
-    record = harness._record(p, traj, 0.0, error, gap, 1e-3, 0.0)
+    pair = harness._ReferencePair(traj, traj, 1e-3, (0.0,))
+    record = harness._record(p, traj, 0.0, error, gap, pair, 0.0)
     assert record.reliable is False
 
 
@@ -349,8 +350,8 @@ def test_overflowing_cell_scores_an_unreliable_inf():
     # a finite stand-in for the reference pair: w0 itself at the horizon
     fine = harness.TrajectoryResult(w0, 4.0, 4000, 1.0, None, None, ((4.0, w0),))
     pair = harness._ReferencePair(fine, fine, 1e-3, (4.0,))
-    [record], [gap], _ = harness._run_single_point(p, w0, pair)
-    assert (record.error, gap) == (math.inf, 0.0)
+    [record], _ = harness._run_single_point(p, w0, pair)
+    assert (record.error, record.gap) == (math.inf, 0.0)
     assert record.reliable is False
 
 
@@ -626,9 +627,16 @@ def test_unresolvable_point_is_flagged():
     # gap ~ 0.19*C*tau^2.  The public sweeps reject such a ref_tau outright;
     # the dominance flag is the second line of defense and must trip.
     base = _quad("sli2", tau=0.1, t_final=0.5)
-    [record], [gap] = _run_points(base, [base], 0.05, None)
+    w0 = make_initial_data(base)
+    with shared_references():
+        [record], [gap] = _run_points(base, [base], 0.05, None)
+        [pair] = harness._references().pairs([harness._cell_refs(base, w0, 0.05)])
     assert record.error < 10.0 * gap
     assert not record.reliable
+    # the record carries its gap and both sups of H^1 (in memory only)
+    assert record.gap == gap == harness._norm_diff(pair.fine.state, pair.finer.state, 1.0)
+    assert record.sup_h1 == run_trajectory(base, w0).sup_h1
+    assert record.ref_sup_h1 == pair.fine.sup_h1
 
 
 def test_sweep_eps_validation():
@@ -749,6 +757,9 @@ def _sample_records():
             wall_seconds=1.25,
             fp_iter_max=6,
             fp_iter_mean=4.25,
+            gap=1.5e-7,
+            sup_h1=1.25,
+            ref_sup_h1=1.125,
         ),
         SweepRecord(
             equation=Equation.CUBIC,
@@ -779,8 +790,11 @@ def test_csv_round_trip_is_exact(tmp_path):
     for orig, rec in zip(records, back):
         for col in CSV_COLUMNS:
             assert getattr(rec, col) == getattr(orig, col), col
-    # the reliability flag is session metadata, not part of the file format
+    # the reliability flag, gap and sups of H^1 are session metadata, not
+    # part of the file format
     assert back[1].reliable
+    for rec in back:
+        assert (rec.gap, rec.sup_h1, rec.ref_sup_h1) == (None, None, None)
 
 
 def test_csv_header_and_na_fields(tmp_path):
