@@ -38,6 +38,7 @@ from typing import Sequence
 
 from .harness import (
     Equation,
+    OrderFit,
     SimParams,
     SweepRecord,
     _cell_refs,
@@ -260,6 +261,15 @@ def _schemes(config) -> list[str]:
     return [s.strip() for s in config.scheme.split(",") if s.strip()]
 
 
+def _fit_line(scheme: str, records: list[SweepRecord], fit: OrderFit | None,
+              points: str) -> str:
+    """A sweep's summary: its slope, or why it has none."""
+    if fit is None:
+        bad = sum(not math.isfinite(r.error) for r in records)
+        return f"{scheme}: no slope: {bad} of {len(records)} errors are not finite"
+    return f"{scheme}: slope {fit.slope:.3f} over {fit.n_points} {points}"
+
+
 def _finish(config, records: list[SweepRecord]) -> int:
     write_records_csv(config.out, records)
     print(f"wrote {len(records)} records to {config.out}")
@@ -309,11 +319,11 @@ def run(config: argparse.Namespace) -> int:
             base = _base_params(config, scheme)
             if config.subcommand == "sweep-tau":
                 recs, fit = sweep_tau(base, config.tau_list, config.ref_tau, jobs=config.jobs)
-                print(f"{scheme}: slope {fit.slope:.3f} over {fit.n_points} steps")
+                print(_fit_line(scheme, recs, fit, "steps"))
             elif config.subcommand == "sweep-eps":
                 recs, fit = sweep_eps(base, config.eps_list, config.T, config.ref_tau,
                                       jobs=config.jobs)
-                print(f"{scheme}: slope {fit.slope:.3f} over {fit.n_points} values")
+                print(_fit_line(scheme, recs, fit, "values"))
             else:  # error-vs-time
                 recs = error_vs_time(base, config.sample_times, config.ref_tau)
                 print(f"{scheme}: error {recs[-1].error:.6e} at t = {recs[-1].t_final:g}")

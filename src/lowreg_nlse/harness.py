@@ -746,12 +746,13 @@ def sweep_tau(
     tau_list: Sequence[float],
     ref_tau: float | None = None,
     jobs: int | None = None,
-) -> tuple[list[SweepRecord], OrderFit]:
+) -> tuple[list[SweepRecord], OrderFit | None]:
     """Error against step size at base's horizon; >= 4 step sizes required.
 
     The reference self-consistency gap must be finite and stay below 10% of
     the coarsest step's error, otherwise the whole sweep is rejected — a
     reference too coarse to resolve the largest error cannot order the rest.
+    The fit is None when an error is not finite.
     """
     taus = [float(t) for t in tau_list]
     ref_tau = _check_tau_sweep(taus, ref_tau, base.t_final)
@@ -765,8 +766,7 @@ def sweep_tau(
             f"reference self-consistency gap {gap:.3e} is not within 10% "
             f"of the coarsest-step error {error:.3e}; refine ref_tau"
         )
-    fit = fit_order([(r.tau, r.error) for r in records], abscissa="tau")
-    return records, fit
+    return records, _fit(records, "tau")
 
 
 def sweep_eps(
@@ -775,20 +775,30 @@ def sweep_eps(
     T: float,
     ref_tau: float | None = None,
     jobs: int | None = None,
-) -> tuple[list[SweepRecord], OrderFit]:
+) -> tuple[list[SweepRecord], OrderFit | None]:
     """Error against eps at the eps-dependent horizon T/eps or T/eps^2.
 
     ``eps_list`` must be strictly decreasing with >= 3 entries in (0, 1].
     Unresolvable points are flagged on the records rather than raising: the
     smallest-eps errors legitimately approach the reference's own resolution.
+    The fit is None when an error is not finite.
     """
     eps_values = [float(e) for e in eps_list]
     ref_tau = _check_eps_sweep(base, eps_values, T, ref_tau)
 
     cells = [replace(base, eps=e, t_final=_horizon(base.equation, T, e)) for e in eps_values]
     records, _ = _run_points(base, cells, ref_tau, jobs)
-    fit = fit_order([(r.eps, r.error) for r in records], abscissa="eps")
-    return records, fit
+    return records, _fit(records, "eps")
+
+
+def _fit(records: Sequence[SweepRecord], abscissa: str) -> OrderFit | None:
+    """The order fit of the records' errors against the field ``abscissa``.
+
+    None when an error is not finite: an overflowing run has no order.
+    """
+    if not all(math.isfinite(r.error) for r in records):
+        return None
+    return fit_order([(getattr(r, abscissa), r.error) for r in records], abscissa)
 
 
 def error_vs_time(
@@ -819,6 +829,8 @@ def fit_order(
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError("order fit needs at least 3 points")
+    if not all(map(math.isfinite, [v for pt in pts for v in pt])):
+        raise ValueError("order fit needs finite abscissae and errors")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("order fit needs positive abscissae and errors")
     if len({x for x, _ in pts}) < 2:

@@ -281,38 +281,37 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
     Returns the solutions and the count of each row; a row that diverges or
     stalls raises FixedPointError with its row.
     """
-    rows = None if step.lone else np.arange(len(guess))  # row of guess of each live row
+    # row of guess of each live row; one field is row 0, which never leaves
+    # early, since its residual is the worst
+    rows = np.arange(1 if step.lone else len(guess))
     solution = iters = None
     u = guess
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, step.max_iter + 1):
             u_next = step.apply(u, explicit)
             residual = sobolev_norms(u_next - u, step.grid, 1.0)
-            worst = residual if rows is None else residual.max()  # nan if any row's is
+            worst = residual.max()  # nan if any row's is
             if worst <= step.tol:
                 if solution is None:
-                    return u_next, [it] * (1 if rows is None else len(rows))
+                    return u_next, [it] * len(rows)
                 solution[rows] = u_next
                 iters[rows] = it
                 return solution, iters.tolist()
             if not math.isfinite(worst):
                 first = int(np.argmin(np.isfinite(residual)))
-                raise FixedPointError(float(np.ravel(residual)[first]), it,
-                                      0 if rows is None else int(rows[first]))
-            if rows is not None:
-                done = residual <= step.tol
-                if done.any():
-                    if solution is None:
-                        solution = np.empty_like(guess)
-                        iters = np.zeros(len(guess), dtype=int)
-                    solution[rows[done]] = u_next[done]
-                    iters[rows[done]] = it
-                    keep = ~done
-                    rows, explicit, u_next = rows[keep], explicit[keep], u_next[keep]
-                    step = step.take(keep)
+                raise FixedPointError(float(np.ravel(residual)[first]), it, int(rows[first]))
+            done = residual <= step.tol
+            if done.any():
+                if solution is None:
+                    solution = np.empty_like(guess)
+                    iters = np.zeros(len(guess), dtype=int)
+                solution[rows[done]] = u_next[done]
+                iters[rows[done]] = it
+                keep = ~done
+                rows, explicit, u_next = rows[keep], explicit[keep], u_next[keep]
+                step = step.take(keep)
             u = u_next
-    raise FixedPointError(float(np.ravel(residual)[0]), step.max_iter,
-                          0 if rows is None else int(rows[0]))
+    raise FixedPointError(float(np.ravel(residual)[0]), step.max_iter, int(rows[0]))
 
 
 # ---------------------------------------------------------------------------

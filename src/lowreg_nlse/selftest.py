@@ -6,9 +6,13 @@ minus os18 against the displayed g/h correction, the two-endpoint maps
 against time reversal (and the one-endpoint maps as its negative controls),
 constant data against the zero-mode ODE integrators, stacked transforms
 against row-by-row ones and np.fft, the batched maps of every scheme against
-row-by-row ones, and the serialization round trips.  Acceptance criteria 1-4
-and 9 call their check and criterion 8 runs the battery, which takes about two
-seconds.  A failing check names the map and the input of its worst case.
+row-by-row ones, and the serialization round trips.  Each check runs on the
+union of the inputs of the unit tests it replaced, and steps every scheme
+through the method of its name on the map the engine's table ``_SCHEMES``
+gives, built as a trajectory builds it (:func:`_step`).  Acceptance criteria
+1-4 and 9 call their check and criterion 8 runs the battery, which takes
+about two seconds.  A failing check names the map and the input of its worst
+case.
 """
 from __future__ import annotations
 
@@ -20,17 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cubic import (
-    CubicScheme,
-    CubicSchemeConfig,
-    _NonresonantMap,
-    g_zero_mode,
-    h_field,
-    nrli1_step,
-    nrsli2_step_info,
-    os18_step,
-    strang_step,
-)
+from .cubic import _NonresonantMap, g_zero_mode, h_field
 from .harness import (
     Equation,
     SweepRecord,
@@ -52,15 +46,7 @@ from .oracles import (
     trapezoid_zero_mode_modsq,
     trapezoid_zero_mode_square,
 )
-from .quadratic import (
-    QuadNonlinearity,
-    QuadSchemeConfig,
-    _Stage,
-    li1_conj_step,
-    li1_step,
-    sli2_conj_step_info,
-    sli2_step_info,
-)
+from .quadratic import _Stage
 from .spectral import (
     OperatorSymbols,
     SpectralField,
@@ -99,10 +85,23 @@ def _constant_field(grid: TorusGrid, value: complex) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
+def _step(equation: Equation, scheme: str, w: SpectralField, eps: float, ops: OperatorSymbols,
+          fp_tol: float = 1e-12, kind: type | None = None) -> tuple[SpectralField, int | None]:
+    """One step of w through the method of the scheme's name on its map of ``_SCHEMES``.
+
+    The map, or ``kind`` in its place, is built for w alone from eps and the
+    symbols ops, as a trajectory's lone row steps.  Returns the new field with
+    its Picard count, None for an explicit scheme.
+    """
+    step = (kind or _SCHEMES[(equation, scheme)][0])((eps,), ops, fp_tol, 100)
+    c, iters = getattr(step, scheme)(w.coeffs)
+    return SpectralField(w.grid, c), None if iters is None else iters[0]
+
+
 def _check_quadratic_oracles() -> str:
     eps, tau = 0.5, 0.1
-    maps = (("li1", li1_step, QuadNonlinearity.SQUARE, quad_square_oracle_step),
-            ("li1_conj", li1_conj_step, QuadNonlinearity.MODULUS_SQUARE, quad_conj_oracle_step))
+    maps = (("li1", Equation.QUAD_SQUARE, quad_square_oracle_step),
+            ("li1_conj", Equation.QUAD_MODSQ, quad_conj_oracle_step))
     cases: _Cases = []
     # the widest band K whose pair products stay on the grid: 2K <= N/2 - 1
     for n, band in ((8, 1), (16, 3)):
@@ -110,8 +109,8 @@ def _check_quadratic_oracles() -> str:
         ops = OperatorSymbols.build(grid, tau)
         for theta, seed in product((0.0, 1.0), range(50)):
             w = band_limit(random_initial_data(grid, theta, seed), band)
-            for name, step, nonlinearity, oracle in maps:
-                got = step(w, QuadSchemeConfig(eps, tau, nonlinearity), ops)
+            for name, equation, oracle in maps:
+                got, _ = _step(equation, "li1", w, eps, ops)
                 cases.append((_norm_diff(got, oracle(w, eps, tau), 1.0),
                               f"{name} N={n} theta={theta:g} seed={seed}"))
     return _below(cases, 1e-10, "H1 gap")
@@ -119,7 +118,6 @@ def _check_quadratic_oracles() -> str:
 
 def _check_cubic_oracle() -> str:
     eps, tau = 0.5, 0.1
-    cfg = CubicSchemeConfig(eps, tau, CubicScheme.NRLI1)
     cases: _Cases = []
     # full band, so the oracle's triple sums wrap around the grid
     for n in (8, 12, 16):
@@ -127,7 +125,7 @@ def _check_cubic_oracle() -> str:
         ops = OperatorSymbols.build(grid, tau)
         for theta, seed in product((0.0, 1.0), range(25)):
             w = random_initial_data(grid, theta, seed)
-            got = nrli1_step(w, cfg, ops)
+            got, _ = _step(Equation.CUBIC, "nrli1", w, eps, ops)
             cases.append((_norm_diff(got, cubic_nrli1_oracle_step(w, eps, tau), 1.0),
                           f"nrli1 N={n} theta={theta:g} seed={seed}"))
     return _below(cases, 1e-10, "H1 gap")
@@ -138,12 +136,11 @@ def _check_correction_identity() -> str:
     eps, tau = 0.5, 0.1
     grid = TorusGrid(32)
     ops = OperatorSymbols.build(grid, tau)
-    nrli1 = CubicSchemeConfig(eps, tau, CubicScheme.NRLI1)
-    os18 = CubicSchemeConfig(eps, tau, CubicScheme.OS18)
     cases: _Cases = []
     for theta, seed in product((0.0, 1.0), range(50)):
         w = random_initial_data(grid, theta, seed)
-        diff = nrli1_step(w, nrli1, ops).coeffs - os18_step(w, os18, ops).coeffs
+        diff = (_step(Equation.CUBIC, "nrli1", w, eps, ops)[0].coeffs
+                - _step(Equation.CUBIC, "os18", w, eps, ops)[0].coeffs)
         correction = (
             -2j * eps * eps * tau * g_zero_mode(w, ops) * (ops.prop * w.coeffs)
             + 1j * eps * eps * tau * ops.prop * h_field(w, ops).coeffs
@@ -165,30 +162,20 @@ class _FullStepGH(_NonresonantMap):
         self.mult_n = self.mult_u = ops.one_minus_phi1_2
 
 
-def _full_step_gh(w: SpectralField, cfg: CubicSchemeConfig, ops: OperatorSymbols) -> SpectralField:
-    u, _ = _FullStepGH((cfg.eps,), ops, cfg.fp_tol, cfg.fp_max_iter).nrsli2(w.coeffs)
-    return SpectralField(w.grid, u)
-
-
 def _check_symmetry() -> str:
     eps, tau, tol = 0.5, 0.05, 1e-12
-    modsq = QuadNonlinearity.MODULUS_SQUARE
-    # map name: (step, its config at a signed step)
+    # map name: (equation, scheme, the map class in place of the scheme's)
     symmetric = {
-        "sli2": (lambda *a: sli2_step_info(*a)[0],
-                 lambda t: QuadSchemeConfig(eps, t, fp_tol=tol)),
-        "sli2_conj": (lambda *a: sli2_conj_step_info(*a)[0],
-                      lambda t: QuadSchemeConfig(eps, t, modsq, fp_tol=tol)),
-        "nrsli2": (lambda *a: nrsli2_step_info(*a)[0],
-                   lambda t: CubicSchemeConfig(eps, t, CubicScheme.NRSLI2, fp_tol=tol)),
+        "sli2": (Equation.QUAD_SQUARE, "sli2", None),
+        "sli2_conj": (Equation.QUAD_MODSQ, "sli2", None),
+        "nrsli2": (Equation.CUBIC, "nrsli2", None),
     }
     # the negative controls: were they to pass the same gate, it would be vacuous
     one_endpoint = {
-        "li1": (li1_step, lambda t: QuadSchemeConfig(eps, t)),
-        "nrli1": (nrli1_step, lambda t: CubicSchemeConfig(eps, t, CubicScheme.NRLI1)),
-        "os18": (os18_step, lambda t: CubicSchemeConfig(eps, t, CubicScheme.OS18)),
-        "nrsli2 with full-step g/h": (
-            _full_step_gh, lambda t: CubicSchemeConfig(eps, t, CubicScheme.NRSLI2)),
+        "li1": (Equation.QUAD_SQUARE, "li1", None),
+        "nrli1": (Equation.CUBIC, "nrli1", None),
+        "os18": (Equation.CUBIC, "os18", None),
+        "nrsli2 with full-step g/h": (Equation.CUBIC, "nrsli2", _FullStepGH),
     }
     cases: _Cases = []
     controls = []
@@ -196,19 +183,21 @@ def _check_symmetry() -> str:
         grid = TorusGrid(n)
         ops_f, ops_b = OperatorSymbols.build(grid, tau), OperatorSymbols.build(grid, -tau)
 
-        def round_trip(step, config, w):
-            return _norm_diff(step(step(w, config(tau), ops_f), config(-tau), ops_b), w, 1.0)
+        def round_trip(equation, scheme, kind, w):
+            there, _ = _step(equation, scheme, w, eps, ops_f, tol, kind)
+            back, _ = _step(equation, scheme, there, eps, ops_b, tol, kind)
+            return _norm_diff(back, w, 1.0)
 
         for seed in range(20):
             w = random_initial_data(grid, 1.0, seed)
-            cases += [(round_trip(step, config, w), f"{name} N={n} seed={seed}")
-                      for name, (step, config) in symmetric.items()]
+            cases += [(round_trip(*key, w), f"{name} N={n} seed={seed}")
+                      for name, key in symmetric.items()]
         w = random_initial_data(grid, 1.0, 5)
         # li1's round trip drifts at O(tau^2): it must also clear tau^2 eps |w|_1^2 / 10
         li1_floor = max(1e-6, tau**2 * eps * sobolev_norm(w, 1.0) ** 2 / 10)
-        controls += [(round_trip(step, config, w), li1_floor if name == "li1" else 1e-6,
+        controls += [(round_trip(*key, w), li1_floor if name == "li1" else 1e-6,
                       f"{name} N={n} seed=5")
-                     for name, (step, config) in one_endpoint.items()]
+                     for name, key in one_endpoint.items()]
     detail = _below(cases, 10 * tol, "round trip")
     for residual, floor, case in controls:
         if not residual >= floor:
@@ -231,31 +220,22 @@ def _check_zero_mode_reductions() -> str:
     # two-endpoint ones and the exact rotation for strang
     explicit: _Cases = []
     implicit: _Cases = []
+    steps = (
+        ("li1", Equation.QUAD_SQUARE, "li1", euler_zero_mode_square, explicit),
+        ("li1_conj", Equation.QUAD_MODSQ, "li1", euler_zero_mode_modsq, explicit),
+        ("nrli1", Equation.CUBIC, "nrli1", euler_zero_mode_cubic, explicit),
+        ("os18", Equation.CUBIC, "os18", euler_zero_mode_cubic, explicit),
+        ("strang", Equation.CUBIC, "strang", rotation_zero_mode_cubic, explicit),
+        ("sli2", Equation.QUAD_SQUARE, "sli2", trapezoid_zero_mode_square, implicit),
+        ("sli2_conj", Equation.QUAD_MODSQ, "sli2", trapezoid_zero_mode_modsq, implicit),
+        ("nrsli2", Equation.CUBIC, "nrsli2", trapezoid_zero_mode_cubic, implicit),
+    )
     for n, eps, tau, v0 in _ZERO_MODE_INPUTS:
         grid = TorusGrid(n)
         ops = OperatorSymbols.build(grid, tau)
         w = _constant_field(grid, v0)
-        square = QuadSchemeConfig(eps, tau)
-        modsq = QuadSchemeConfig(eps, tau, QuadNonlinearity.MODULUS_SQUARE)
-
-        def cubic(scheme):
-            return CubicSchemeConfig(eps, tau, scheme)
-
-        steps = (
-            ("li1", li1_step(w, square, ops), euler_zero_mode_square, explicit),
-            ("li1_conj", li1_conj_step(w, modsq, ops), euler_zero_mode_modsq, explicit),
-            ("nrli1", nrli1_step(w, cubic(CubicScheme.NRLI1), ops), euler_zero_mode_cubic,
-             explicit),
-            ("os18", os18_step(w, cubic(CubicScheme.OS18), ops), euler_zero_mode_cubic, explicit),
-            ("strang", strang_step(w, cubic(CubicScheme.STRANG), ops), rotation_zero_mode_cubic,
-             explicit),
-            ("sli2", sli2_step_info(w, square, ops)[0], trapezoid_zero_mode_square, implicit),
-            ("sli2_conj", sli2_conj_step_info(w, modsq, ops)[0], trapezoid_zero_mode_modsq,
-             implicit),
-            ("nrsli2", nrsli2_step_info(w, cubic(CubicScheme.NRSLI2), ops)[0],
-             trapezoid_zero_mode_cubic, implicit),
-        )
-        for name, out, integrator, cases in steps:
+        for name, equation, scheme, integrator, cases in steps:
+            out, _ = _step(equation, scheme, w, eps, ops)
             want = _constant_field(grid, integrator(v0, eps, tau))
             cases.append((float(np.max(np.abs(out.coeffs - want.coeffs))),
                           f"{name} N={n} eps={eps:g} tau={tau:g} v0={v0:g}"))
@@ -276,8 +256,62 @@ def _check_phi1_identity() -> str:
 
 
 # a two-factor stage of degree-2 products and a three-factor one mixing
-# degrees 3 and 2: at power-of-two N the stage skips the pair's relabelling
+# degrees 3 and 2, on one field's factors; and products of degree 2 and 3
+# on a (2, N) batch.  At power-of-two N a stage half-rolls the spectra of
+# the even-degree products and leaves the others as they are; at any other
+# N, such as 6, 12 and 96, whose pocketfft plans have radix-3 passes, it
+# takes the public pair
 _STAGES = (((0, 0), (0, 1)), ((0, 0, 1), (0, 0, 2), (1, 2)))
+_MIXED_PRODUCTS = ((0, 0), (1, 2), (0, 0, 2), (2, 1, 0))
+
+
+def _complex_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _check_pair(stack: np.ndarray, grid: TorusGrid) -> None:
+    """Raise unless each row of the stack transforms as it does alone and as np.fft does."""
+    n = grid.n_modes
+    vals = values_from_coeffs(stack, grid)
+    back = coeffs_from_values(vals, grid)
+    out = np.empty_like(stack)
+    if values_from_coeffs(stack, grid, out=out) is not out or out.tobytes() != vals.tobytes():
+        raise AssertionError(f"a {stack.shape} stack transformed into out= differs")
+    for row in np.ndindex(stack.shape[:-1]):
+        if not (vals[row].tobytes() == values_from_coeffs(stack[row], grid).tobytes()
+                and back[row].tobytes() == coeffs_from_values(vals[row], grid).tobytes()):
+            raise AssertionError(
+                f"row {row} of a {stack.shape} stack differs from its lone transform"
+            )
+        want_vals = np.fft.ifft(np.fft.ifftshift(stack[row] * grid._grid_phase)) * n
+        want_back = grid._grid_phase * np.fft.fftshift(np.fft.fft(want_vals)) / n
+        if not (vals[row].tobytes() == want_vals.tobytes()
+                and back[row].tobytes() == want_back.tobytes()):
+            raise AssertionError(
+                f"row {row} of a {stack.shape} stack differs from the np.fft formulation"
+            )
+
+
+def _check_stage(products: tuple[tuple[int, ...], ...], factors: np.ndarray,
+                 grid: TorusGrid, bits: bool = True) -> None:
+    """Raise unless a stage on the (F, ..., N) factors gives the public pair's products.
+
+    With bits False the products need only equal the pair's in value.
+    """
+    stage = _Stage(products, factors.shape[1:], grid)
+    stage.factors[...] = factors
+    want = np.empty((len(products),) + factors.shape[1:], dtype=np.complex128)
+    for r, indices in enumerate(products):
+        for b in np.ndindex(factors.shape[1:-1]):
+            prod, *rest = [values_from_coeffs(factors[(i,) + b], grid) for i in indices]
+            for vals in rest:
+                prod = prod * vals
+            want[(r,) + b] = coeffs_from_values(prod, grid)
+    got = stage()
+    if not (got.tobytes() == want.tobytes() if bits else np.array_equal(got, want)):
+        raise AssertionError(f"a stage of {products} on {factors.shape} factors at "
+                             f"N = {grid.n_modes} differs from the public pair")
 
 
 def _check_stacked_transforms() -> str:
@@ -286,74 +320,74 @@ def _check_stacked_transforms() -> str:
     # change the numbers.  The pair calls numpy's FFT kernels directly, so
     # each row must also equal the public np.fft formulation; and a product
     # stage, relabel-free at power-of-two N, must give the pair's spectra
-    sizes = (16, 96, 128, 1024)
-    for n in sizes:
+    pair_sizes = (4, 6, 16, 96, 128, 1024)
+    stage_sizes = (6, 12, 96) + tuple(2**k for k in range(2, 13))
+    for n in pair_sizes:
         grid = TorusGrid(n)
-        stack = np.stack([random_initial_data(grid, 1.0, seed).coeffs for seed in range(4)])
-        vals = values_from_coeffs(stack, grid)
-        back = coeffs_from_values(vals, grid)
-        for row in range(len(stack)):
-            if not (np.array_equal(vals[row], values_from_coeffs(stack[row], grid))
-                    and np.array_equal(back[row], coeffs_from_values(vals[row], grid))):
-                raise AssertionError(
-                    f"row {row} of a (4, {n}) stack differs from its lone transform"
-                )
-            want_vals = np.fft.ifft(np.fft.ifftshift(stack[row] * grid._grid_phase)) * n
-            want_back = grid._grid_phase * np.fft.fftshift(np.fft.fft(want_vals)) / n
-            if not (vals[row].tobytes() == want_vals.tobytes()
-                    and back[row].tobytes() == want_back.tobytes()):
-                raise AssertionError(
-                    f"row {row} of a (4, {n}) stack differs from the np.fft formulation"
-                )
+        data = np.stack([random_initial_data(grid, 1.0, seed).coeffs for seed in range(4)])
+        # the last has the (F, B, N) shape of a lockstep product stage
+        for stack in (data, _complex_normal(500 + n, (3, n)), _complex_normal(600 + n, (3, 2, n))):
+            _check_pair(stack, grid)
         for products in _STAGES:
-            stage = _Stage(products, (n,), grid)
-            stage.factors[...] = stack[:len(stage.factors)]
-            for indices, got in zip(products, stage()):
-                prod = vals[indices[0]] * vals[indices[1]]
-                for i in indices[2:]:
-                    prod = prod * vals[i]
-                if got.tobytes() != coeffs_from_values(prod, grid).tobytes():
-                    raise AssertionError(
-                        f"product {indices} of a stage at N = {n} differs from the public pair"
-                    )
-    return (f"(4, N) stacks at N = {', '.join(map(str, sizes))}, rows as np.fft gives them;"
-            " product stages as the public pair gives them")
+            _check_stage(products, data[:1 + max(map(max, products))], grid)
+    for n in stage_sizes:
+        _check_stage(_MIXED_PRODUCTS, _complex_normal(900 + n, (3, 2, n)), TorusGrid(n))
+    for n in (16, 128):
+        # the single modes -N/2, -1, 0 (a constant field), 1 and N/2 - 1, then
+        # one mode in factor 0 beside zero rows in factors 1 and 2.  The values
+        # are equal, but some exact zeros of the odd-degree products come out
+        # +0 where the public pair writes -0; numbered (product, row, mode l,
+        # part), with numpy 2.4 they are
+        #   N = 16:  (2, 3, 1, re), (2, 3, 5, im), (3, 1, -7, re), (3, 4, 1, re),
+        #            (3, 5, -1, im)
+        #   N = 128: (2, 3, -31, im), (3, 3, -61, re), (3, 5, -1, im)
+        h = n // 2
+        modes = (-h, -1, 0, 1, h - 1)
+        sparse = np.zeros((3, len(modes) + 1, n), dtype=np.complex128)
+        for b, l in enumerate(modes):
+            sparse[:, b, h + l] = (1.0, 0.5 - 0.25j, 2j)
+        sparse[0, len(modes), h + 1] = 1.5
+        _check_stage(_MIXED_PRODUCTS, sparse, TorusGrid(n), bits=False)
+    return (f"(4, N), (3, N) and (3, 2, N) stacks at N = {', '.join(map(str, pair_sizes))}, "
+            "rows as np.fft gives them; product stages as the public pair gives them, "
+            "also on (2, N) batches at N = 6, 12, 96 and 4 to 4096, and by value on "
+            "sparse data at N = 16, 128")
+
+
+# (eps, step, theta, seed) of each row: mixed strengths and data, both step signs
+_ROWS = ((0.5, 0.05, 1.0, 3), (0.9, -0.02, 1.5, 267), (0.2, 0.01, 0.5, 11),
+         (0.7, -0.03, 2.0, 61), (0.35, 0.04, 1.0, 5))
 
 
 def _check_batched_maps() -> str:
     # every trajectory steps as a row of a stack through the method of its
     # scheme's name; each row, with its own eps and step, must come out as
-    # the public stepper applied to it alone.  The (16, 1024) stack is the
-    # smallest whose temporaries numpy may reuse in place (256 KiB)
-    inputs = [(16, [(0.5, 0.05, 3), (0.9, -0.02, 267), (0.2, 0.01, 11)]),
-              (1024, [(0.2 + 0.05 * r, 0.01 * (1 + r % 3), r) for r in range(16)])]
-    nonlinearity = {Equation.QUAD_SQUARE: QuadNonlinearity.SQUARE,
-                    Equation.QUAD_MODSQ: QuadNonlinearity.MODULUS_SQUARE}
+    # the lone map of that row's own symbols gives it.  An implicit scheme's
+    # rows must converge at two or more Picard counts, so that rows leave the
+    # stack early.  The (16, 1024) stack is the smallest whose temporaries
+    # numpy may reuse in place (256 KiB)
+    sizes = (6, 16, 128, 1024)
+    inputs = [(n, _ROWS) for n in sizes]
+    inputs.append((1024, [(0.2 + 0.05 * r, 0.01 * (1 + r % 3), 1.0, r) for r in range(16)]))
     for n, rows in inputs:
         grid = TorusGrid(n)
-        fields = [random_initial_data(grid, 1.0, seed) for _, _, seed in rows]
-        ops = [OperatorSymbols.build(grid, tau) for _, tau, _ in rows]
+        fields = [random_initial_data(grid, theta, seed) for _, _, theta, seed in rows]
+        ops = [OperatorSymbols.build(grid, tau) for _, tau, _, _ in rows]
         stacked = OperatorSymbols.stack(ops)
-        eps = tuple(e for e, _, _ in rows)
-        for (equation, scheme), (prepared, step) in _SCHEMES.items():
-            if equation is Equation.CUBIC:
-                config, kind = CubicSchemeConfig, CubicScheme(scheme)
-            else:
-                config, kind = QuadSchemeConfig, nonlinearity[equation]
-            c = np.stack([w.coeffs for w in fields])
-            out, iters = getattr(prepared(eps, stacked, 1e-12, 100), scheme)(c)
-            implicit = iters is not None
+        eps = tuple(e for e, _, _, _ in rows)
+        c = np.stack([w.coeffs for w in fields])
+        for (equation, scheme), (kind, _) in _SCHEMES.items():
+            out, iters = getattr(kind(eps, stacked, 1e-12, 100), scheme)(c)
+            where = f"{equation.value} {scheme}: a {c.shape} stack"
+            if iters is not None and len(set(iters)) < 2:
+                raise AssertionError(f"{where} converges at one Picard count {iters[0]}")
             for r, (w, o) in enumerate(zip(fields, ops)):
-                lone = step(w, config(eps[r], o.tau, kind), o)
-                lone, lone_iters = lone if implicit else (lone, None)
-                differs = out[r].tobytes() != lone.coeffs.tobytes()
-                if differs or implicit and iters[r] != lone_iters:
-                    raise AssertionError(
-                        f"{equation.value} {scheme}: row {r} of a {c.shape} stack differs "
-                        "from its lone step"
-                    )
-    return ("every scheme's rows method on (3, 16) and (16, 1024) stacks of mixed eps "
-            "and steps")
+                lone, lone_iters = _step(equation, scheme, w, eps[r], o)
+                if (out[r].tobytes() != lone.coeffs.tobytes()
+                        or (iters[r] if iters else None) != lone_iters):
+                    raise AssertionError(f"{where}: row {r} differs from its lone step")
+    return (f"every scheme's rows method on (5, N) stacks at N = {', '.join(map(str, sizes))}"
+            " and a (16, 1024) stack of mixed eps and steps")
 
 
 def _check_serialization() -> str:

@@ -355,6 +355,14 @@ def test_overflowing_cell_scores_an_unreliable_inf():
     assert record.reliable is False
 
 
+def test_overflowing_sweep_has_no_fit():
+    # os18 from the same data overflows to nan at every one of these steps
+    base = _cubic("os18", **dict(_OVERFLOWING, tau=0.2, t_final=1.6, n_modes=16))
+    records, fit = sweep_tau(base, [0.2, 0.1, 0.05, 0.025], ref_tau=1e-3)
+    assert fit is None
+    assert not any(math.isfinite(r.error) or r.reliable for r in records)
+
+
 def test_wrong_grid_rejected():
     p = _quad()
     w0 = SpectralField(TorusGrid(32), np.zeros(32, dtype=complex))
@@ -734,6 +742,11 @@ def test_fit_order_rejects_bad_input():
         fit_order([(0.1, 1.0), (-0.05, 0.5), (0.025, 0.1)])
     with pytest.raises(ValueError, match="2 distinct abscissae"):
         fit_order([(0.1, 1.0), (0.1, 0.5), (0.1, 0.1)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_order([(0.1, bad), (0.05, 0.5), (0.025, 0.1)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_order([(bad, 1.0), (0.05, 0.5), (0.025, 0.1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,17 @@
-"""Prepared symmetric maps: a (B, N) stack against one-row calls.
+"""Prepared symmetric maps on a (B, N) stack: stalls, narrowed maps and stacked symbols.
 
-Each row of a stack carries its own eps, step and symbols; its result and
-Picard count must be those of the public step on that row alone, bit for
-bit, also while other rows of the stack converge earlier or later.
+That each row of a stack, with its own eps, step and symbols, steps bit for
+bit as it does alone is ``selftest``'s batched-map check.
 """
 import numpy as np
 import pytest
 
-from lowreg_nlse.cubic import CubicScheme, CubicSchemeConfig, _NonresonantMap, nrsli2_step_info
-from lowreg_nlse.quadratic import (
-    FixedPointError,
-    QuadNonlinearity,
-    QuadSchemeConfig,
-    _ModSquareMap,
-    _SquareMap,
-    sli2_conj_step_info,
-    sli2_step_info,
-)
+from lowreg_nlse.cubic import _NonresonantMap
+from lowreg_nlse.quadratic import FixedPointError, _ModSquareMap, _SquareMap
 from lowreg_nlse.spectral import OperatorSymbols, TorusGrid, random_initial_data
 
-# public step, its map class, and the config of one row
-_MAPS = {
-    "sli2": (sli2_step_info, _SquareMap,
-             lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.SQUARE)),
-    "sli2_conj": (sli2_conj_step_info, _ModSquareMap,
-                  lambda e, t: QuadSchemeConfig(e, t, QuadNonlinearity.MODULUS_SQUARE)),
-    "nrsli2": (nrsli2_step_info, _NonresonantMap,
-               lambda e, t: CubicSchemeConfig(e, t, CubicScheme.NRSLI2)),
-}
+# map name: its map class
+_MAPS = {"sli2": _SquareMap, "sli2_conj": _ModSquareMap, "nrsli2": _NonresonantMap}
 
 # (eps, step, theta, seed) of each row: mixed strengths, both step signs
 _ROWS = [(0.5, 0.05, 1.0, 3), (0.9, -0.02, 1.5, 267), (0.2, 0.01, 0.5, 11),
@@ -41,26 +25,9 @@ def _stack(n_modes):
     return grid, fields, ops
 
 
-@pytest.mark.parametrize("n_modes", [6, 16, 128, 1024])
-@pytest.mark.parametrize("name", list(_MAPS))
-def test_mixed_stack_equals_one_row_calls(name, n_modes):
-    step, prepared, config = _MAPS[name]
-    grid, fields, ops = _stack(n_modes)
-    eps = tuple(e for e, _, _, _ in _ROWS)
-    stacked = OperatorSymbols.stack(ops)
-    c = np.stack([w.coeffs for w in fields])
-    out, iters = getattr(prepared(eps, stacked, 1e-12, 100), name.removesuffix("_conj"))(c)
-    # the rows converge at different counts, so rows leave the stack early
-    assert len(set(iters)) > 1
-    for r, (w, o) in enumerate(zip(fields, ops)):
-        lone, lone_iters = step(w, config(eps[r], o.tau), o)
-        assert out[r].tobytes() == lone.coeffs.tobytes()
-        assert iters[r] == lone_iters
-
-
 @pytest.mark.parametrize("name", list(_MAPS))
 def test_stalled_row_is_named(name):
-    _, prepared, _ = _MAPS[name]
+    prepared = _MAPS[name]
     grid, fields, ops = _stack(16)
     c = np.stack([w.coeffs for w in fields])
     c[3] *= 200.0  # row 3 leaves the contraction regime
@@ -75,7 +42,7 @@ def test_stalled_row_is_named(name):
 def test_take_keeps_at_most_16_masks(name):
     # a batch meets few masks; past 16 distinct ones the cache starts over,
     # and a mask taken again steps as a map built fresh for its rows
-    _, prepared, _ = _MAPS[name]
+    prepared = _MAPS[name]
     grid, fields, ops = _stack(16)
     eps = tuple(e for e, _, _, _ in _ROWS)
     full = prepared(eps, OperatorSymbols.stack(ops), 1e-12, 100)

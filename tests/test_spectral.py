@@ -33,7 +33,6 @@ from lowreg_nlse.spectral import (
     _SERIES_CUTOFF,
     _SplitMix64,
 )
-from lowreg_nlse.quadratic import _Stage
 
 
 def _random_field(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -145,45 +144,6 @@ def _fftshift_values_from_coeffs(coeffs, grid):
     return np.fft.ifft(np.fft.ifftshift(coeffs * grid._grid_phase)) * grid.n_modes
 
 
-@pytest.mark.parametrize("n", [4, 6, 16, 96, 128, 1024])
-def test_transform_pair_equals_fftshift_formula_bit_for_bit(n):
-    rng = np.random.default_rng(500 + n)
-    grid = TorusGrid(n)
-    stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    vals = values_from_coeffs(stack, grid)
-    back = coeffs_from_values(vals, grid)
-    assert vals.shape == back.shape == (3, n)
-    for row in range(3):
-        want_vals = _fftshift_values_from_coeffs(stack[row], grid)
-        want_back = _fftshift_coeffs_from_values(want_vals, grid)
-        assert np.array_equal(values_from_coeffs(stack[row], grid), want_vals)
-        assert np.array_equal(coeffs_from_values(want_vals, grid), want_back)
-        assert np.array_equal(vals[row], want_vals)
-        assert np.array_equal(back[row], want_back)
-
-
-@pytest.mark.parametrize("n", [6, 96, 128, 1024])
-def test_stage_shaped_stack_equals_lone_rows_and_fftshift_formula(n):
-    # an (F, B, N) stack, the shape of a lockstep product stage, with and without out=
-    rng = np.random.default_rng(600 + n)
-    grid = TorusGrid(n)
-    stack = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-    out = np.empty_like(stack)
-    assert values_from_coeffs(stack, grid, out=out) is out
-    vals = values_from_coeffs(stack, grid)
-    back = coeffs_from_values(vals, grid)
-    assert out.tobytes() == vals.tobytes()
-    assert back.shape == stack.shape
-    for f in range(3):
-        for b in range(2):
-            want_vals = _fftshift_values_from_coeffs(stack[f, b], grid)
-            want_back = _fftshift_coeffs_from_values(want_vals, grid)
-            assert vals[f, b].tobytes() == values_from_coeffs(stack[f, b], grid).tobytes()
-            assert back[f, b].tobytes() == coeffs_from_values(vals[f, b], grid).tobytes()
-            assert vals[f, b].tobytes() == want_vals.tobytes()
-            assert back[f, b].tobytes() == want_back.tobytes()
-
-
 @pytest.mark.parametrize("n", [6, 16, 128])
 def test_transform_pair_keeps_the_sign_of_exact_zeros(n):
     # a constant field has exactly zero parts; their signs are np.fft's too
@@ -225,60 +185,6 @@ def test_cached_grid_arrays_are_exact(n):
     assert out.tobytes() == flipped.tobytes()
     assert values_from_coeffs(stack, grid, out=out) is out
     assert out.tobytes() == values_from_coeffs(stack, grid).tobytes()
-
-
-# products of degree 2 and 3 in one stage: at power-of-two N the stage
-# half-rolls the spectra of the first two and leaves the last two as they are
-_MIXED_PRODUCTS = ((0, 0), (1, 2), (0, 0, 2), (2, 1, 0))
-
-
-def _public_products(factors: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The spectra of _MIXED_PRODUCTS through the public pair, one row at a time."""
-    out = np.empty((len(_MIXED_PRODUCTS),) + factors.shape[1:], dtype=np.complex128)
-    for r, indices in enumerate(_MIXED_PRODUCTS):
-        for b in np.ndindex(factors.shape[1:-1]):
-            first, *rest = [values_from_coeffs(factors[(i,) + b], grid) for i in indices]
-            prod = first
-            for vals in rest:
-                prod = prod * vals
-            out[(r,) + b] = coeffs_from_values(prod, grid)
-    return out
-
-
-# every power of two from 4 to 4096 takes the relabel-free path, and 6, 12
-# and 96, whose pocketfft plans have radix-3 passes, the public pair
-@pytest.mark.parametrize("n", [6, 12, 96] + [2 ** k for k in range(2, 13)])
-def test_batched_products_equal_one_at_a_time(n):
-    rng = np.random.default_rng(900 + n)
-    grid = TorusGrid(n)
-    factors = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-    stage = _Stage(_MIXED_PRODUCTS, (2, n), grid)
-    stage.factors[...] = factors
-    batched = stage()
-    assert batched.shape == (len(_MIXED_PRODUCTS), 2, n)
-    assert batched.tobytes() == _public_products(factors, grid).tobytes()
-
-
-@pytest.mark.parametrize("n", [16, 128])
-def test_stage_on_sparse_data_equals_public_pair(n):
-    # stack rows: the single modes -N/2, -1, 0 (a constant field), 1 and
-    # N/2 - 1, then one mode in factor 0 beside zero rows in factors 1 and 2.
-    # The values are equal, but some exact zeros of the odd-degree products
-    # (rows 2 and 3) come out +0 where the public pair writes -0; numbered
-    # (product, stack row, mode l, part), with numpy 2.4 they are
-    #   N = 16:  (2, 3, 1, re), (2, 3, 5, im), (3, 1, -7, re), (3, 4, 1, re),
-    #            (3, 5, -1, im)
-    #   N = 128: (2, 3, -31, im), (3, 3, -61, re), (3, 5, -1, im)
-    grid = TorusGrid(n)
-    h = n // 2
-    modes = (-h, -1, 0, 1, h - 1)
-    factors = np.zeros((3, len(modes) + 1, n), dtype=np.complex128)
-    for b, l in enumerate(modes):
-        factors[:, b, h + l] = (1.0, 0.5 - 0.25j, 2j)
-    factors[0, len(modes), h + 1] = 1.5
-    stage = _Stage(_MIXED_PRODUCTS, factors.shape[1:], grid)
-    stage.factors[...] = factors
-    assert np.array_equal(stage(), _public_products(factors, grid))
 
 
 def test_parseval():
