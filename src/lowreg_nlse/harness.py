@@ -171,6 +171,8 @@ class SimParams:
         _check_steps("t_final", self.t_final, self.tau)
         _check_settings(self.eps, self.fp_tol, self.fp_max_iter)
         TorusGrid(self.n_modes)
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         _check_nonnegative("theta", self.theta)
         if not 0.0 <= self.error_norm_r < math.inf:
             raise ValueError(f"error_norm_r must be nonnegative and finite, got {self.error_norm_r}")

@@ -53,11 +53,13 @@ class QuadNonlinearity(Enum):
 
 
 def _check_settings(eps: float, fp_tol: float, fp_max_iter: int) -> None:
-    """Reject an eps outside (0, 1], a nonpositive tolerance or no iterations."""
+    """Reject an eps outside (0, 1], a nonpositive tolerance or no whole number of iterations."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if not fp_tol > 0.0:
         raise ValueError("fp_tol must be positive")
+    if not isinstance(fp_max_iter, (int, np.integer)):
+        raise ValueError(f"fp_max_iter must be an integer, got {fp_max_iter!r}")
     if fp_max_iter < 1:
         raise ValueError("fp_max_iter must be at least 1")
 

@@ -1,6 +1,10 @@
-"""Tests for the cubic-equation steppers: resonance structure, g and h, local orders.
+"""Tests for the cubic-equation maps: resonance structure, g and h, scheme relations.
 
-The oracle, correction-identity, time-reversal and zero-mode checks are
+The scheme relations step through the engine's map (``selftest._step``).  The
+local orders, Picard counts and stalls, zero fields and determinism of every
+scheme are ``tests/test_prepared.py``'s, over the table ``_SCHEMES``, and the
+config checks are ``tests/test_quadratic.py``'s.  The oracle,
+correction-identity, time-reversal and zero-mode checks are
 ``lowreg_nlse.selftest``'s, which acceptance criteria 2, 3, 4 and 9 run.
 """
 
@@ -13,16 +17,11 @@ from lowreg_nlse.cubic import (
     g_zero_mode,
     h_field,
     nrli1_step,
-    nrsli2_step_info,
-    os18_step,
     strang_step,
 )
-from lowreg_nlse.oracles import (
-    band_limit,
-    cubic_nrli1_oracle_step,
-    rk4_reference_step,
-)
-from lowreg_nlse.quadratic import FixedPointError
+from lowreg_nlse.harness import Equation
+from lowreg_nlse.oracles import cubic_nrli1_oracle_step
+from lowreg_nlse.selftest import _step
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
@@ -47,28 +46,9 @@ def _zero_mode_field(grid, c):
     return SpectralField(grid, coeffs)
 
 
-def _diff_h1(a, b):
-    return sobolev_norm(SpectralField(a.grid, a.coeffs - b.coeffs), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # configuration and resonance bookkeeping
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(eps=0.0, tau=0.1),
-        dict(eps=2.0, tau=0.1),
-        dict(eps=0.5, tau=0.0),
-        dict(eps=0.5, tau=0.1, fp_tol=-1.0),
-        dict(eps=0.5, tau=0.1, fp_max_iter=0),
-    ],
-)
-def test_config_rejects_bad_values(kw):
-    with pytest.raises(ValueError):
-        CubicSchemeConfig(**kw)
-
 
 def test_scheme_mismatch_rejected():
     grid = TorusGrid(8)
@@ -90,9 +70,7 @@ def test_resonance_identity_exhaustive():
                 defect = l * l + l1 * l1 - l2 * l2 - l3 * l3
                 assert defect == 2 * (l - l2) * (l - l3)
                 # resonant <=> one unconjugated index equals the conjugated one
-                assert (defect == 0) == (l2 == l1 or l3 == l1) or (l - l2) * (
-                    l - l3
-                ) != 0
+                assert (defect == 0) == (l2 == l1 or l3 == l1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +155,9 @@ def test_eps_squared_homogeneity():
     ops = OperatorSymbols.build(grid, tau)
     w = random_initial_data(grid, 1.0, 4)
     drift = free_propagate(w, tau).coeffs
-    for step, scheme in ((nrli1_step, CubicScheme.NRLI1), (os18_step, CubicScheme.OS18)):
-        inc1 = step(w, _cfg(0.4, tau, scheme), ops).coeffs - drift
-        inc2 = step(w, _cfg(0.8, tau, scheme), ops).coeffs - drift
+    for scheme in ("nrli1", "os18"):
+        inc1 = _step(Equation.CUBIC, scheme, w, 0.4, ops)[0].coeffs - drift
+        inc2 = _step(Equation.CUBIC, scheme, w, 0.8, ops)[0].coeffs - drift
         np.testing.assert_allclose(inc2, 4.0 * inc1, rtol=1e-12, atol=1e-16)
 
 
@@ -190,10 +168,9 @@ def test_eps_squared_homogeneity():
 def test_strang_mass_per_step():
     grid = TorusGrid(32)
     ops = OperatorSymbols.build(grid, 0.05)
-    cfg = _cfg(0.5, 0.05, CubicScheme.STRANG)
     for seed in range(10):
         w = random_initial_data(grid, 1.0, seed)
-        out = strang_step(w, cfg, ops)
+        out, _ = _step(Equation.CUBIC, "strang", w, 0.5, ops)
         assert sobolev_norm(out, 0.0) == pytest.approx(
             sobolev_norm(w, 0.0), rel=1e-12
         )
@@ -203,95 +180,8 @@ def test_strang_mass_long_run():
     grid = TorusGrid(32)
     tau = 0.01
     ops = OperatorSymbols.build(grid, tau)
-    cfg = _cfg(0.5, tau, CubicScheme.STRANG)
     w = random_initial_data(grid, 1.0, 2)
     m0 = sobolev_norm(w, 0.0)
     for _ in range(10_000):
-        w = strang_step(w, cfg, ops)
+        w, _ = _step(Equation.CUBIC, "strang", w, 0.5, ops)
     assert abs(sobolev_norm(w, 0.0) - m0) <= 1e-9 * m0
-
-
-# ---------------------------------------------------------------------------
-# local consistency against the fine reference flow
-# ---------------------------------------------------------------------------
-
-def _local_slope(step_fn, n=32, k_band=4, amp=1.0, seed=6):
-    taus = [0.1 * 2.0**-j for j in range(4, 11)]
-    grid = TorusGrid(n)
-    base = band_limit(random_initial_data(grid, 0.0, seed), k_band)
-    w = SpectralField(grid, amp * base.coeffs)
-    errs = []
-    for tau in taus:
-        got = step_fn(w, tau)
-        ref = rk4_reference_step(w, 1.0, tau, "cubic", substeps=48)
-        errs.append(_diff_h1(got, ref))
-    slope, _ = np.polyfit(np.log(taus), np.log(errs), 1)
-    return slope
-
-
-def test_nrli1_local_slope():
-    def step(w, tau):
-        ops = OperatorSymbols.build(w.grid, tau)
-        return nrli1_step(w, _cfg(1.0, tau, CubicScheme.NRLI1), ops)
-
-    assert _local_slope(step) == pytest.approx(2.0, abs=0.1)
-
-
-def test_os18_local_slope():
-    def step(w, tau):
-        ops = OperatorSymbols.build(w.grid, tau)
-        return os18_step(w, _cfg(1.0, tau, CubicScheme.OS18), ops)
-
-    assert _local_slope(step) == pytest.approx(2.0, abs=0.1)
-
-
-def test_nrsli2_local_slope():
-    def step(w, tau):
-        ops = OperatorSymbols.build(w.grid, tau)
-        cfg = _cfg(1.0, tau, CubicScheme.NRSLI2, fp_tol=1e-14)
-        return nrsli2_step_info(w, cfg, ops)[0]
-
-    assert _local_slope(step) == pytest.approx(3.0, abs=0.1)
-
-
-def test_strang_local_slope():
-    def step(w, tau):
-        ops = OperatorSymbols.build(w.grid, tau)
-        return strang_step(w, _cfg(1.0, tau, CubicScheme.STRANG), ops)
-
-    assert _local_slope(step) == pytest.approx(3.0, abs=0.1)
-
-
-# ---------------------------------------------------------------------------
-# solver plumbing
-# ---------------------------------------------------------------------------
-
-def test_nrsli2_reports_iterations():
-    grid = TorusGrid(16)
-    ops = OperatorSymbols.build(grid, 0.05)
-    w = random_initial_data(grid, 1.0, 1)
-    _, iters = nrsli2_step_info(w, _cfg(0.5, 0.05, CubicScheme.NRSLI2), ops)
-    assert 1 <= iters <= 100
-
-
-def test_nrsli2_divergence_raises():
-    grid = TorusGrid(16)
-    tau = 1.0
-    ops = OperatorSymbols.build(grid, tau)
-    w = SpectralField(grid, 20.0 * random_initial_data(grid, 0.0, 1).coeffs)
-    with pytest.raises(FixedPointError):
-        nrsli2_step_info(w, _cfg(1.0, tau, CubicScheme.NRSLI2, fp_max_iter=25), ops)
-
-
-def test_zero_field_fixed_by_all_schemes():
-    grid = TorusGrid(8)
-    ops = OperatorSymbols.build(grid, 0.1)
-    z = SpectralField(grid, np.zeros(8, dtype=complex))
-    assert np.all(nrli1_step(z, _cfg(0.5, 0.1), ops).coeffs == 0)
-    assert np.all(os18_step(z, _cfg(0.5, 0.1, CubicScheme.OS18), ops).coeffs == 0)
-    assert np.all(
-        nrsli2_step_info(z, _cfg(0.5, 0.1, CubicScheme.NRSLI2), ops)[0].coeffs == 0
-    )
-    assert np.all(
-        strang_step(z, _cfg(0.5, 0.1, CubicScheme.STRANG), ops).coeffs == 0
-    )

@@ -1,43 +1,34 @@
-"""Tests for the quadratic-equation steppers: closed forms, local orders, solver plumbing.
+"""Tests for the quadratic-equation maps and the one-field stepper layer over them.
 
-The oracle, time-reversal and zero-mode checks are ``lowreg_nlse.selftest``'s,
+The closed forms step through the engine's map (``selftest._step``).  The
+local orders, Picard counts and stalls, zero fields and determinism of every
+scheme are ``tests/test_prepared.py``'s, over the table ``_SCHEMES``.  The
+oracle, time-reversal and zero-mode checks are ``lowreg_nlse.selftest``'s,
 which acceptance criteria 1, 4 and 9 run.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lowreg_nlse.oracles import (
-    band_limit,
-    quad_square_oracle_step,
-    rk4_reference_step,
-)
-from lowreg_nlse.quadratic import (
-    FixedPointError,
-    QuadNonlinearity,
-    QuadSchemeConfig,
-    li1_conj_step,
-    li1_step,
-    sli2_conj_step_info,
-    sli2_step_info,
-)
+from lowreg_nlse.cubic import CubicSchemeConfig
+from lowreg_nlse.harness import Equation, _norm_diff
+from lowreg_nlse.oracles import quad_square_oracle_step
+from lowreg_nlse.quadratic import QuadNonlinearity, QuadSchemeConfig, li1_step
+from lowreg_nlse.selftest import _step
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
     TorusGrid,
     free_propagate,
     random_initial_data,
-    sobolev_norm,
 )
 
 def _cfg(eps, tau, nonlin=QuadNonlinearity.SQUARE, **kw):
     return QuadSchemeConfig(eps=eps, tau=tau, nonlinearity=nonlin, **kw)
 
 
-def _diff_h1(a: SpectralField, b: SpectralField) -> float:
-    return sobolev_norm(SpectralField(a.grid, a.coeffs - b.coeffs), 1.0)
+def _li1(w, eps, ops):
+    return _step(Equation.QUAD_SQUARE, "li1", w, eps, ops)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +41,21 @@ def _diff_h1(a: SpectralField, b: SpectralField) -> float:
         dict(eps=0.0, tau=0.1),
         dict(eps=1.5, tau=0.1),
         dict(eps=-0.2, tau=0.1),
-        dict(eps=0.5, tau=0.0),
-        dict(eps=0.5, tau=0.1, fp_tol=0.0),
-        dict(eps=0.5, tau=0.1, fp_max_iter=0),
+        dict(tau=0.0, eps=0.5),
+        dict(fp_tol=0.0, eps=0.5, tau=0.1),
+        dict(fp_max_iter=0, eps=0.5, tau=0.1),
+        dict(eps=2.0, tau=0.1),
+        dict(fp_tol=-1.0, eps=0.5, tau=0.1),
+        dict(fp_max_iter=2.5, eps=0.5, tau=0.1),
+        dict(fp_max_iter=1.0, eps=0.5, tau=0.1),
     ],
 )
 def test_config_rejects_bad_values(kw):
-    with pytest.raises(ValueError):
-        QuadSchemeConfig(**kw)
+    # both configs run the one check of _StepConfig; the message begins with
+    # the field at fault, the first of kw
+    for config in (QuadSchemeConfig, CubicSchemeConfig):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} "):
+            config(**kw)
 
 
 def test_steppers_reject_mismatched_symbols():
@@ -83,30 +81,18 @@ def test_li1_exact_on_zero_product_supports():
     grid = TorusGrid(16)
     eps, tau = 0.8, 0.2
     ops = OperatorSymbols.build(grid, tau)
-    cfg = _cfg(eps, tau)
     for l in (1, 2, 3, -3):
         coeffs = np.zeros(16, dtype=complex)
         coeffs[8] = 0.7 - 0.3j
         coeffs[8 + l] = -0.4 + 1.1j
         w = SpectralField(grid, coeffs)
         want = quad_square_oracle_step(w, eps, tau)
-        assert _diff_h1(li1_step(w, cfg, ops), want) <= 1e-12
+        assert _norm_diff(_li1(w, eps, ops), want, 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # frozen analytic examples
 # ---------------------------------------------------------------------------
-
-def test_li1_zero_field():
-    grid = TorusGrid(8)
-    ops = OperatorSymbols.build(grid, 0.1)
-    z = SpectralField(grid, np.zeros(8, dtype=complex))
-    assert np.all(li1_step(z, _cfg(0.5, 0.1), ops).coeffs == 0)
-    cfgc = _cfg(0.5, 0.1, QuadNonlinearity.MODULUS_SQUARE)
-    assert np.all(li1_conj_step(z, cfgc, ops).coeffs == 0)
-    assert np.all(sli2_step_info(z, _cfg(0.5, 0.1), ops)[0].coeffs == 0)
-    assert np.all(sli2_conj_step_info(z, cfgc, ops)[0].coeffs == 0)
-
 
 def test_li1_single_mode_closed_form():
     grid = TorusGrid(8)
@@ -114,63 +100,11 @@ def test_li1_single_mode_closed_form():
     ops = OperatorSymbols.build(grid, tau)
     coeffs = np.zeros(8, dtype=complex)
     coeffs[4 + 1] = a
-    out = li1_step(SpectralField(grid, coeffs), _cfg(eps, tau), ops)
+    out = _li1(SpectralField(grid, coeffs), eps, ops)
     want = np.zeros(8, dtype=complex)
     want[4 + 1] = a * np.exp(-1j * tau)
     want[4 + 2] = -(eps * a * a / 2.0) * (np.exp(-2j * tau) - np.exp(-4j * tau))
     np.testing.assert_allclose(out.coeffs, want, atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# consistency against a fine reference flow
-# ---------------------------------------------------------------------------
-
-def _local_error_slope(step_fn, equation, n=32, k_band=4, eps=0.5,
-                       taus=None, seed=2):
-    if taus is None:
-        taus = [0.1 * 2.0**-j for j in range(6, 13)]
-    grid = TorusGrid(n)
-    w = band_limit(random_initial_data(grid, 0.0, seed), k_band)
-    errs = []
-    for tau in taus:
-        got = step_fn(w, tau)
-        ref = rk4_reference_step(w, eps, tau, equation, substeps=32)
-        errs.append(_diff_h1(got, ref))
-    slope, _ = np.polyfit(np.log(taus), np.log(errs), 1)
-    return slope
-
-
-def test_li1_local_error_second_order():
-    eps = 0.5
-
-    def step(w, tau):
-        return li1_step(w, _cfg(eps, tau), OperatorSymbols.build(w.grid, tau))
-
-    slope = _local_error_slope(step, "quad-square", eps=eps)
-    assert slope >= 1.9
-
-
-def test_li1_conj_local_error_second_order():
-    eps = 0.5
-
-    def step(w, tau):
-        cfg = _cfg(eps, tau, QuadNonlinearity.MODULUS_SQUARE)
-        return li1_conj_step(w, cfg, OperatorSymbols.build(w.grid, tau))
-
-    slope = _local_error_slope(step, "quad-modsq", eps=eps)
-    assert slope >= 1.9
-
-
-def test_sli2_local_error_third_order():
-    eps = 0.5
-    taus = [0.1 * 2.0**-j for j in range(4, 9)]
-
-    def step(w, tau):
-        cfg = _cfg(eps, tau, fp_tol=1e-14)
-        return sli2_step_info(w, cfg, OperatorSymbols.build(w.grid, tau))[0]
-
-    slope = _local_error_slope(step, "quad-square", eps=eps, taus=taus)
-    assert 2.6 <= slope <= 3.4
 
 
 # ---------------------------------------------------------------------------
@@ -183,43 +117,6 @@ def test_li1_increment_linear_in_eps():
     ops = OperatorSymbols.build(grid, tau)
     w = random_initial_data(grid, 1.0, 9)
     drift = free_propagate(w, tau)
-    inc1 = li1_step(w, _cfg(0.3, tau), ops).coeffs - drift.coeffs
-    inc2 = li1_step(w, _cfg(0.6, tau), ops).coeffs - drift.coeffs
+    inc1 = _li1(w, 0.3, ops).coeffs - drift.coeffs
+    inc2 = _li1(w, 0.6, ops).coeffs - drift.coeffs
     np.testing.assert_allclose(inc2, 2.0 * inc1, rtol=1e-12, atol=1e-15)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=15, deadline=None)
-def test_li1_deterministic_and_input_unmodified(seed):
-    grid = TorusGrid(16)
-    ops = OperatorSymbols.build(grid, 0.1)
-    cfg = _cfg(0.5, 0.1)
-    w = random_initial_data(grid, 1.0, seed)
-    snapshot = w.coeffs.copy()
-    a = li1_step(w, cfg, ops)
-    b = li1_step(w, cfg, ops)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
-    np.testing.assert_array_equal(w.coeffs, snapshot)
-
-
-def test_sli2_reports_iteration_count():
-    grid = TorusGrid(16)
-    ops = OperatorSymbols.build(grid, 0.05)
-    w = random_initial_data(grid, 1.0, 3)
-    _, iters = sli2_step_info(w, _cfg(0.5, 0.05), ops)
-    assert 1 <= iters <= 100
-    _, iters_c = sli2_conj_step_info(
-        w, _cfg(0.5, 0.05, QuadNonlinearity.MODULUS_SQUARE), ops
-    )
-    assert 1 <= iters_c <= 100
-
-
-def test_sli2_divergence_raises():
-    # far outside the contraction regime: huge amplitude, big step
-    grid = TorusGrid(16)
-    tau = 1.0
-    ops = OperatorSymbols.build(grid, tau)
-    w = SpectralField(grid, 50.0 * random_initial_data(grid, 0.0, 1).coeffs)
-    with pytest.raises(FixedPointError) as exc:
-        sli2_step_info(w, _cfg(1.0, tau, fp_max_iter=30), ops)
-    assert exc.value.iterations <= 30
