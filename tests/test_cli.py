@@ -583,26 +583,45 @@ def test_error_vs_time_names_a_reference_stall_first(tmp_path, capsys):
     assert "in the reference trajectory (step 0.00025, eps 0.5)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fp_max_iter, failing_time, trajectory", [
-    # the finer reference (longest, so built first)
-    pytest.param("1", "t = 0.00025", "in the reference trajectory (step 0.00025, eps ",
-                 id="1-t = 0.00025"),
-    # references converge in 3 iterations; the cells do not
-    pytest.param("4", "t = 0.05", "in the cell (scheme sli2, eps ", id="4-t = 0.05"),
+_STALL_RUNS = {}
+
+
+def _stall_run(tmp_path_factory, capsys, jobs, fp_max_iter):
+    # the two stall tests read the exit code and stderr of one run per argv
+    key = (jobs, fp_max_iter)
+    if key not in _STALL_RUNS:
+        code = main(
+            ["sweep-eps", "--equation", "quad-modsq", "--scheme", "sli2",
+             "--eps-list", "0.5,0.35,0.25", "--T", "0.2", "--tau", "0.05",
+             "--modes", "16", "--fp-max-iter", fp_max_iter, "--jobs", jobs,
+             "--out", str(tmp_path_factory.mktemp("stall") / "stall.csv")]
+        )
+        _STALL_RUNS[key] = code, capsys.readouterr().err
+    return _STALL_RUNS[key]
+
+
+@pytest.mark.parametrize("fp_max_iter, failing_time", [
+    ("1", "t = 0.00025"),  # the finer reference (longest, so built first)
+    ("4", "t = 0.05"),  # references converge in 3 iterations; the cells do not
 ])
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_picard_stall_names_the_step_on_every_path(tmp_path, capsys, jobs,
-                                                   fp_max_iter, failing_time, trajectory):
-    # the stall names its step and time and the trajectory it stalled in
-    code = main(
-        ["sweep-eps", "--equation", "quad-modsq", "--scheme", "sli2",
-         "--eps-list", "0.5,0.35,0.25", "--T", "0.2", "--tau", "0.05",
-         "--modes", "16", "--fp-max-iter", fp_max_iter, "--jobs", jobs,
-         "--out", str(tmp_path / "stall.csv")]
-    )
+def test_picard_stall_names_the_step_on_every_path(tmp_path_factory, capsys, jobs,
+                                                   fp_max_iter, failing_time):
+    code, err = _stall_run(tmp_path_factory, capsys, jobs, fp_max_iter)
     assert code == 1
-    err = capsys.readouterr().err
     assert f"implicit solve failed at step 1 ({failing_time})" in err
+
+
+@pytest.mark.parametrize("fp_max_iter, trajectory", [
+    ("1", "in the reference trajectory (step 0.00025, eps "),
+    ("4", "in the cell (scheme sli2, eps "),
+])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_picard_stall_names_the_trajectory(tmp_path_factory, capsys, jobs, fp_max_iter,
+                                           trajectory):
+    code, err = _stall_run(tmp_path_factory, capsys, jobs, fp_max_iter)
+    assert code == 1
+    assert "implicit solve failed at step 1 (t = " in err
     assert trajectory in err
     if fp_max_iter == "4":
         # cells run in task order at every --jobs, so the first stall is eps 0.5's

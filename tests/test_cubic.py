@@ -2,8 +2,9 @@
 
 The scheme relations step through the engine's map (``selftest._step``).  The
 local orders, Picard counts and stalls, zero fields and determinism of every
-scheme are ``tests/test_prepared.py``'s, over the table ``_SCHEMES``, and the
-config checks are ``tests/test_quadratic.py``'s.  The oracle,
+map are ``tests/test_prepared.py``'s, over the table ``_SCHEMES``; the tests
+here of the public steppers check the layer that wraps the maps, on the
+config cases of ``tests/test_quadratic.py``.  The oracle,
 correction-identity, time-reversal and zero-mode checks are
 ``lowreg_nlse.selftest``'s, which acceptance criteria 2, 3, 4 and 9 run.
 """
@@ -17,10 +18,12 @@ from lowreg_nlse.cubic import (
     g_zero_mode,
     h_field,
     nrli1_step,
+    nrsli2_step_info,
     strang_step,
 )
 from lowreg_nlse.harness import Equation
 from lowreg_nlse.oracles import cubic_nrli1_oracle_step
+from lowreg_nlse.quadratic import FixedPointError
 from lowreg_nlse.selftest import _step
 from lowreg_nlse.spectral import (
     OperatorSymbols,
@@ -34,6 +37,8 @@ from lowreg_nlse.spectral import (
     sobolev_norm,
     values_from_coeffs,
 )
+
+from test_quadratic import BAD_CONFIG_VALUES
 
 
 def _cfg(eps, tau, scheme=CubicScheme.NRLI1, **kw):
@@ -49,6 +54,13 @@ def _zero_mode_field(grid, c):
 # ---------------------------------------------------------------------------
 # configuration and resonance bookkeeping
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kw", BAD_CONFIG_VALUES)
+def test_config_rejects_bad_values(kw):
+    # the message begins with the field at fault, the first of kw
+    with pytest.raises(ValueError, match=f"^{next(iter(kw))} "):
+        CubicSchemeConfig(**kw)
+
 
 def test_scheme_mismatch_rejected():
     grid = TorusGrid(8)
@@ -185,3 +197,24 @@ def test_strang_mass_long_run():
     for _ in range(10_000):
         w, _ = _step(Equation.CUBIC, "strang", w, 0.5, ops)
     assert abs(sobolev_norm(w, 0.0) - m0) <= 1e-9 * m0
+
+
+# ---------------------------------------------------------------------------
+# the public nrsli2 stepper passes the map's Picard count and stall through
+# ---------------------------------------------------------------------------
+
+def test_nrsli2_reports_iterations():
+    grid = TorusGrid(16)
+    ops = OperatorSymbols.build(grid, 0.05)
+    w = random_initial_data(grid, 1.0, 1)
+    _, iters = nrsli2_step_info(w, _cfg(0.5, 0.05, CubicScheme.NRSLI2), ops)
+    assert 1 <= iters <= 100
+
+
+def test_nrsli2_divergence_raises():
+    grid = TorusGrid(16)
+    tau = 1.0
+    ops = OperatorSymbols.build(grid, tau)
+    w = SpectralField(grid, 20.0 * random_initial_data(grid, 0.0, 1).coeffs)
+    with pytest.raises(FixedPointError):
+        nrsli2_step_info(w, _cfg(1.0, tau, CubicScheme.NRSLI2, fp_max_iter=25), ops)

@@ -48,6 +48,7 @@ from lowreg_nlse.quadratic import (
     sli2_conj_step_info,
     sli2_step_info,
 )
+from lowreg_nlse.selftest import _step
 from lowreg_nlse.spectral import (
     OperatorSymbols,
     SpectralField,
@@ -191,6 +192,19 @@ def test_zero_steps_returns_initial_state():
     assert out.fp_iter_max is None and out.fp_iter_mean is None
 
 
+def test_trajectory_matches_manual_stepping():
+    # ten steps of the one-field map are the trajectory, bit for bit
+    p = _quad(tau=0.05, t_final=0.5)
+    ops = OperatorSymbols.build(TorusGrid(p.n_modes), p.tau)
+    w0 = make_initial_data(p)
+    w = w0
+    for _ in range(10):
+        w, _ = _step(p.equation, p.scheme, w, p.eps, ops)
+    out = run_trajectory(p, w0)
+    np.testing.assert_array_equal(out.state.coeffs, w.coeffs)
+    assert out.sup_h1 >= sobolev_norm(w0, 1.0)
+
+
 def test_step_count_snaps_to_nearest():
     p = _quad(tau=0.1, t_final=0.97)
     out = run_trajectory(p, make_initial_data(p))
@@ -280,19 +294,28 @@ def test_trajectory_steps_through_the_harness_global(equation, scheme):
     _same_trajectory(out, want)
 
 
-def test_solver_failure_carries_step_index():
-    # pool workers send failures back pickled; the step and residual must survive
+@pytest.fixture(scope="module")
+def stalled_failure():
+    # one stalled sli2 trajectory, read by the step-index and pickling tests
     p = _quad("sli2", tau=1.0, t_final=3.0, eps=1.0, fp_max_iter=25)
     w0 = SpectralField(TorusGrid(p.n_modes), 50.0 * make_initial_data(p).coeffs)
     with pytest.raises(SolverFailure) as info:
         run_trajectory(p, w0)
-    assert info.value.step_index == 1
-    assert "step 1" in str(info.value)
-    back = pickle.loads(pickle.dumps(info.value))
+    return info.value
+
+
+def test_solver_failure_carries_step_index(stalled_failure):
+    assert stalled_failure.step_index == 1
+    assert "step 1" in str(stalled_failure)
+
+
+def test_solver_failure_survives_pickling(stalled_failure):
+    # pool workers send failures back pickled; the step and residual must survive
+    back = pickle.loads(pickle.dumps(stalled_failure))
     assert type(back) is SolverFailure
-    assert str(back) == str(info.value)
-    assert (back.step_index, back.residual) == (1, info.value.residual)
-    assert str(back.inner) == str(info.value.inner)
+    assert str(back) == str(stalled_failure)
+    assert (back.step_index, back.residual) == (1, stalled_failure.residual)
+    assert str(back.inner) == str(stalled_failure.inner)
 
 
 def test_solver_failure_names_its_trajectory_through_pickling():
