@@ -94,7 +94,11 @@ def _add_common(sub: argparse.ArgumentParser, *, sweeps: bool) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--modes", type=int, default=128, help="Fourier modes (even)")
     sub.add_argument("--error-norm-r", type=float, default=1.0, dest="error_norm_r")
-    sub.add_argument("--fp-tol", type=float, default=1e-12, dest="fp_tol")
+    sub.add_argument("--fp-tol", type=float, default=1e-12, dest="fp_tol",
+                     help="H^1 distance of each implicit step from its fixed point: a Picard "
+                          "solve stops when its increment d is within it, or, from the "
+                          "second map on, 2qd/(1-q) is, with q < 1 the larger of the last "
+                          "two increment ratios")
     sub.add_argument("--fp-max-iter", type=int, default=100, dest="fp_max_iter")
     sub.add_argument("--ref-tau", type=float, default=None, dest="ref_tau",
                      help="reference step (default: auto, two decades below)")

@@ -173,6 +173,9 @@ class SimParams:
         TorusGrid(self.n_modes)
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        # the draw takes its seed modulo 2^64: one outside would name another seed's field
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         _check_nonnegative("theta", self.theta)
         if not 0.0 <= self.error_norm_r < math.inf:
             raise ValueError(f"error_norm_r must be nonnegative and finite, got {self.error_norm_r}")

@@ -10,9 +10,13 @@ oscillation and is integrated as the plain zero-mode ODE term).
 Every step function takes ``(w, cfg, ops)``.  The explicit maps return the
 new field; the implicit ``*_step_info`` maps return it with their Picard
 iteration count.  Implicit steps are solved by Picard iteration with the
-explicit map as the initial guess; non-convergence raises
-:class:`FixedPointError` carrying the last residual so callers can diagnose
-step-size/amplitude combinations outside the contraction regime.
+explicit map as the initial guess.  ``fp_tol`` bounds the H^1 distance of the
+returned iterate from the fixed point: a solve stops at the first iterate
+whose increment d is within ``fp_tol``, or, from the second map on, whose
+2 q d / (1 - q) is, with q < 1 the larger of the last two increment ratios
+(:func:`_picard`).  Non-convergence raises :class:`FixedPointError` carrying
+the last residual so callers can diagnose step-size/amplitude combinations
+outside the contraction regime.
 """
 from __future__ import annotations
 
@@ -277,43 +281,56 @@ class _Map:
 def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Picard iteration u <- step.apply(u, explicit) of every row of guess (or of one field).
 
-    A row stops at the first iterate whose H^1-weighted change is within
-    step.tol and leaves the stack; the others go on with the map narrowed
-    to them, so each row's iterates and count are those of a lone solve.
-    Returns the solutions and the count of each row; a row that diverges or
-    stalls raises FixedPointError with its row.
+    A row stops at the first iterate u_k whose increment d_k, the H^1 norm
+    of u_k - u_{k-1}, passes either test: d_k <= step.tol, or, from the
+    second map on, 2 q d_k / (1 - q) <= step.tol with q < 1 the larger of
+    the row's last two ratios d_k / d_{k-1}.  A map that contracts by q
+    leaves u_k within q d_k / (1 - q) of its fixed point, so step.tol
+    bounds the H^1 distance of each returned row from its fixed point,
+    with a margin of 2 for a ratio that varies from map to map.  A row
+    that stops leaves the stack with its ratios; the others go on with the
+    map narrowed to them, so each row's iterates and count are those of a
+    lone solve.  Returns the solutions and the count of each row; a row
+    whose increment is not finite, or that has not stopped after
+    step.max_iter maps, raises FixedPointError with its row.
     """
-    # row of guess of each live row; one field is row 0, which never leaves
-    # early, since its residual is the worst
-    rows = np.arange(1 if step.lone else len(guess))
+    tol = step.tol
+    n = 1 if step.lone else len(guess)
+    # of each live row: its row of guess, its last increment and last ratio
+    rows, last, ratios = list(range(n)), [math.inf] * n, [0.0] * n
     solution = iters = None
     u = guess
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, step.max_iter + 1):
             u_next = step.apply(u, explicit)
-            residual = sobolev_norms(u_next - u, step.grid, 1.0)
-            worst = residual.max()  # nan if any row's is
-            if worst <= step.tol:
+            increments = sobolev_norms(u_next - u, step.grid, 1.0).reshape(-1).tolist()
+            keep = []
+            for i, d in enumerate(increments):
+                if not math.isfinite(d):
+                    raise FixedPointError(d, it, rows[i])
+                ratio = d / last[i]  # 0 at the first map
+                q = max(ratio, ratios[i])
+                keep.append(d > tol and not (it > 1 and q < 1.0
+                                             and 2.0 * q / (1.0 - q) * d <= tol))
+                last[i], ratios[i] = d, ratio
+            if solution is None and not any(keep):
+                return u_next, [it] * n
+            if not all(keep):
                 if solution is None:
-                    return u_next, [it] * len(rows)
-                solution[rows] = u_next
-                iters[rows] = it
-                return solution, iters.tolist()
-            if not math.isfinite(worst):
-                first = int(np.argmin(np.isfinite(residual)))
-                raise FixedPointError(float(np.ravel(residual)[first]), it, int(rows[first]))
-            done = residual <= step.tol
-            if done.any():
-                if solution is None:
-                    solution = np.empty_like(guess)
-                    iters = np.zeros(len(guess), dtype=int)
-                solution[rows[done]] = u_next[done]
-                iters[rows[done]] = it
-                keep = ~done
-                rows, explicit, u_next = rows[keep], explicit[keep], u_next[keep]
-                step = step.take(keep)
+                    solution, iters = np.empty_like(guess), [0] * n
+                live = np.array(keep)
+                stopped = [r for r, k in zip(rows, keep) if not k]
+                solution[stopped] = u_next[~live]
+                for r in stopped:
+                    iters[r] = it
+                if len(stopped) == len(rows):
+                    return solution, iters
+                rows, last, ratios = ([x for x, k in zip(xs, keep) if k]
+                                      for xs in (rows, last, ratios))
+                explicit, u_next = explicit[live], u_next[live]
+                step = step.take(live)
             u = u_next
-    raise FixedPointError(float(np.ravel(residual)[0]), step.max_iter, int(rows[0]))
+    raise FixedPointError(last[0], step.max_iter, rows[0])
 
 
 # ---------------------------------------------------------------------------

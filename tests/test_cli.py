@@ -48,6 +48,13 @@ def test_eps_out_of_range_names_the_flag(tmp_path, capsys):
     assert "--eps" in err and "(0, 1]" in err
 
 
+def test_seed_out_of_range_names_the_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        parse_args(_simulate_args(tmp_path, seed="-1"))
+    assert info.value.code == 2
+    assert "--seed: seed must lie in [0, 2^64)" in capsys.readouterr().err
+
+
 def test_missing_list_flag_is_named(capsys):
     with pytest.raises(SystemExit) as info:
         parse_args(

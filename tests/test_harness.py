@@ -120,6 +120,8 @@ def test_scheme_equation_mismatch_rejected(kw):
         dict(n_modes=2),
         dict(fp_max_iter=2.5),
         dict(seed=1.5),
+        dict(seed=-1),
+        dict(seed=2**64),
     ],
 )
 def test_bad_numeric_params_rejected(kw):

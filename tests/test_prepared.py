@@ -7,7 +7,8 @@ buffers from step to step; every state a step hands back must still be a new
 array, so step k's state keeps its bytes after step k + 1 and shares no
 memory with it.  Each scheme's local error has its order, an implicit one
 reports its Picard count and raises on a diverging solve, zero stays zero,
-and a step is deterministic and leaves its input alone.
+and a step is deterministic and leaves its input alone.  An implicit
+map's Picard solve stops within ``fp_tol`` of its fixed point.
 """
 import math
 from dataclasses import replace
@@ -17,12 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowreg_nlse import harness
+from lowreg_nlse import cubic, harness, quadratic
 from lowreg_nlse.harness import Equation, SimParams, _norm_diff, make_initial_data
 from lowreg_nlse.oracles import band_limit, rk4_reference_step
 from lowreg_nlse.quadratic import FixedPointError
-from lowreg_nlse.selftest import _step
-from lowreg_nlse.spectral import OperatorSymbols, SpectralField, TorusGrid, random_initial_data
+from lowreg_nlse.selftest import _constant_field, _step
+from lowreg_nlse.spectral import (
+    OperatorSymbols,
+    SpectralField,
+    TorusGrid,
+    random_initial_data,
+    sobolev_norms,
+)
 
 _KEYS = list(harness._SCHEMES)
 
@@ -189,3 +196,62 @@ def test_picard_count_and_stall(equation, scheme):
     with pytest.raises(FixedPointError) as exc:
         _step(equation, scheme, w, 1.0, OperatorSymbols.build(grid, 1.0))
     assert exc.value.iterations <= bound
+
+
+# the inputs of the stop-rule test, name -> (N, theta of the seed-267 data,
+# eps of the quadratic maps, eps of the cubic one, tau): selftest's constant
+# data (theta None, v0 = 0.9 - 0.4j), rough-traj-n1024's steps, and the
+# finer reference step of quad-eps-pool's eps = 0.18 cell
+_STOP_INPUTS = {
+    "constant": (8, None, 0.5, 0.5, 0.1),
+    "rough-n1024": (1024, 1.0, 0.1, 0.25, 0.01),
+    "pool-reference": (128, 5.0, 0.18, 0.18, 2.5e-3),
+}
+
+
+@pytest.mark.parametrize("name", list(_STOP_INPUTS))
+@pytest.mark.parametrize("equation, scheme", list(_STALL))
+def test_picard_stops_within_fp_tol_of_its_fixed_point(monkeypatch, equation, scheme, name):
+    # the returned spectrum against the same map iterated on until its
+    # increments stop falling, and its count against the count of the first
+    # increment within fp_tol
+    n, theta, eps_quad, eps_cubic, tau = _STOP_INPUTS[name]
+    grid = TorusGrid(n)
+    w = (_constant_field(grid, 0.9 - 0.4j) if theta is None
+         else random_initial_data(grid, theta, 267))
+    solves = []
+    picard = quadratic._picard
+
+    def recording(step, explicit, guess):
+        solves.append((step, explicit.copy(), guess.copy()))
+        return picard(step, explicit, guess)
+
+    monkeypatch.setattr(quadratic, "_picard", recording)
+    monkeypatch.setattr(cubic, "_picard", recording)
+    eps = eps_cubic if equation is Equation.CUBIC else eps_quad
+    got, iters = _step(equation, scheme, w, eps, OperatorSymbols.build(grid, tau))
+    [(step, explicit, guess)] = solves
+
+    def h1(c):
+        return float(sobolev_norms(c, grid, 1.0))
+
+    u, last = got.coeffs, math.inf
+    for _ in range(100):
+        u_next = step.apply(u, explicit)
+        increment = h1(u_next - u)
+        if not increment < last:
+            break
+        u, last = u_next, increment
+    else:
+        pytest.fail("the increments fell for 100 maps")
+    assert h1(got.coeffs - u) <= 1e-12
+    u, increment_count = guess, 0
+    while increment_count < 100:
+        u_next = step.apply(u, explicit)
+        increment_count += 1
+        if h1(u_next - u) <= 1e-12:
+            break
+        u = u_next
+    assert iters <= increment_count
+    if (equation, name) == (Equation.QUAD_MODSQ, "pool-reference"):
+        assert iters == 2
