@@ -96,9 +96,12 @@ def _add_common(sub: argparse.ArgumentParser, *, sweeps: bool) -> None:
     sub.add_argument("--error-norm-r", type=float, default=1.0, dest="error_norm_r")
     sub.add_argument("--fp-tol", type=float, default=1e-12, dest="fp_tol",
                      help="H^1 distance of each implicit step from its fixed point: a Picard "
-                          "solve stops when its increment d is within it, or, from the "
-                          "second map on, 2qd/(1-q) is, with q < 1 the larger of the last "
-                          "two increment ratios")
+                          "solve stops when its increment d is within it, or 2qd/(1-q) is, "
+                          "with q < 1 a contraction estimate: from the second map on the "
+                          "larger of the last two increment ratios, and at the first map of "
+                          "an sli2 trajectory step, which starts from its carried "
+                          "corrections, the secant ratio |map(g) - L| / |g - P c| through "
+                          "the li1 predictor L")
     sub.add_argument("--fp-max-iter", type=int, default=100, dest="fp_max_iter")
     sub.add_argument("--ref-tau", type=float, default=None, dest="ref_tau",
                      help="reference step (default: auto, two decades below)")

@@ -408,10 +408,11 @@ def _run_rows(
     A lot of two or more rows prepares that map for the stack, and again
     only when rows leave it, which a row does once its own step count is
     done; the last row left, or the only one, steps through a lone field's
-    map of its own symbols, as the public stepper would.  So each row's
-    state, sup_h1, Picard counts and snapshots are those it has alone, at
-    every stack size (selftest checks a (16, 1024) stack, where numpy starts
-    reusing temporaries in place).  A stalled row raises
+    map of its own symbols, as the public stepper would.  An sli2 row's
+    carried corrections narrow with it and pass with it to that lone map.
+    So each row's state, sup_h1, Picard counts and snapshots are those it
+    has alone, at every stack size (selftest checks a (16, 1024) stack,
+    where numpy starts reusing temporaries in place).  A stalled row raises
     :class:`SolverFailure`, named by ``name`` of its params (by default its
     reference trajectory) or, with None, unnamed.
     """
@@ -428,6 +429,8 @@ def _run_rows(
         tuple(p.eps for p in params), OperatorSymbols.stack(row_ops),
         first.fp_tol, first.fp_max_iter)
     c = np.stack([rows[r][1].coeffs for r in order])
+    # an sli2 row carries its last corrections from step to step (_QuadMap.sli2)
+    carry = ([],) if first.scheme == "sli2" else ()
     live = len(rows)
     # an overflowing row runs on to inf or nan, which its record flags
     with np.errstate(over="ignore", invalid="ignore"):
@@ -437,12 +440,14 @@ def _run_rows(
             if live < len(c):
                 c = c[:live]
                 step = lone if live == 1 else full.take(np.arange(len(rows)) < live)
+                for carried in carry:
+                    carried[:] = [h[0] if live == 1 else h[:live] for h in carried]
             try:
                 if step is lone:
-                    u, iters = getattr(lone, first.scheme)(c[0])
+                    u, iters = getattr(lone, first.scheme)(c[0], *carry)
                     c = u[None]
                 else:
-                    c, iters = getattr(step, first.scheme)(c)
+                    c, iters = getattr(step, first.scheme)(c, *carry)
             except FixedPointError as exc:
                 p = params[exc.row]
                 raise SolverFailure(k, k * p.tau, exc, name(p) if name else "") from exc

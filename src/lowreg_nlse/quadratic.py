@@ -9,14 +9,19 @@ oscillation and is integrated as the plain zero-mode ODE term).
 
 Every step function takes ``(w, cfg, ops)``.  The explicit maps return the
 new field; the implicit ``*_step_info`` maps return it with their Picard
-iteration count.  Implicit steps are solved by Picard iteration with the
-explicit map as the initial guess.  ``fp_tol`` bounds the H^1 distance of the
-returned iterate from the fixed point: a solve stops at the first iterate
-whose increment d is within ``fp_tol``, or, from the second map on, whose
-2 q d / (1 - q) is, with q < 1 the larger of the last two increment ratios
-(:func:`_picard`).  Non-convergence raises :class:`FixedPointError` carrying
-the last residual so callers can diagnose step-size/amplitude combinations
-outside the contraction regime.
+iteration count.  Implicit steps are solved by Picard iteration.  A single
+step starts from the explicit map L; an sli2 trajectory's later steps start
+from L plus the extrapolation of its last corrections delta_k = u_{k+1} - L_k,
+carried forward by the free step P (:meth:`_QuadMap.sli2`).  ``fp_tol``
+bounds the H^1 distance of the returned iterate from the fixed point: a solve
+stops at the first iterate whose increment d is within ``fp_tol``, or whose
+2 q d / (1 - q) is, with q < 1 a contraction estimate (:func:`_picard`).
+From the second map on q is the larger of the last two increment ratios.  L
+is the Picard map taken at P c, so a solve started from carried corrections
+estimates q at its first map as the secant ratio |map(g) - L| / |g - P c|.
+Non-convergence raises :class:`FixedPointError` carrying the last residual
+so callers can diagnose step-size/amplitude combinations outside the
+contraction regime.
 """
 from __future__ import annotations
 
@@ -278,21 +283,26 @@ class _Map:
         return _Stage(products, self.shape, self.grid)
 
 
-def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray,
+            secant: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, list[int]]:
     """Picard iteration u <- step.apply(u, explicit) of every row of guess (or of one field).
 
     A row stops at the first iterate u_k whose increment d_k, the H^1 norm
-    of u_k - u_{k-1}, passes either test: d_k <= step.tol, or, from the
-    second map on, 2 q d_k / (1 - q) <= step.tol with q < 1 the larger of
-    the row's last two ratios d_k / d_{k-1}.  A map that contracts by q
-    leaves u_k within q d_k / (1 - q) of its fixed point, so step.tol
-    bounds the H^1 distance of each returned row from its fixed point,
-    with a margin of 2 for a ratio that varies from map to map.  A row
-    that stops leaves the stack with its ratios; the others go on with the
-    map narrowed to them, so each row's iterates and count are those of a
-    lone solve.  Returns the solutions and the count of each row; a row
-    whose increment is not finite, or that has not stopped after
-    step.max_iter maps, raises FixedPointError with its row.
+    of u_k - u_{k-1}, passes either test: d_k <= step.tol, or
+    2 q d_k / (1 - q) <= step.tol with q < 1 the row's contraction
+    estimate.  From the second map on, q is the larger of the row's last
+    two ratios d_k / d_{k-1}.  At the first map there is an estimate only
+    with ``secant`` = (L, P c), where L is the map taken at P c (the
+    predictor the guess was built from): q is the secant ratio
+    |u_1 - L| / |guess - P c|, and a row whose guess is P c has none.  A
+    map that contracts by q leaves u_k within q d_k / (1 - q) of its fixed
+    point, so step.tol bounds the H^1 distance of each returned row from
+    its fixed point, with a margin of 2 for a ratio that varies from map
+    to map.  A row that stops leaves the stack with its ratios; the others
+    go on with the map narrowed to them, so each row's iterates and count
+    are those of a lone solve.  Returns the solutions and the count of
+    each row; a row whose increment is not finite, or that has not stopped
+    after step.max_iter maps, raises FixedPointError with its row.
     """
     tol = step.tol
     n = 1 if step.lone else len(guess)
@@ -300,18 +310,31 @@ def _picard(step: _Map, explicit: np.ndarray, guess: np.ndarray) -> tuple[np.nda
     rows, last, ratios = list(range(n)), [math.inf] * n, [0.0] * n
     solution = iters = None
     u = guess
+    if secant is not None:
+        # u_1 - guess, u_1 - L and guess - P c, normed in one call after the
+        # first map (which may overwrite P c)
+        spans = np.empty((3,) + guess.shape, dtype=guess.dtype)
+        np.subtract(guess, secant[1], out=spans[2])
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, step.max_iter + 1):
             u_next = step.apply(u, explicit)
-            increments = sobolev_norms(u_next - u, step.grid, 1.0).reshape(-1).tolist()
+            # each row's contraction estimate at the first map (nan: none); None after
+            if it == 1 and secant is not None:
+                np.subtract(u_next, u, out=spans[0])
+                np.subtract(u_next, secant[0], out=spans[1])
+                increments, moves, spreads = sobolev_norms(
+                    spans, step.grid, 1.0).reshape(3, n).tolist()
+                estimates = [m / s if s > 0.0 else math.nan for m, s in zip(moves, spreads)]
+            else:
+                increments = sobolev_norms(u_next - u, step.grid, 1.0).reshape(-1).tolist()
+                estimates = [math.nan] * n if it == 1 else None
             keep = []
             for i, d in enumerate(increments):
                 if not math.isfinite(d):
                     raise FixedPointError(d, it, rows[i])
                 ratio = d / last[i]  # 0 at the first map
-                q = max(ratio, ratios[i])
-                keep.append(d > tol and not (it > 1 and q < 1.0
-                                             and 2.0 * q / (1.0 - q) * d <= tol))
+                q = max(ratio, ratios[i]) if estimates is None else estimates[i]
+                keep.append(d > tol and not (q < 1.0 and 2.0 * q / (1.0 - q) * d <= tol))
                 last[i], ratios[i] = d, ratio
             if solution is None and not any(keep):
                 return u_next, [it] * n
@@ -348,10 +371,45 @@ class _QuadMap(_Map):
     def li1(self, c: np.ndarray) -> tuple[np.ndarray, None]:
         return self._core(self.li1_factors, *self._first(c)), None
 
-    def sli2(self, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    def sli2(self, c: np.ndarray, carried: list | None = None) -> tuple[np.ndarray, list[int]]:
+        """The sli2 step of c, its Picard solve started from the li1 step L.
+
+        ``carried`` is None for a single step, or a trajectory's list of
+        transported corrections, updated in place: P^j delta_{n-j}, newest
+        first, at most three, where delta_k = u_{k+1} - L_k is step k's
+        converged correction to its predictor.  With them step n starts
+        from their extrapolation L_n + P delta_{n-1}, L_n + 2 P delta_{n-1}
+        - P^2 delta_{n-2} or L_n + 3 P delta_{n-1} - 3 P^2 delta_{n-2}
+        + P^3 delta_{n-3}, and L_n, the map taken at P c, lets the solve
+        estimate its contraction at its first map.
+        """
         first = self._first(c)
         explicit = self._core(self.half_factors, *first)
-        return _picard(self, explicit, self._core(self.li1_factors, *first))
+        predictor = self._core(self.li1_factors, *first)
+        if not carried:
+            u, iters = _picard(self, explicit, predictor)
+        else:
+            u, iters = _picard(self, explicit, _extrapolate(predictor, carried),
+                               (predictor, first[0]))
+        if carried is not None:
+            correction = np.subtract(u, predictor, out=predictor)
+            carried[:] = [np.multiply(self.prop, h, out=h)
+                          for h in [correction] + carried[:2]]
+        return u, iters
+
+
+def _extrapolate(predictor: np.ndarray, carried: list) -> np.ndarray:
+    """The predictor plus the extrapolation of the transported corrections (newest first)."""
+    if len(carried) == 1:
+        return predictor + carried[0]
+    guess = np.subtract(carried[0], carried[1])
+    if len(carried) == 2:
+        guess += carried[0]
+    else:
+        np.multiply(3.0, guess, out=guess)
+        guess += carried[2]
+    guess += predictor
+    return guess
 
 
 class _SquareMap(_QuadMap):

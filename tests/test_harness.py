@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lowreg_nlse import harness
+from lowreg_nlse import harness, quadratic
 from lowreg_nlse.harness import (
     CSV_COLUMNS,
     Equation,
@@ -266,7 +266,11 @@ def test_simparams_accepts_exactly_the_stepper_table():
 def test_trajectory_steps_through_the_harness_global(equation, scheme):
     # a trajectory is a one-row lot of the scheme's prepared map; it must be
     # bit for bit a loop of the table's public stepper, which is the
-    # harness global of that name
+    # harness global of that name.  An sli2 trajectory starts each step
+    # after its first from its carried corrections: it is bit for bit a
+    # loop of its map's sli2 with them, whose first step is the stepper's
+    # and whose later steps lie within 2 fp_tol of the stepper's step from
+    # the same state, as both lie within fp_tol of that state's fixed point
     stepper, kind = _STEP_OF[(equation, scheme)]
     assert harness._SCHEMES[(equation, scheme)][1] is stepper
     assert getattr(harness, stepper.__name__) is stepper
@@ -278,12 +282,21 @@ def test_trajectory_steps_through_the_harness_global(equation, scheme):
     config = CubicSchemeConfig if equation is Equation.CUBIC else QuadSchemeConfig
     cfg = config(p.eps, p.tau, kind, p.fp_tol, p.fp_max_iter)
     ops = OperatorSymbols.build(w0.grid, p.tau)
+    prepared = harness._SCHEMES[(equation, scheme)][0]((p.eps,), ops, p.fp_tol, p.fp_max_iter)
+    carried = []
     states, iters = [w0], []
-    for _ in range(4):
+    for k in range(4):
         w = stepper(states[-1], cfg, ops)
         if (equation, scheme) in _IMPLICIT:
             w, it = w
             iters.append(it)
+        if scheme == "sli2":
+            c, [iters[-1]] = prepared.sli2(states[-1].coeffs, carried)
+            if k == 0:
+                assert c.tobytes() == w.coeffs.tobytes()
+            else:
+                assert harness._norm_diff(SpectralField(w.grid, c), w, 1.0) <= 2 * p.fp_tol
+            w = SpectralField(w.grid, c)
         states.append(w)
     want = harness.TrajectoryResult(
         state=states[-1], t_actual=4 * p.tau, n_steps=4,
@@ -459,20 +472,36 @@ def test_batched_references_equal_lone_trajectories(monkeypatch, equation, batch
         return original(rows, *name)
 
     monkeypatch.setattr(harness, "_run_rows", counting)
+    # the Picard counts of the rows of each stacked quadratic solve
+    counts = []
+    picard = quadratic._picard
+
+    def recording(step, explicit, guess, *secant):
+        u, iters = picard(step, explicit, guess, *secant)
+        counts.append(iters)
+        return u, iters
+
+    monkeypatch.setattr(quadratic, "_picard", recording)
     base = SimParams(equation=equation, scheme="nrli1" if equation is Equation.CUBIC else "li1",
                      eps=0.5, tau=0.1, t_final=0.5, n_modes=16, theta=1.5, seed=267)
     refs = []
-    # rows of different eps, lengths, steps (so Picard counts) and sample times
-    for eps, t_final, step, times in [(0.5, 0.5, 0.01, (0.0, 0.2, 0.2)), (0.3, 0.8, 0.02, ()),
-                                      (0.8, 0.3, 0.005, (0.1, 0.3)), (0.6, 0.0, 0.01, (0.0,))]:
-        p = replace(base, eps=eps, t_final=t_final)
+    # rows of different eps, lengths, steps (so Picard counts), sample times
+    # and data; the smooth theta = 5 row's sli2 steps stop after one map
+    # where rows beside it take two
+    for eps, t_final, step, times, theta in [
+            (0.5, 0.5, 0.01, (0.0, 0.2, 0.2), 1.5), (0.3, 0.8, 0.02, (), 1.5),
+            (0.8, 0.3, 0.005, (0.1, 0.3), 1.5), (0.6, 0.0, 0.01, (0.0,), 1.5),
+            (0.1, 0.5, 0.01, (), 5.0)]:
+        p = replace(base, eps=eps, t_final=t_final, theta=theta)
         fine = harness._Reference(p, make_initial_data(p), step, t_final, times)
         refs.extend([fine, replace(fine, step=step / 2.0)])
     store = harness._ReferenceStore()
     built = store.build(refs, batches=batches)
     # the two halves of the zero-horizon pair take no step and share a key
-    assert sorted(lockstep) == ([7] if batches == 1 else [3, 4])
+    assert sorted(lockstep) == ([9] if batches == 1 else [4, 5])
     assert len({traj.fp_iter_max for _, traj in built}) > 1
+    if equation is not Equation.CUBIC:
+        assert any(1 in iters and 2 in iters for iters in counts if len(iters) > 1)
     for ref, (_, traj) in zip(refs, built):
         _same_trajectory(traj, _lone_reference(ref))
 

@@ -8,7 +8,8 @@ array, so step k's state keeps its bytes after step k + 1 and shares no
 memory with it.  Each scheme's local error has its order, an implicit one
 reports its Picard count and raises on a diverging solve, zero stays zero,
 and a step is deterministic and leaves its input alone.  An implicit
-map's Picard solve stops within ``fp_tol`` of its fixed point.
+map's Picard solve stops within ``fp_tol`` of its fixed point, also where
+an sli2 trajectory starts it from its carried corrections.
 """
 import math
 from dataclasses import replace
@@ -20,7 +21,12 @@ from hypothesis import strategies as st
 
 from lowreg_nlse import cubic, harness, quadratic
 from lowreg_nlse.harness import Equation, SimParams, _norm_diff, make_initial_data
-from lowreg_nlse.oracles import band_limit, rk4_reference_step
+from lowreg_nlse.oracles import (
+    band_limit,
+    rk4_reference_step,
+    trapezoid_zero_mode_modsq,
+    trapezoid_zero_mode_square,
+)
 from lowreg_nlse.quadratic import FixedPointError
 from lowreg_nlse.selftest import _constant_field, _step
 from lowreg_nlse.spectral import (
@@ -255,3 +261,76 @@ def test_picard_stops_within_fp_tol_of_its_fixed_point(monkeypatch, equation, sc
     assert iters <= increment_count
     if (equation, name) == (Equation.QUAD_MODSQ, "pool-reference"):
         assert iters == 2
+
+
+# the sli2 trajectories of the trajectory stop-rule test, name -> (eps, tau,
+# window of the share of solves that stop after one map; a logged run read
+# quad-modsq 79/80 and 24/80, quad-square 78/80 and 30/80): smooth theta = 5
+# data at N = 128, with quad-eps-pool's eps = 0.18 finer reference step and
+# its eps = 0.5 fine one
+_CARRIED_INPUTS = {
+    (Equation.QUAD_MODSQ, "eps0.18"): (0.18, 2.5e-3, (0.9, 1.0)),
+    (Equation.QUAD_MODSQ, "eps0.5"): (0.5, 5e-3, (0.2, 0.4)),
+    (Equation.QUAD_SQUARE, "eps0.18"): (0.18, 2.5e-3, (0.9, 1.0)),
+    (Equation.QUAD_SQUARE, "eps0.5"): (0.5, 5e-3, (0.25, 0.5)),
+}
+
+
+@pytest.mark.parametrize("equation, name", list(_CARRIED_INPUTS))
+def test_carried_sli2_trajectory_stops_within_fp_tol(monkeypatch, equation, name):
+    # from its second step on an sli2 trajectory starts each solve from its
+    # carried corrections and may accept the first map; every returned
+    # iterate must still lie within fp_tol of the same map iterated on
+    # until its increments stop falling
+    eps, tau, (lo, hi) = _CARRIED_INPUTS[(equation, name)]
+    solves = []
+    picard = quadratic._picard
+
+    def recording(step, explicit, guess, *secant):
+        u, iters = picard(step, explicit, guess, *secant)
+        solves.append((step, explicit.copy(), u.copy(), iters[0]))
+        return u, iters
+
+    monkeypatch.setattr(quadratic, "_picard", recording)
+    p = SimParams(equation=equation, scheme="sli2", eps=eps, tau=tau, t_final=80 * tau,
+                  n_modes=128, theta=5.0, seed=267)
+    harness.run_trajectory(p, make_initial_data(p))
+    assert len(solves) == 80
+    grid = TorusGrid(128)
+
+    def h1(c):
+        return float(sobolev_norms(c, grid, 1.0))
+
+    for step, explicit, got, _ in solves:
+        u, last = got, math.inf
+        for _ in range(100):
+            u_next = step.apply(u, explicit)
+            increment = h1(u_next - u)
+            if not increment < last:
+                break
+            u, last = u_next, increment
+        else:
+            pytest.fail("the increments fell for 100 maps")
+        assert h1(got - u) <= 1e-12
+    one_map = sum(iters == 1 for *_, iters in solves)
+    assert lo <= one_map / len(solves) <= hi
+
+
+@pytest.mark.parametrize("equation, integrator", [
+    (Equation.QUAD_SQUARE, trapezoid_zero_mode_square),
+    (Equation.QUAD_MODSQ, trapezoid_zero_mode_modsq),
+])
+def test_constant_sli2_trajectory_follows_the_trapezoid_rule(equation, integrator):
+    # selftest's constant data; its steps after the first start from the
+    # carried corrections.  The field stays constant, and each step's zero
+    # mode is the trapezoid step of the last within fp_tol
+    grid = TorusGrid(8)
+    p = SimParams(equation=equation, scheme="sli2", eps=0.5, tau=0.1, t_final=0.6, n_modes=8)
+    out = harness.run_trajectory(p, _constant_field(grid, 0.9 - 0.4j),
+                                 [k * p.tau for k in range(7)])
+    states = [w.coeffs for _, w in out.snapshots]
+    assert len(states) == 7
+    n0 = grid.n_modes // 2
+    for prev, cur in zip(states, states[1:]):
+        np.testing.assert_array_equal(np.delete(cur, n0), 0.0)
+        assert abs(cur[n0] - integrator(prev[n0], p.eps, p.tau)) <= p.fp_tol
