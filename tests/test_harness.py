@@ -507,7 +507,7 @@ def test_batched_references_equal_lone_trajectories(monkeypatch, equation, batch
 
 
 def test_stalled_reference_row_names_its_own_step():
-    # quad-modsq at eps 1 and step 0.1 needs 15, 17, 19, 27 Picard iterations
+    # quad-modsq at eps 1 and step 0.1 needs 15, 16, 18, 26 Picard iterations
     # at its first four steps, so at fp_max_iter 20 it stalls at step 4; the
     # longer row beside it converges throughout
     easy = _quad(equation=Equation.QUAD_MODSQ, eps=0.5, theta=1.0, seed=267, fp_max_iter=20)
